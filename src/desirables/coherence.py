@@ -74,11 +74,19 @@ class AssessmentSet:
                 )
 
     def transformed_generators(self) -> np.ndarray:
-        """m x n matrix whose columns are the utility transforms of the accepted gambles."""
-        m, n = self.space.m, len(self.accepted)
-        U = np.zeros((m, n))
-        for i, g in enumerate(self.accepted):
-            U[:, i] = transform(self.utility, g)
+        """m x n matrix whose columns are the utility transforms of the accepted gambles.
+
+        Computed on the first call, so a DomainError surfaces at the query, and
+        cached as a read-only array for later calls.
+        """
+        U = self.__dict__.get("_transformed")
+        if U is None:
+            m, n = self.space.m, len(self.accepted)
+            U = np.zeros((m, n))
+            for i, g in enumerate(self.accepted):
+                U[:, i] = transform(self.utility, g)
+            U.flags.writeable = False
+            object.__setattr__(self, "_transformed", U)
         return U
 
 

@@ -4,7 +4,11 @@ Problems are stated as ``maximize objective @ x`` subject to rows
 ``coeffs @ x (<=|>=|=) rhs`` and per-variable lower bounds of 0 or -inf
 (free variables are split internally).  Pivoting is deterministic (Bland's
 anti-cycling rule, ties broken by smallest basis index), so identical inputs
-produce bit-identical solutions.
+produce bit-identical solutions.  Each step (entering column, ratio test,
+rank-1 pivot update) is a numpy array operation that makes the same choices
+and the same floating-point operations as a scalar loop over the tableau, so
+outputs are bit-identical to the scalar Bland loop; summations keep their
+row order for the same reason.
 
 Infeasible problems carry a Farkas certificate ``y`` over the original
 constraint rows with the convention
@@ -129,35 +133,23 @@ class _Tableau:
         n = len(p.objective)
         m = len(p.constraints)
 
-        # Structural columns; free variables contribute a (+1, -1) pair.
-        self.col_of_var: list[list[tuple[int, float]]] = []
-        cols: list[tuple[int, float]] = []
+        # Structural columns: variable var[k] times sign[k]; free variables
+        # contribute a (+1, -1) pair.
+        pairs: list[tuple[int, float]] = []
         for j, lb in enumerate(p.lower_bounds):
-            if lb == 0.0:
-                self.col_of_var.append([(len(cols), 1.0)])
-                cols.append((j, 1.0))
-            else:
-                self.col_of_var.append([(len(cols), 1.0), (len(cols) + 1, -1.0)])
-                cols.append((j, 1.0))
-                cols.append((j, -1.0))
-        n_struct = len(cols)
+            pairs += [(j, 1.0)] if lb == 0.0 else [(j, 1.0), (j, -1.0)]
+        self.var = np.array([j for j, _ in pairs])
+        self.sign = np.array([s for _, s in pairs])
+        n_struct = len(pairs)
 
-        self.tau = np.ones(m)
-        rows = np.zeros((m, n_struct))
-        rhs = np.zeros(m)
-        rels = []
-        for i, c in enumerate(p.constraints):
-            coeffs = np.asarray(c.coeffs)
-            expanded = np.array([coeffs[v] * sign for v, sign in cols])
-            b = c.rhs
-            rel = c.rel
-            if b < 0:
-                expanded, b = -expanded, -b
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-                self.tau[i] = -1.0
-            rows[i] = expanded
-            rhs[i] = b
-            rels.append(rel)
+        A = np.array([c.coeffs for c in p.constraints]).reshape(m, n)
+        rows = A[:, self.var] * self.sign
+        rhs = np.array([c.rhs for c in p.constraints])
+        flip = rhs < 0
+        rows[flip], rhs[flip] = -rows[flip], -rhs[flip]
+        self.tau = np.where(flip, -1.0, 1.0)
+        swap = {LE: GE, GE: LE, EQ: EQ}
+        rels = [swap[c.rel] if f else c.rel for c, f in zip(p.constraints, flip)]
 
         n_extra = sum(1 for r in rels if r in (LE, GE))
         n_art = sum(1 for r in rels if r in (GE, EQ))
@@ -195,7 +187,6 @@ class _Tableau:
 
         self.T = T
         self.n_struct = n_struct
-        self.struct_cols = cols
         self.row_alive = np.ones(m, dtype=bool)
 
     def _pivot(self, row: int, col: int) -> None:
@@ -207,9 +198,11 @@ class _Tableau:
                 + format_problem(self.problem)
             )
         T[row, :] /= piv
-        for r in range(T.shape[0]):
-            if r != row and T[r, col] != 0.0:
-                T[r, :] -= T[r, col] * T[row, :]
+        # Rows with a zero (or -0.0) pivot-column entry are left untouched, as
+        # x - 0*y would turn a stored -0.0 into +0.0.
+        rows = np.flatnonzero(T[:, col])
+        rows = rows[rows != row]
+        T[rows] -= T[rows, col][:, None] * T[row]
         self.basis[row] = col
 
 
@@ -225,24 +218,17 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray) -> str:
         if cb != 0.0:
             obj -= cb * T[i, :]
     for _ in range(_MAX_ITER):
-        entering = -1
-        for j in range(ncols):
-            if allowed[j] and obj[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = allowed & (obj[:ncols] < -_TOL)
+        entering = int(np.argmax(improving))
+        if not improving[entering]:
             return "optimal"
-        best = None
-        for i in np.nonzero(tab.row_alive)[0]:
-            a = T[i, entering]
-            if a > _TOL:
-                ratio = T[i, -1] / a
-                key = (ratio, tab.basis[i])
-                if best is None or key < best[0]:
-                    best = (key, int(i))
-        if best is None:
+        # Min-ratio test; ties at the minimum ratio go to the smallest basis index.
+        rows = np.flatnonzero(tab.row_alive & (T[:, entering] > _TOL))
+        if rows.size == 0:
             return "unbounded"
-        row = best[1]
+        ratio = T[rows, -1] / T[rows, entering]
+        tied = rows[ratio == ratio.min()]
+        row = int(tied[np.argmin(tab.basis[tied])])
         tab._pivot(row, entering)
         # Re-reduce the cost row against the new basic row.
         coef = obj[entering]
@@ -277,19 +263,16 @@ def solve(p: LpProblem, debug: bool = False) -> LpSolution:
         _drive_out_artificials(tab, art)
 
     cost2 = np.zeros(total)
-    for j, locs in enumerate(tab.col_of_var):
-        for col, sign in locs:
-            cost2[col] = -p.objective[j] * sign
+    cost2[: tab.n_struct] = -np.array(p.objective)[tab.var] * tab.sign
     status = _simplex_min(tab, cost2, allowed=~art)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
     x_std = np.zeros(total)
-    for i in np.nonzero(tab.row_alive)[0]:
-        x_std[tab.basis[i]] = T[i, -1]
-    x = np.array(
-        [sum(sign * x_std[col] for col, sign in locs) for locs in tab.col_of_var]
-    )
+    x_std[tab.basis[tab.row_alive]] = T[tab.row_alive, -1]
+    # add.at sums unbuffered in column order: 0.0 + x_plus (+ -x_minus), as a loop would.
+    x = np.zeros(len(p.objective))
+    np.add.at(x, tab.var, tab.sign * x_std[: tab.n_struct])
     _recheck(p, x)
     value = float(np.dot(p.objective, x))
     x.flags.writeable = False
@@ -302,12 +285,9 @@ def _drive_out_artificials(tab: _Tableau, art: np.ndarray) -> None:
     for i in np.nonzero(tab.row_alive)[0]:
         if not art[tab.basis[i]]:
             continue
-        pivot_col = -1
-        for j in range(T.shape[1] - 1):
-            if not art[j] and abs(T[i, j]) > _TOL:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
+        eligible = ~art & (np.abs(T[i, :-1]) > _TOL)
+        pivot_col = int(np.argmax(eligible))
+        if eligible[pivot_col]:
             tab._pivot(int(i), pivot_col)
         else:
             tab.row_alive[i] = False

@@ -5,6 +5,7 @@ import pytest
 
 from desirables import (
     AssessmentSet,
+    DomainError,
     Functional,
     Gamble,
     Infeasible,
@@ -12,6 +13,7 @@ from desirables import (
     LogShift,
     PowerDiscounted,
     SpaceMismatch,
+    Sqrt,
     StateSpace,
     accept_decision,
     accepts,
@@ -84,6 +86,16 @@ def test_avoids_partial_loss_line_pair():
 def test_constructor_rejects_sure_loss_generator():
     with pytest.raises(ValueError):
         linear_set([G(-1, -2)])
+
+
+def test_transformed_generators_cached_read_only_and_lazy():
+    aset = linear_set([G(1, -1), G(0.5, 2)])
+    U = aset.transformed_generators()
+    assert aset.transformed_generators() is U and not U.flags.writeable
+    # An out-of-domain generator is accepted at construction and reported at the query.
+    outside = AssessmentSet(S2, Sqrt(), (G(1.0, -0.5),))
+    with pytest.raises(DomainError):
+        accepts(outside, G(1.0, 1.0))
 
 
 def test_partial_loss_witness():
