@@ -121,7 +121,8 @@ class AcceptanceDecision:
 
     ``witness`` holds the conic coefficients when accepted; ``certificate``
     holds a Farkas vector y >= 0 with U^T y >= 0 and y . u(g) < 0 proving
-    rejection.  ``margin`` is the maximized minimum slack, capped at 1.
+    rejection: the margin LP's l1-normalized duals, checked (None if the check
+    fails).  ``margin`` is the maximized minimum slack, capped at 1.
     """
 
     accepted: bool
@@ -158,24 +159,14 @@ def accept_decision(a: AssessmentSet, g: Gamble) -> AcceptanceDecision:
         witness.flags.writeable = False
         return AcceptanceDecision(True, margin, witness=witness)
 
-    # Rejected: extract a Farkas certificate.  With no generators the most
-    # negative state certifies by itself; otherwise use the feasibility LP.
-    if n == 0:
-        y = np.zeros(m)
-        y[int(np.argmin(c))] = 1.0
-        y.flags.writeable = False
-        return AcceptanceDecision(False, margin, certificate=y)
-    feas_rows = [lp.Constraint(tuple(U[j]), lp.LE, float(c[j])) for j in range(m)]
-    feas = lp.solve(lp.LpProblem((0.0,) * n, tuple(feas_rows), (0.0,) * n))
-    certificate = None
-    if feas.status is lp.LpStatus.INFEASIBLE and feas.certificate is not None:
-        y = -np.asarray(feas.certificate)
-        total = float(np.abs(y).sum())
-        if total > 0:
-            y = y / total
-        y.flags.writeable = False
-        certificate = y
-    return AcceptanceDecision(False, margin, certificate=certificate)
+    # Rejected: the duals of the state rows, l1-normalized, are the certificate
+    # (the cap row is slack, so its dual is 0).  It is checked before use.
+    y = sol.y[:m]
+    total = float(np.abs(y).sum())
+    y = y / total if total > 0 else y
+    proven = y.min() >= -_TOL and (U.T @ y).min(initial=0.0) >= -_TOL and c @ y < 0
+    y.flags.writeable = False
+    return AcceptanceDecision(False, margin, certificate=y if proven else None)
 
 
 def accepts(a: AssessmentSet, g: Gamble) -> bool:
@@ -227,7 +218,9 @@ class Infeasible:
     """No compatible functional exists; ``conflict`` is an irreducible conflicting subset.
 
     Entries are ("accepted", i) or ("rejected", j) indices into the assessment
-    set, found by greedy single-constraint deletion in input order.
+    set, found by greedy single-constraint deletion in input order; constraints
+    with a zero entry in the last checked Farkas certificate or negative-margin
+    duals are dropped without a solve.
     """
 
     conflict: tuple[tuple[str, int], ...]
@@ -256,14 +249,20 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
         return _fit_lp(a.space.m, UA, UR, active, strict_margin)
 
     active = list(labels)
-    result = attempt(active)
+    result, droppable = attempt(active)
     if result is not None:
         return result
 
+    # Greedy deletion in input order; a constraint outside the support of the
+    # current evidence is dropped without a solve, as the evidence still holds.
     for constraint in labels:
         trial = [c for c in active if c != constraint]
-        if attempt(trial) is None:
+        if constraint in droppable:
             active = trial
+            continue
+        result, evidence = attempt(trial)
+        if result is None:
+            active, droppable = trial, evidence
     return Infeasible(conflict=tuple(active))
 
 
@@ -293,8 +292,12 @@ def fit_constraints(
     return tuple(rows)
 
 
-def _fit_lp(m, UA, UR, active, eps) -> Functional | None:
-    """Margin LP over a constraint subset; None when unsatisfiable."""
+def _fit_lp(m, UA, UR, active, eps):
+    """Margin LP over a constraint subset: (Functional, set()), or (None, droppable).
+
+    ``droppable`` holds the active constraints with a zero entry in the checked
+    evidence: the Farkas certificate, or the duals when the margin is negative.
+    """
     acc = [i for kind, i in active if kind == "accepted"]
     rej = [j for kind, j in active if kind == "rejected"]
     # Variables: w_1..w_m, margin (free).
@@ -305,10 +308,19 @@ def _fit_lp(m, UA, UR, active, eps) -> Functional | None:
     if not acc:  # margin otherwise unbounded
         rows.append(lp.Constraint((0.0,) * m + (1.0,), lp.LE, 1.0))
     bounds = tuple([0.0] * m + [-math.inf])
-    sol = lp.solve(lp.LpProblem(objective, tuple(rows), bounds))
-    if sol.status is not lp.LpStatus.OPTIMAL or sol.value < -_TOL:
-        return None
-    return Functional(np.maximum(sol.x[:m], 0.0))
+    problem = lp.LpProblem(objective, tuple(rows), bounds)
+    sol = lp.solve(problem)
+    if sol.status is lp.LpStatus.OPTIMAL and sol.value >= -_TOL:
+        return Functional(np.maximum(sol.x[:m], 0.0)), set()
+    if sol.status is lp.LpStatus.INFEASIBLE:
+        evidence = sol.certificate
+        proven = lp.check_infeasibility_certificate(problem, evidence)
+    else:  # weak duality: the duals y make (-y, 1) refute "margin >= -_TOL"
+        evidence = sol.y
+        cut = lp.LpProblem(objective, (*rows, lp.Constraint(objective, lp.GE, -_TOL)), bounds)
+        proven = lp.check_infeasibility_certificate(cut, np.append(-evidence, 1.0))
+    # Rows follow ``active``: accepted constraints, then rejected ones.
+    return None, {c for c, v in zip(active, evidence) if v == 0.0} if proven else set()
 
 
 def rho(ell: Functional, u: Utility, f: Gamble) -> float:

@@ -18,7 +18,12 @@ constraint rows with the convention
     sum_k y[k] * rhs_k > 0,
 
 which makes the row combination contradict feasibility directly; see
-:func:`check_infeasibility_certificate`.
+:func:`check_infeasibility_certificate`.  Optimal problems carry the dual
+values ``y`` over the original rows, read from the phase-2 reduced costs:
+
+    y[k] >= 0 for "<=" rows, y[k] <= 0 for ">=" rows, free for "=" rows,
+    sum_k y[k] * coeffs_k >= objective on bounded variables (= on free ones),
+    sum_k y[k] * rhs_k = value.
 """
 
 from __future__ import annotations
@@ -112,6 +117,7 @@ class LpSolution:
     x: np.ndarray | None = None
     value: float | None = None
     certificate: np.ndarray | None = None
+    y: np.ndarray | None = None
 
 
 def format_problem(p: LpProblem) -> str:
@@ -206,8 +212,11 @@ class _Tableau:
         self.basis[row] = col
 
 
-def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray) -> str:
-    """Minimize cost @ x_std over the tableau (Bland's rule). Mutates tab and returns status."""
+def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
+    """Minimize cost @ x_std over the tableau (Bland's rule); mutates tab.
+
+    Returns the status and the final reduced-cost row.
+    """
     T = tab.T
     ncols = T.shape[1] - 1
     # Reduced-cost row: cost minus the basis-weighted tableau rows.
@@ -221,11 +230,11 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray) -> str:
         improving = allowed & (obj[:ncols] < -_TOL)
         entering = int(np.argmax(improving))
         if not improving[entering]:
-            return "optimal"
+            return "optimal", obj
         # Min-ratio test; ties at the minimum ratio go to the smallest basis index.
         rows = np.flatnonzero(tab.row_alive & (T[:, entering] > _TOL))
         if rows.size == 0:
-            return "unbounded"
+            return "unbounded", obj
         ratio = T[rows, -1] / T[rows, entering]
         tied = rows[ratio == ratio.min()]
         row = int(tied[np.argmin(tab.basis[tied])])
@@ -237,13 +246,9 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray) -> str:
     raise NumericalInstability("iteration cap exceeded\n" + format_problem(tab.problem))
 
 
-def solve(p: LpProblem, debug: bool = False) -> LpSolution:
-    """Solve the LP; returns Optimal(x, value), Infeasible(certificate), or Unbounded."""
+def solve(p: LpProblem) -> LpSolution:
+    """Solve the LP; returns Optimal(x, value, y), Infeasible(certificate), or Unbounded."""
     tab = _Tableau(p)
-    if debug:
-        import sys
-
-        print(format_problem(p), file=sys.stderr)
     T = tab.T
     total = T.shape[1] - 1
     art = np.zeros(total, dtype=bool)
@@ -252,7 +257,7 @@ def solve(p: LpProblem, debug: bool = False) -> LpSolution:
     if tab.art_cols:
         cost1 = np.zeros(total)
         cost1[tab.art_cols] = 1.0
-        status = _simplex_min(tab, cost1, allowed=np.ones(total, dtype=bool))
+        status, _ = _simplex_min(tab, cost1, allowed=np.ones(total, dtype=bool))
         if status != "optimal":  # phase 1 is bounded below by 0
             raise NumericalInstability("phase 1 unbounded\n" + format_problem(p))
         value1 = float(
@@ -264,7 +269,7 @@ def solve(p: LpProblem, debug: bool = False) -> LpSolution:
 
     cost2 = np.zeros(total)
     cost2[: tab.n_struct] = -np.array(p.objective)[tab.var] * tab.sign
-    status = _simplex_min(tab, cost2, allowed=~art)
+    status, reduced = _simplex_min(tab, cost2, allowed=~art)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
@@ -275,8 +280,11 @@ def solve(p: LpProblem, debug: bool = False) -> LpSolution:
     np.add.at(x, tab.var, tab.sign * x_std[: tab.n_struct])
     _recheck(p, x)
     value = float(np.dot(p.objective, x))
-    x.flags.writeable = False
-    return LpSolution(LpStatus.OPTIMAL, x=x, value=value)
+    # Duals: reduced costs at the identity columns, unflipped by tau.  A dropped
+    # redundant row leaves its basic artificial a zero column, hence a zero dual.
+    y = tab.tau * reduced[tab.identity_col]
+    x.flags.writeable = y.flags.writeable = False
+    return LpSolution(LpStatus.OPTIMAL, x=x, value=value, y=y)
 
 
 def _drive_out_artificials(tab: _Tableau, art: np.ndarray) -> None:

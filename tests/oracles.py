@@ -1,14 +1,17 @@
 """Independent brute-force oracles for the LP-backed decision paths.
 
-Nothing here touches the package's simplex kernel: feasibility is decided by
-exhaustive lambda-grid search and by vertex enumeration of the Farkas dual
-polytope, and tiny LPs are re-solved by enumerating candidate vertices.
+Apart from :func:`greedy_conflict`, nothing here touches the package's
+simplex kernel: feasibility is decided by exhaustive lambda-grid search and by
+vertex enumeration of the Farkas dual polytope, and tiny LPs are re-solved by
+enumerating candidate vertices.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from desirables import AssessmentSet, Functional, fit_functional
 
 
 def grid_witness(U, c, lo=0.0, hi=10.0, step=0.01, slack=None):
@@ -173,3 +176,30 @@ def fit_feasible_w1(UA, UR, eps, step=1e-4, tol=1e-12):
     for col in np.asarray(UR, float).T:
         ok &= (col @ W) <= -eps + tol
     return w1[ok]
+
+
+def greedy_conflict(a, strict_margin=1e-6):
+    """Reference conflict search: greedy single-constraint deletion in input order.
+
+    Every trial subset is decided on its own, by the verdict of
+    ``fit_functional`` on the sub-assessment-set (its first LP), with no
+    evidence carried between trials.
+    """
+    labels = [("accepted", i) for i in range(len(a.accepted))]
+    labels += [("rejected", j) for j in range(len(a.rejected))]
+
+    def fits(active):
+        sub = AssessmentSet(
+            a.space,
+            a.utility,
+            tuple(a.accepted[i] for kind, i in active if kind == "accepted"),
+            tuple(a.rejected[j] for kind, j in active if kind == "rejected"),
+        )
+        return isinstance(fit_functional(sub, strict_margin), Functional)
+
+    active = list(labels)
+    for constraint in labels:
+        trial = [c for c in active if c != constraint]
+        if not fits(trial):
+            active = trial
+    return tuple(active)

@@ -1,7 +1,10 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from desirables import (
     AssessmentSet,
@@ -32,7 +35,7 @@ from desirables import (
 )
 
 from helpers import random_assessment, random_gamble, random_query, utility_zoo
-from oracles import farkas_verdict, fit_feasible_w1, grid_witness
+from oracles import farkas_verdict, fit_feasible_w1, greedy_conflict, grid_witness
 
 S2 = StateSpace(("s1", "s2"))
 
@@ -72,6 +75,15 @@ def test_accepts_negative_example():
     y = decision.certificate
     assert y is not None
     assert y.min() >= -1e-9 and np.all(U.T @ y >= -1e-9) and float(c @ y) < 0
+
+
+def test_reject_without_generators_certifies_from_duals():
+    # With no generators the margin LP's duals single out the worst state.
+    decision = accept_decision(linear_set([]), G(-0.1, 5.0))
+    assert not decision.accepted
+    assert decision.margin == pytest.approx(-0.1, abs=1e-12)
+    assert decision.certificate.tolist() == [1.0, 0.0]
+    assert not decision.certificate.flags.writeable
 
 
 def test_space_mismatch_rejected():
@@ -131,6 +143,102 @@ def test_fit_functional_conflict_is_irreducible():
     result = fit_functional(aset)
     assert isinstance(result, Infeasible)
     assert result.conflict == (("accepted", 0), ("rejected", 0))
+
+
+@st.composite
+def _conflicting_sets(draw):
+    """Linear-utility sets that admit no functional, in both infeasible modes of the fit LP.
+
+    Rejected gambles are planted at a weight vector w0 (w0 . g = -delta < 0), so
+    the rejection rows alone are satisfiable.  In "dominance" mode one rejected
+    gamble lies above a planted accepted one, and the LP is optimal with a
+    negative margin; in "infeasible" mode one rejected gamble is nonnegative
+    in every state, and the LP is infeasible.
+    """
+    m = draw(st.integers(2, 4))
+    tenths = st.integers(-20, 20).map(lambda k: k / 10)
+    vec = st.lists(tenths, min_size=m, max_size=m).map(np.array)
+    w0 = np.array(draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)), dtype=float)
+    w0 /= w0.sum()
+
+    def planted(delta):
+        v = draw(vec)
+        return v - (w0 @ v + delta)
+
+    accepted = draw(st.lists(vec.filter(lambda v: v.max() >= 0), min_size=1, max_size=6))
+    deltas = draw(st.lists(st.sampled_from((0.05, 0.2, 0.5)), max_size=3))
+    rejected = [planted(delta) for delta in deltas]
+    if draw(st.sampled_from(("dominance", "infeasible"))) == "dominance":
+        f = planted(0.6)
+        assume(f.max() >= 0)
+        accepted.insert(draw(st.integers(0, len(accepted))), f)
+        bump = np.array(draw(st.lists(st.sampled_from((0.0, 0.1, 0.3)), min_size=m, max_size=m)))
+        culprit = f + bump
+    else:
+        culprit = np.abs(draw(vec))
+    rejected.insert(draw(st.integers(0, len(rejected))), culprit)
+    return assessment_on(m, Linear(), accepted, rejected)
+
+
+def assessment_on(m, u, accepted, rejected):
+    """Assessment set under ``u`` from reward vectors on m states."""
+    space = StateSpace(tuple(f"s{i}" for i in range(m)))
+    return AssessmentSet(
+        space,
+        u,
+        tuple(Gamble(space, g) for g in accepted),
+        tuple(Gamble(space, g) for g in rejected),
+    )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_conflicting_sets())
+def test_conflict_search_matches_plain_greedy_deletion(aset):
+    # Dropping zero-evidence constraints without a solve must not change the
+    # conflict that solving every trial subset finds.
+    result = fit_functional(aset)
+    assert isinstance(result, Infeasible)
+    assert result.conflict == greedy_conflict(aset)
+
+
+def _highs_fit_feasible(UA, UR, eps):
+    """HiGHS: is {w >= 0, sum w = 1, w . UA >= 0, w . UR <= -eps} nonempty?"""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m = UA.shape[0]
+    res = linprog(
+        np.zeros(m),
+        A_ub=np.vstack([-UA.T, UR.T]),
+        b_ub=np.concatenate([np.zeros(UA.shape[1]), np.full(UR.shape[1], -eps)]),
+        A_eq=np.ones((1, m)),
+        b_eq=[1.0],
+        bounds=[(0, None)] * m,
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def test_conflict_search_on_captured_set_returns_verified_conflict():
+    # Captured from a benchmark fit set whose conflict search used to solve a
+    # sub-LP on which the kernel raises NumericalInstability; the evidence of
+    # the earlier solves shows that constraint droppable, so it is not solved.
+    data = json.loads((Path(__file__).parent / "data" / "fit_conflict_seed11.json").read_text())
+    m = len(data["accepted"][0])
+    aset = assessment_on(m, LogShift(), data["accepted"], data["rejected"])
+    eps = data["strict_margin"]
+    result = fit_functional(aset, strict_margin=eps)
+    assert isinstance(result, Infeasible)
+    UA = aset.transformed_generators()
+    UR = np.column_stack([transform(aset.utility, g) for g in aset.rejected])
+
+    def feasible(conflict):
+        acc = [i for kind, i in conflict if kind == "accepted"]
+        rej = [j for kind, j in conflict if kind == "rejected"]
+        return _highs_fit_feasible(UA[:, acc], UR[:, rej], eps)
+
+    assert not feasible(result.conflict)
+    for k in range(len(result.conflict)):  # irreducible
+        assert feasible(result.conflict[:k] + result.conflict[k + 1 :])
 
 
 def test_fit_functional_margin_bounds():

@@ -174,13 +174,6 @@ def test_format_problem_mentions_rows_and_bounds():
     assert "maximize" in text and "<=" in text and "free" in text
 
 
-def test_debug_flag_dumps_problem(capsys):
-    p = P((1.0,), [((1.0,), "<=", 3.0)])
-    solve(p, debug=True)
-    err = capsys.readouterr().err
-    assert "maximize" in err and "row 0" in err
-
-
 def test_ratio_tie_goes_to_smallest_basis_index():
     # Phase 1 enters x1; rows 1 and 2 tie at ratio 3.  Row 1's basic column is
     # its artificial (index 5), row 2's is its slack (index 3), so Bland's
@@ -317,18 +310,34 @@ def _highs_sized_problems(draw):
     return P(tuple(float(v) for v in c), rows, bounds)
 
 
+def _assert_duals_prove_optimum(p, sol, tol):
+    """y >= 0 on <= rows, <= 0 on >= rows; A^T y >= c (= c on free variables); b . y = value."""
+    y = sol.y
+    assert y.shape == (len(p.constraints),) and not y.flags.writeable
+    rels = np.array([c.rel for c in p.constraints])
+    assert y[rels == "<="].min(initial=0.0) >= -tol
+    assert y[rels == ">="].max(initial=0.0) <= tol
+    gap = y @ np.array([c.coeffs for c in p.constraints]) - np.array(p.objective)
+    free = np.array(p.lower_bounds) == INF
+    assert gap[~free].min(initial=0.0) >= -tol
+    assert np.abs(gap[free]).max(initial=0.0) <= tol
+    assert float(y @ np.array([c.rhs for c in p.constraints])) == pytest.approx(sol.value, abs=tol)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_highs_sized_problems())
 def test_differential_against_highs(p):
     sol = solve(p)
     if sol.status is LpStatus.INFEASIBLE:
         assert check_infeasibility_certificate(p, sol.certificate)
+    size = max(1.0, max(abs(v) for v in p.objective))
+    if sol.status is LpStatus.OPTIMAL:
+        _assert_duals_prove_optimum(p, sol, 1e-7 * size * (1.0 + abs(sol.value)))
     verdict = _highs(p)
     assume(verdict is not None)
     status, value = verdict
     assert sol.status.value == status
     if sol.status is LpStatus.OPTIMAL:
-        size = max(1.0, max(abs(v) for v in p.objective))
         assert sol.value == pytest.approx(value, abs=1e-7 * size * (1.0 + abs(value)))
 
 
