@@ -1,0 +1,107 @@
+"""Elementwise backends for the valuation formulas.
+
+Every utility, reparameterization and discount regime writes its formula
+once, against a backend ``xp`` that supplies the elementwise functions:
+:data:`SCALAR` evaluates a formula on one float with :mod:`math` (the cost
+of the scalar entry points is that of plain ``math`` code), and :data:`GRID`
+evaluates it on a numpy array, e.g. a shifts x payments grid.  numpy's
+``exp``/``log1p``/``pow`` may differ from libm's in the last bits, so a grid
+cell can differ from the scalar value of the same cell by a few ulps.
+"""
+
+from __future__ import annotations
+
+import math
+from types import ModuleType
+
+import numpy as np
+
+
+def _where(cond, a, b):
+    return a if cond else b
+
+
+def _segment(xs, w):
+    # Index i of the table interval [xs[i], xs[i + 1]] that serves w, the
+    # first and last intervals extending to -inf and +inf.
+    if w <= xs[0]:
+        return 0
+    if w >= xs[-2]:
+        return len(xs) - 2
+    return int(np.searchsorted(xs, w, side="right")) - 1
+
+
+def _segment_grid(xs, w):
+    return np.clip(np.searchsorted(xs, w, side="right") - 1, 0, len(xs) - 2)
+
+
+def _each_grid(fn, v):
+    # A per-payment quantity: ``fn`` on a scalar, or on each entry of a sequence.
+    if np.ndim(v) == 0:
+        return fn(v)
+    return np.array([fn(e) for e in v])
+
+
+def _round2_grid(v):
+    """``round(v, 2)`` elementwise, with Python's exact decimal semantics.
+
+    ``np.round`` rounds the float product ``v * 100``, which can land on the
+    wrong side of a halfway point (0.015 -> 0.02, where Python gives 0.01).
+    The product is off by at most half an ulp, so its nearest integer is the
+    right one unless it lies within 1e-9 (relative) of a halfway point; those
+    entries, non-finite ones and those beyond 5e6, are rounded by ``round``.
+    """
+    scaled = v * 100.0
+    q = np.rint(scaled)
+    out = q / 100.0
+    exact = np.abs(np.abs(scaled - q) - 0.5) > 1e-9 * np.maximum(1.0, np.abs(scaled))
+    redo = np.flatnonzero(~exact)
+    if redo.size:
+        out.flat[redo] = [round(e, 2) for e in v.flat[redo].tolist()]
+    return out
+
+
+def _backend(name: str, **functions) -> ModuleType:
+    # A module, not a namespace object: attribute loads on modules are as
+    # cheap as ``math.exp`` itself.
+    module = ModuleType(f"{__name__}.{name}")
+    vars(module).update(functions)
+    return module
+
+
+#: One float at a time, with :mod:`math`.
+SCALAR = _backend(
+    "scalar",
+    asfloat=float,
+    exp=math.exp,
+    log1p=math.log1p,
+    sqrt=math.sqrt,
+    abs=abs,
+    copysign=math.copysign,
+    where=_where,
+    round2=lambda v: round(v, 2),
+    segment=_segment,
+    take=lambda seq, i: seq[i],
+)
+
+#: Elementwise over numpy arrays.
+GRID = _backend(
+    "grid",
+    asfloat=lambda v: np.asarray(v, dtype=float),
+    exp=np.exp,
+    log1p=np.log1p,
+    sqrt=np.sqrt,
+    abs=np.abs,
+    copysign=np.copysign,
+    where=np.where,
+    round2=_round2_grid,
+    each=_each_grid,
+    segment=_segment_grid,
+    take=np.take,
+)
+
+
+def check_each(check, values: np.ndarray, ok: np.ndarray) -> None:
+    """Run the scalar ``check`` on the first entry (row-major) of ``values`` failing ``ok``."""
+    if not ok.all():
+        check(float(values.flat[np.argmin(ok)]))

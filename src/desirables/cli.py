@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
+
+import numpy as np
 
 from . import config as configmod
 from .coherence import AssessmentSet, Functional, audit, fit_functional
@@ -24,12 +27,7 @@ from .discount import (
     ScaleDependent,
 )
 from .errors import ConfigError, DesirablesError, SpaceMismatch
-from .intertemporal import (
-    Preference,
-    effective_utility,
-    schedule_value,
-    shift_schedule,
-)
+from .intertemporal import effective_utility, reversal_scan, schedule_value
 
 _EXIT_OK = 0
 _EXIT_FINDINGS = 1
@@ -108,53 +106,29 @@ def cmd_scan(args) -> int:
     if scenario.scan_shifts is None or scenario.scan_pair is None:
         return _usage_error("no scan block")
     name_a, name_b = scenario.scan_pair
-    a0, b0 = scenario.schedules[name_a], scenario.schedules[name_b]
-    deltas = sorted(scenario.scan_shifts)
-    rounded = args.paper_rounding
-    rows = []
-    baseline = None
-    first_flip = None
-    opposite = {Preference.A: Preference.B, Preference.B: Preference.A}
     try:
-        base_a = schedule_value(scenario.utility, scenario.discount, a0, round_factors=rounded)
-        base_b = schedule_value(scenario.utility, scenario.discount, b0, round_factors=rounded)
-        baseline = _prefer(base_a, base_b, args.tol)
-        for delta in deltas:
-            va = schedule_value(
-                scenario.utility,
-                scenario.discount,
-                shift_schedule(a0, delta),
-                round_factors=rounded,
-            )
-            vb = schedule_value(
-                scenario.utility,
-                scenario.discount,
-                shift_schedule(b0, delta),
-                round_factors=rounded,
-            )
-            pref = _prefer(va, vb, args.tol)
-            rows.append((delta, va, vb, pref))
-            if first_flip is None and pref is opposite.get(baseline):
-                first_flip = delta
+        result = reversal_scan(
+            scenario.utility,
+            scenario.discount,
+            scenario.schedules[name_a],
+            scenario.schedules[name_b],
+            scenario.scan_shifts,
+            tol=args.tol,
+            round_factors=args.paper_rounding,
+        )
+    except ValueError as exc:
+        return _usage_error(str(exc))
     except DesirablesError as exc:
         return _runtime_error(str(exc))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["delta", "value_a", "value_b", "preference"])
-    for delta, va, vb, pref in rows:
+    for (delta, pref), va, vb in zip(result.trace, result.value_a, result.value_b):
         writer.writerow([f"{delta:g}", f"{va:.10g}", f"{vb:.10g}", pref.value])
-    if first_flip is None:
+    if result.first_flip is None:
         print("no reversal")
     else:
-        print(f"first flip at delta={first_flip:g}")
+        print(f"first flip at delta={result.first_flip:g}")
     return _EXIT_OK
-
-
-def _prefer(va: float, vb: float, tol: float) -> Preference:
-    if va > vb + tol:
-        return Preference.A
-    if vb > va + tol:
-        return Preference.B
-    return Preference.INDIFFERENT
 
 
 def _assessment_set(scenario) -> AssessmentSet:
@@ -290,27 +264,19 @@ def cmd_curves(args) -> int:
     grids = [supplied[name] for name in wanted]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["regime", "param_set", "t", "factor"])
+    delays = np.array(args.t)
     try:
-        for combo in _product(grids):
+        for combo in itertools.product(*grids):
             params = dict(zip(wanted, combo))
             params["log_base"] = args.log_base
             spec, x = _curve_spec(regime, params)
             label = ",".join(f"{name}={value:g}" for name, value in zip(wanted, combo))
-            for t in args.t:
-                factor = spec.factor(t, x)
+            factors = spec.factor(delays, x).tolist()
+            for t, factor in zip(args.t, factors):
                 writer.writerow([regime, label, f"{t:g}", f"{factor:.10g}"])
     except DesirablesError as exc:
         return _runtime_error(str(exc))
     return _EXIT_OK
-
-
-def _product(grids: list[list[float]]):
-    if not grids:
-        yield ()
-        return
-    for head in grids[0]:
-        for rest in _product(grids[1:]):
-            yield (head,) + rest
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:

@@ -13,7 +13,11 @@ Hybrid                 D(t) = lambda d1(t) + (1 - lambda) d2(t)
 Time units are abstract; rates and k are per unit time.  ``round_factors``
 replays published two-decimal factor rounding: primitive regimes round their
 factor to two decimals and a hybrid combines the rounded components without
-re-rounding.
+re-rounding, with Python's ``round`` semantics on arrays too.
+
+Each regime writes ``_factor`` once against a backend ``xp``
+(:mod:`desirables._backend`): ``factor`` on a float uses :mod:`math`, on a
+numpy array of delays it uses numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._backend import GRID, SCALAR, check_each
 from .errors import DomainError, MissingArgument, UnknownState
 
 __all__ = [
@@ -59,21 +64,36 @@ class DiscountSpec:
         s: str | None = None,
         *,
         round_factors: bool = False,
-    ) -> float:
-        """Discount factor at delay ``t`` (reward ``x`` / state ``s`` where required)."""
-        if t < 0:
-            raise DomainError(f"delay must be nonnegative, got {t!r}")
-        return self._factor(float(t), x, s, round_factors)
+    ):
+        """Discount factor at delay ``t`` (reward ``x`` / state ``s`` where required).
 
-    def _factor(self, t, x, s, rounded) -> float:
+        ``t`` may be a numpy array (e.g. shifts x payments); the factor is then
+        an array, and ``x`` and ``s`` are one value or one per last-axis column.
+        A delay that is not >= 0 (NaN included) raises DomainError naming it.
+        """
+        if type(t) is not float:
+            if isinstance(t, np.ndarray):
+                t = t.astype(float, copy=False)
+                check_each(_reject_delay, t, t >= 0)
+                return self._factor(t, x, s, round_factors, GRID)
+            t = float(t)
+        if not t >= 0:
+            _reject_delay(t)
+        return self._factor(t, x, s, round_factors)
+
+    def _factor(self, t, x, s, rounded, xp=SCALAR):
         raise NotImplementedError
 
     def _depth(self) -> int:
         return 1
 
 
-def _rounded(value: float, rounded: bool) -> float:
-    return round(value, 2) if rounded else value
+def _reject_delay(t) -> None:
+    raise DomainError(f"delay must be nonnegative, got {t!r}")
+
+
+def _rounded(value, rounded: bool, xp):
+    return xp.round2(value) if rounded else value
 
 
 def _check_depth(spec: DiscountSpec) -> None:
@@ -93,8 +113,8 @@ class Exponential(DiscountSpec):
         if not self.r >= 0:
             raise ValueError(f"rate must be nonnegative, got {self.r!r}")
 
-    def _factor(self, t, x, s, rounded):
-        return _rounded(math.exp(-self.r * t), rounded)
+    def _factor(self, t, x, s, rounded, xp=SCALAR):
+        return _rounded(xp.exp(-self.r * t), rounded, xp)
 
 
 @dataclass(frozen=True)
@@ -109,8 +129,8 @@ class Hyperbolic(DiscountSpec):
         if not self.k > 0:
             raise ValueError(f"k must be positive, got {self.k!r}")
 
-    def _factor(self, t, x, s, rounded):
-        return _rounded(1.0 / (1.0 + self.k * t), rounded)
+    def _factor(self, t, x, s, rounded, xp=SCALAR):
+        return _rounded(1.0 / (1.0 + self.k * t), rounded, xp)
 
 
 @dataclass(frozen=True)
@@ -132,10 +152,8 @@ class QuasiHyperbolic(DiscountSpec):
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
 
-    def _factor(self, t, x, s, rounded):
-        if t == 0:
-            return 1.0
-        return _rounded(self.beta * self.delta**t, rounded)
+    def _factor(self, t, x, s, rounded, xp=SCALAR):
+        return xp.where(t == 0, 1.0, _rounded(self.beta * self.delta**t, rounded, xp))
 
 
 @dataclass(frozen=True)
@@ -153,8 +171,8 @@ class GeneralizedHyperbolic(DiscountSpec):
         if not self.p > 0:
             raise ValueError(f"p must be positive, got {self.p!r}")
 
-    def _factor(self, t, x, s, rounded):
-        return _rounded((1.0 + self.k * t) ** (-self.p), rounded)
+    def _factor(self, t, x, s, rounded, xp=SCALAR):
+        return _rounded((1.0 + self.k * t) ** (-self.p), rounded, xp)
 
 
 class EtaSpec:
@@ -247,12 +265,16 @@ class ScaleDependent(DiscountSpec):
     def _depth(self) -> int:
         return 1 + self.base._depth()
 
-    def _factor(self, t, x, s, rounded):
+    def _eta(self, x) -> float:
         if x is None:
             raise MissingArgument("scale-dependent discounting needs the reward x")
-        exponent = self.eta.value(float(x))
-        base = self.base._factor(t, x, s, False)
-        return _rounded(base**exponent, rounded)
+        return self.eta.value(float(x))
+
+    def _factor(self, t, x, s, rounded, xp=SCALAR):
+        # eta(x) is per payment: scalar code, once per payment on a grid.
+        exponent = self._eta(x) if xp is SCALAR else xp.each(self._eta, x)
+        base = self.base._factor(t, x, s, False, xp)
+        return _rounded(base**exponent, rounded, xp)
 
 
 @dataclass(frozen=True)
@@ -266,6 +288,7 @@ class StateDependent(DiscountSpec):
     def __init__(self, rates):
         items = tuple(sorted((str(k), float(v)) for k, v in dict(rates).items()))
         object.__setattr__(self, "rates", items)
+        object.__setattr__(self, "_by_label", dict(items))
         if not items:
             raise ValueError("rate map must not be empty")
         if any(r <= 0 for _, r in items):
@@ -277,10 +300,18 @@ class StateDependent(DiscountSpec):
                 return r
         raise UnknownState(f"state {s!r} not in rate map {[l for l, _ in self.rates]!r}")
 
-    def _factor(self, t, x, s, rounded):
-        if s is None:
-            raise MissingArgument("state-dependent discounting needs a state label")
-        return _rounded(math.exp(-self.rate(s) * t), rounded)
+    def _state_rate(self, s) -> float:
+        try:
+            return self._by_label[s]
+        except (KeyError, TypeError):
+            if s is None:
+                raise MissingArgument("state-dependent discounting needs a state label") from None
+            return self.rate(s)
+
+    def _factor(self, t, x, s, rounded, xp=SCALAR):
+        # The rate is per payment: scalar code, once per payment on a grid.
+        rate = self._state_rate(s) if xp is SCALAR else xp.each(self._state_rate, s)
+        return _rounded(xp.exp(-rate * t), rounded, xp)
 
 
 @dataclass(frozen=True)
@@ -301,10 +332,10 @@ class Hybrid(DiscountSpec):
     def _depth(self) -> int:
         return 1 + max(self.d1._depth(), self.d2._depth())
 
-    def _factor(self, t, x, s, rounded):
-        return self.lam * self.d1._factor(t, x, s, rounded) + (1.0 - self.lam) * self.d2._factor(
-            t, x, s, rounded
-        )
+    def _factor(self, t, x, s, rounded, xp=SCALAR):
+        first = self.d1._factor(t, x, s, rounded, xp)
+        second = self.d2._factor(t, x, s, rounded, xp)
+        return self.lam * first + (1.0 - self.lam) * second
 
 
 def factor(

@@ -3,6 +3,8 @@
 Every utility maps rewards from an open interval ``(domain_lo, inf)`` to the
 reals and is strictly increasing there.  ``inverse`` undoes ``eval`` exactly
 for the closed-form kinds and by bracketed bisection for composed kinds.
+Each kind (and each phi) writes its formula once against a backend ``xp``
+(:mod:`desirables._backend`), so ``eval`` takes a float or a numpy array.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._backend import GRID, SCALAR, check_each
 from .errors import DomainError, ImageError
 
 __all__ = [
@@ -46,8 +49,16 @@ class Utility:
     #: Exclusive lower bound of the image u((domain_lo, inf)); -inf if unbounded.
     image_lo: float = -math.inf
 
-    def eval(self, x: float) -> float:
-        """Utility of reward ``x``.  Raises DomainError when x <= domain_lo."""
+    def eval(self, x):
+        """Utility of reward ``x``, elementwise when ``x`` is a numpy array.
+
+        Raises DomainError when x <= domain_lo, naming the first such reward
+        (row-major) of an array.
+        """
+        if type(x) is not float and isinstance(x, np.ndarray):
+            x = x.astype(float, copy=False)
+            check_each(self._check_domain, x, x > self.domain_lo)
+            return self._eval(x, GRID)
         self._check_domain(x)
         return self._eval(x)
 
@@ -68,7 +79,7 @@ class Utility:
                 f"{self.kind}: value {v!r} outside image v > {self.image_lo!r}"
             )
 
-    def _eval(self, x: float) -> float:
+    def _eval(self, x, xp=SCALAR):
         raise NotImplementedError
 
     def _inverse(self, v: float) -> float:
@@ -83,8 +94,8 @@ class Linear(Utility):
     domain_lo = -math.inf
     image_lo = -math.inf
 
-    def _eval(self, x: float) -> float:
-        return float(x)
+    def _eval(self, x, xp=SCALAR):
+        return xp.asfloat(x)
 
     def _inverse(self, v: float) -> float:
         return float(v)
@@ -98,8 +109,8 @@ class LogShift(Utility):
     domain_lo = -1.0
     image_lo = -math.inf
 
-    def _eval(self, x: float) -> float:
-        return math.log1p(x)
+    def _eval(self, x, xp=SCALAR):
+        return xp.log1p(x)
 
     def _inverse(self, v: float) -> float:
         return math.expm1(v)
@@ -113,8 +124,8 @@ class Sqrt(Utility):
     domain_lo = 0.0
     image_lo = 0.0
 
-    def _eval(self, x: float) -> float:
-        return math.sqrt(x)
+    def _eval(self, x, xp=SCALAR):
+        return xp.sqrt(x)
 
     def _inverse(self, v: float) -> float:
         return v * v
@@ -145,7 +156,7 @@ class PowerDiscounted(Utility):
         # x -> 0+ limit of (x^(1-alpha) - alpha)/(1 - alpha).
         return -self.alpha / (1.0 - self.alpha)
 
-    def _eval(self, x: float) -> float:
+    def _eval(self, x, xp=SCALAR):
         b = 1.0 - self.alpha
         return (x**b - self.alpha) / b
 
@@ -159,7 +170,8 @@ class _PhiBase:
 
     form: str = "abstract"
 
-    def __call__(self, w: float) -> float:
+    def __call__(self, w, xp=SCALAR):
+        """phi(w); elementwise with ``xp=GRID`` (see :mod:`desirables._backend`)."""
         raise NotImplementedError
 
 
@@ -175,7 +187,7 @@ class PhiScale(_PhiBase):
         if not self.c > 0:
             raise ValueError(f"scale factor must be positive, got {self.c!r}")
 
-    def __call__(self, w: float) -> float:
+    def __call__(self, w, xp=SCALAR):
         return self.c * w
 
 
@@ -191,8 +203,8 @@ class PhiPower(_PhiBase):
         if not self.p > 0:
             raise ValueError(f"power exponent must be positive, got {self.p!r}")
 
-    def __call__(self, w: float) -> float:
-        return math.copysign(abs(w) ** self.p, w)
+    def __call__(self, w, xp=SCALAR):
+        return xp.copysign(xp.abs(w) ** self.p, w)
 
 
 @dataclass(frozen=True)
@@ -212,7 +224,7 @@ class PhiPoly(_PhiBase):
         if not coeffs or coeffs[0] != 0.0:
             raise ValueError("polynomial needs a zero constant term so that phi(0) = 0")
 
-    def __call__(self, w: float) -> float:
+    def __call__(self, w, xp=SCALAR):
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * w + c
@@ -245,16 +257,13 @@ class PhiTable(_PhiBase):
         if not xs[0] <= 0.0 <= xs[-1] or abs(self(0.0)) > 1e-12:
             raise ValueError("table must bracket 0 with phi(0) = 0")
 
-    def __call__(self, w: float) -> float:
+    def __call__(self, w, xp=SCALAR):
         xs, ys = self.xs, self.ys
-        if w <= xs[0]:
-            i = 0
-        elif w >= xs[-2]:
-            i = len(xs) - 2
-        else:
-            i = int(np.searchsorted(xs, w, side="right")) - 1
-        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        return ys[i] + slope * (w - xs[i])
+        i = xp.segment(xs, w)
+        x0, x1 = xp.take(xs, i), xp.take(xs, i + 1)
+        y0, y1 = xp.take(ys, i), xp.take(ys, i + 1)
+        slope = (y1 - y0) / (x1 - x0)
+        return y0 + slope * (w - x0)
 
 
 @dataclass(frozen=True)
@@ -284,8 +293,8 @@ class Composed(Utility):
         lo = self.base.image_lo
         return self.phi(lo) if math.isfinite(lo) else -math.inf
 
-    def _eval(self, x: float) -> float:
-        return self.phi(self.base._eval(x))
+    def _eval(self, x, xp=SCALAR):
+        return self.phi(self.base._eval(x, xp), xp)
 
     def _inverse(self, v: float) -> float:
         w = self._bisect_phi(v)

@@ -1,9 +1,10 @@
-"""Independent brute-force oracles for the LP-backed decision paths.
+"""Independent brute-force oracles for the LP-backed decision paths and the scan.
 
 Apart from :func:`greedy_conflict`, nothing here touches the package's
 simplex kernel: feasibility is decided by exhaustive lambda-grid search and by
 vertex enumeration of the Farkas dual polytope, and tiny LPs are re-solved by
-enumerating candidate vertices.
+enumerating candidate vertices.  :func:`scan_by_compare` is the reversal scan
+as one scalar ``compare`` per shift.
 """
 
 import itertools
@@ -11,7 +12,16 @@ import math
 
 import numpy as np
 
-from desirables import AssessmentSet, Functional, fit_functional
+from desirables import (
+    AssessmentSet,
+    Functional,
+    Preference,
+    ScanResult,
+    compare,
+    fit_functional,
+    schedule_value,
+    shift_schedule,
+)
 
 
 def grid_witness(U, c, lo=0.0, hi=10.0, step=0.01, slack=None):
@@ -203,3 +213,22 @@ def greedy_conflict(a, strict_margin=1e-6):
         if not fits(trial):
             active = trial
     return tuple(active)
+
+
+def scan_by_compare(u, d, a0, b0, shifts, *, tol=1e-9, round_factors=False):
+    """Reference reversal scan: shift both schedules and call scalar ``compare``
+    once per shift; the values are ``schedule_value`` of the shifted schedules."""
+    deltas = sorted(float(s) for s in shifts)
+    baseline = compare(u, d, a0, b0, tol=tol, round_factors=round_factors)
+    trace, value_a, value_b = [], [], []
+    opposite = {Preference.A: Preference.B, Preference.B: Preference.A}
+    first_flip = None
+    for delta in deltas:
+        a, b = shift_schedule(a0, delta), shift_schedule(b0, delta)
+        pref = compare(u, d, a, b, tol=tol, round_factors=round_factors)
+        trace.append((delta, pref))
+        value_a.append(schedule_value(u, d, a, round_factors=round_factors))
+        value_b.append(schedule_value(u, d, b, round_factors=round_factors))
+        if first_flip is None and pref is opposite.get(baseline):
+            first_flip = delta
+    return ScanResult(tuple(trace), baseline, first_flip, tuple(value_a), tuple(value_b))

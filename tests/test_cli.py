@@ -117,6 +117,20 @@ def test_scan_single_delta(capsys, tmp_path):
     assert lines[-1] == "no reversal"
 
 
+def test_scan_negative_shift_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "negative.conf"
+    cfg.write_text(
+        'discount { kind = "hyperbolic", k = 0.5 }\n'
+        'schedule "A" { pay = [{amount = 100, t = 0}] }\n'
+        'schedule "B" { pay = [{amount = 120, t = 1}] }\n'
+        "scan { shifts = [0, -1] }\n"
+    )
+    rc, out, err = run(capsys, "scan", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert "shifts must be nonnegative, got -1.0" in err
+
+
 def test_scan_requires_scan_block(capsys):
     rc, _, err = run(capsys, "scan", "--config", str(DATA / "ghyp_p2.conf"))
     assert rc == 2
@@ -254,6 +268,13 @@ def test_curves_scale_regime_takes_reward(capsys):
     factors = [float(ln.rsplit(",", 1)[1]) for ln in out.splitlines()[1:]]
     assert factors[0] == 1.0
     assert factors[1] == pytest.approx(math.exp(-1.0 / 2.0), rel=1e-9)  # eta(100) = 1/2
+
+
+def test_curves_rejects_nan_delay(capsys):
+    rc, out, err = run(capsys, "curves", "--regime", "hyperbolic", "--k", "0.5", "--t", "nan")
+    assert rc == 3
+    assert out == "regime,param_set,t,factor\n"
+    assert "delay must be nonnegative, got nan" in err
 
 
 def test_missing_config_file(capsys):

@@ -232,3 +232,95 @@ def test_hybrid_stays_between_components_hypothesis(lam, t):
     mixed = Hybrid(lam, d1, d2).factor(t)
     lo, hi = sorted((d1.factor(t), d2.factor(t)))
     assert lo - 1e-15 <= mixed <= hi + 1e-15
+
+
+# -- array factors -----------------------------------------------------------
+def _grid_kinds():
+    """Every regime with per-payment rewards and states for a 3-payment grid."""
+    x = np.array([5.0, 120.0, 2000.0])
+    states = ["s1", "s2", "s1"]
+    state = StateDependent({"s1": 0.05, "s2": 0.15})
+    return [
+        (Exponential(0.5), x, None),
+        (Hyperbolic(0.5), x, None),
+        (QuasiHyperbolic(0.7, 0.95), x, None),
+        (GeneralizedHyperbolic(0.2, 2.0), x, None),
+        (ScaleDependent(Hyperbolic(0.3), InverseLog(10.0)), x, None),
+        (ScaleDependent(Exponential(0.2), TabulatedEta((1.0, 100.0), (1.5, 0.5))), x, None),
+        (state, x, states),
+        (Hybrid(0.3, Hybrid(0.5, Exponential(0.1), state), QuasiHyperbolic(0.8, 0.9)), x, states),
+    ]
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+def test_array_factor_matches_scalar_per_cell(rounded):
+    t = np.array([0.0, 0.25, 1.0, 3.5, 17.0, 60.0])[:, None] + np.array([0.0, 1.0, 2.5])[None, :]
+    for d, x, states in _grid_kinds():
+        grid = d.factor(t, x, states, round_factors=rounded)
+        assert grid.shape == t.shape
+        for (i, j), value in np.ndenumerate(grid):
+            s = None if states is None else states[j]
+            scalar = d.factor(float(t[i, j]), float(x[j]), s, round_factors=rounded)
+            # numpy's exp/pow may differ from libm's in the last bits.
+            assert value == pytest.approx(scalar, rel=4e-15, abs=0.0), (d, i, j)
+
+
+def test_array_factor_takes_one_reward_or_state_for_all_columns():
+    t = np.linspace(0.0, 10.0, 11)
+    d = ScaleDependent(Exponential(1.0), InverseLog(10.0))
+    assert d.factor(t, 100.0) == pytest.approx([d.factor(float(v), 100.0) for v in t], rel=1e-15)
+    s = StateDependent({"s1": 0.05})
+    assert s.factor(t, s="s1") == pytest.approx([s.factor(float(v), s="s1") for v in t], rel=1e-15)
+
+
+def test_array_factor_keeps_scalar_errors():
+    t = np.zeros((2, 2))
+    with pytest.raises(MissingArgument):
+        ScaleDependent(Exponential(1.0), InverseLog()).factor(t)
+    with pytest.raises(DomainError, match="outside eta domain"):
+        ScaleDependent(Exponential(1.0), InverseLog()).factor(t, np.array([5.0, 0.5]))
+    with pytest.raises(MissingArgument):
+        StateDependent({"s1": 0.1}).factor(t, None, ["s1", None])
+    with pytest.raises(UnknownState):
+        StateDependent({"s1": 0.1}).factor(t, None, ["s1", "s9"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, -1.0])
+def test_delay_must_be_nonnegative_and_is_named(bad):
+    for d, x, s in _all_kinds():
+        with pytest.raises(DomainError, match=f"delay must be nonnegative, got {bad!r}"):
+            d.factor(bad, x, s)
+        # On an array the first failing delay (row-major) is named.
+        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+            d.factor(np.array([[0.0, 1.0], [bad, -2.0]]), x, s)
+
+
+def _delay_with_factor(k, target):
+    """A delay at which Hyperbolic(k) returns exactly ``target`` (unrounded)."""
+    t = (1.0 / target - 1.0) / k
+    for _ in range(200):
+        value = Hyperbolic(k).factor(t)
+        if value == target:
+            return t
+        t = math.nextafter(t, math.inf if value > target else 0.0)
+    raise AssertionError(f"no delay gives {target!r}")
+
+
+def test_paper_rounding_on_arrays_uses_python_round():
+    # np.round gives 0.02, 0.08 and 0.5 for the first three; Python's round,
+    # which rounds the exact binary value, gives 0.01, 0.07 and 0.49.  0.125
+    # is an exact tie, rounded half to even by both.
+    targets = [0.015, 0.075, 0.495, 0.125]
+    assert [round(v, 2) for v in targets] == [0.01, 0.07, 0.49, 0.12]
+    assert list(np.round(targets, 2)) != [0.01, 0.07, 0.49, 0.12]
+    d = Hyperbolic(0.5)
+    t = np.array([_delay_with_factor(0.5, v) for v in targets])
+    scalar = [d.factor(float(v), round_factors=True) for v in t]
+    assert scalar == [0.01, 0.07, 0.49, 0.12]
+    assert d.factor(t, round_factors=True).tolist() == scalar
+    # Every two-decimal halfway point in (0, 1], and a dense sweep of delays.
+    halves = np.array([(2 * i + 1) / 200 for i in range(100)])
+    t = np.concatenate([(1.0 / halves - 1.0) / 0.5, np.linspace(0.0, 400.0, 20001)])
+    for spec in (d, Hybrid(0.5, Exponential(0.05), d), QuasiHyperbolic(0.7, 0.95)):
+        grid = spec.factor(t, round_factors=True).tolist()
+        assert grid == [spec.factor(float(v), round_factors=True) for v in t]

@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from desirables import (
+    Composed,
     DatedPayment,
+    DesirablesError,
     DomainError,
     Exponential,
     Hybrid,
@@ -15,18 +19,27 @@ from desirables import (
     LogShift,
     MissingArgument,
     PaymentSchedule,
+    PhiPoly,
+    PhiPower,
+    PhiScale,
+    PhiTable,
+    PowerDiscounted,
     Preference,
     QuasiHyperbolic,
     ScaleDependent,
     Sqrt,
     StateDependent,
+    TabulatedEta,
+    UnknownState,
     check_scale_monotonicity,
     compare,
     effective_utility,
     reversal_scan,
     schedule_value,
     shift_schedule,
+    uses_states,
 )
+from oracles import scan_by_compare
 
 
 def sched(*pairs, label=""):
@@ -225,3 +238,165 @@ def test_domain_error_propagates():
     # Discounted reward can still breach the utility domain.
     with pytest.raises(DomainError):
         effective_utility(LogShift(), Exponential(0.1), -5.0, 0.0)
+
+
+def test_non_finite_delays_are_rejected_where_they_enter():
+    with pytest.raises(ValueError, match="payment time must be nonnegative, got nan"):
+        DatedPayment(10.0, math.nan)
+    with pytest.raises(ValueError, match="got -inf"):
+        DatedPayment(10.0, -math.inf)
+    with pytest.raises(ValueError, match="shift must be nonnegative, got nan"):
+        shift_schedule(sched((1, 0)), math.nan)
+    for shifts in ([0.0, math.nan, 2.0], [math.nan], [1.0, -math.inf]):
+        bad = [s for s in shifts if not s >= 0][0]
+        with pytest.raises(ValueError, match=f"shifts must be nonnegative, got {bad!r}"):
+            reversal_scan(LogShift(), Hyperbolic(0.5), sched((10, 0)), sched((12, 1)), shifts)
+
+
+def test_scan_carries_the_values_of_each_shift():
+    u, d = LogShift(), Hyperbolic(0.5)
+    a0, b0 = sched((1000, 0), (10, 2)), sched((1200, 1))
+    res = reversal_scan(u, d, a0, b0, [4, 0, 2.5])
+    assert [delta for delta, _ in res.trace] == [0.0, 2.5, 4.0]
+    for (delta, _), va, vb in zip(res.trace, res.value_a, res.value_b):
+        assert va == pytest.approx(schedule_value(u, d, shift_schedule(a0, delta)), rel=1e-15)
+        assert vb == pytest.approx(schedule_value(u, d, shift_schedule(b0, delta)), rel=1e-15)
+    assert all(type(v) is float for v in res.value_a + res.value_b)
+    assert res == reversal_scan(u, d, a0, b0, [0, 2.5, 4])
+    assert hash(res) == hash(reversal_scan(u, d, a0, b0, [0, 2.5, 4]))
+
+
+def test_scan_domain_error_matches_shift_by_shift_loop():
+    # Rounded factors reach 0 at large delays; sqrt(0 * x) leaves the domain.
+    u, d = Sqrt(), Exponential(1.0)
+    a0, b0 = sched((100, 0)), sched((100, 3))
+    shifts = [0, 1, 2, 3, 6]
+    with pytest.raises(DomainError) as grid:
+        reversal_scan(u, d, a0, b0, shifts, round_factors=True)
+    with pytest.raises(DomainError) as loop:
+        scan_by_compare(u, d, a0, b0, shifts, round_factors=True)
+    assert str(grid.value) == str(loop.value) == "sqrt: reward 0.0 outside domain x > 0.0"
+
+
+def test_scan_warns_on_labels_under_state_independent_regime():
+    labeled = PaymentSchedule((DatedPayment(10, 1, "s1"),), label="x")
+    with pytest.warns(UserWarning, match="state-independent"):
+        reversal_scan(Linear(), Exponential(0.1), labeled, sched((12, 2)), [0, 1])
+
+
+# -- the grid scan against one scalar compare per shift ------------------------
+_STATES = {"boom": 0.05, "bust": 0.2}
+_BASES = st.one_of(
+    st.builds(Exponential, st.floats(0.0, 1.0)),
+    st.builds(Hyperbolic, st.floats(0.05, 2.0)),
+    st.builds(QuasiHyperbolic, st.floats(0.3, 1.0), st.floats(0.5, 0.99)),
+    st.builds(GeneralizedHyperbolic, st.floats(0.05, 2.0), st.floats(0.2, 3.0)),
+    st.just(StateDependent(_STATES)),
+)
+_ETAS = st.one_of(
+    st.builds(InverseLog, st.floats(2.0, 20.0)),
+    st.just(TabulatedEta((1.0, 10.0, 100.0, 1000.0), (1.3, 1.0, 0.8, 0.5))),
+)
+_LEAVES = st.one_of(_BASES, st.builds(ScaleDependent, _BASES, _ETAS))
+_REGIMES = st.one_of(
+    _LEAVES,
+    st.builds(Hybrid, st.floats(0.0, 1.0), _LEAVES, _LEAVES),
+    st.builds(Hybrid, st.floats(0.0, 1.0), st.builds(Hybrid, st.floats(0.0, 1.0), _LEAVES, _LEAVES), _LEAVES),
+)
+_PHIS = st.one_of(
+    st.builds(PhiScale, st.floats(0.5, 3.0)),
+    st.builds(PhiPower, st.floats(0.3, 2.0)),
+    st.just(PhiPoly((0.0, 1.0, 0.05))),
+    st.just(PhiTable((-10.0, 0.0, 1.0, 5.0, 100.0), (-20.0, 0.0, 2.0, 6.0, 50.0))),
+)
+_UTILITIES = st.one_of(
+    st.sampled_from([Linear(), LogShift(), Sqrt()]),
+    st.builds(PowerDiscounted, st.floats(0.0, 0.9)),
+    st.builds(Composed, st.sampled_from([LogShift(), Sqrt()]), _PHIS),
+)
+
+
+@st.composite
+def _scans(draw):
+    d = draw(_REGIMES)
+    u = draw(_UTILITIES)
+    labels = ["boom", "bust"] if uses_states(d) else [None]
+    n = draw(st.integers(1, 5))
+    amounts = [draw(st.floats(1.5, 2000.0)) for _ in range(n)]
+    times = [draw(st.floats(0.0, 4.0)) for _ in range(n)]
+    states = [draw(st.sampled_from(labels)) for _ in range(n)]
+    a0 = PaymentSchedule(tuple(map(DatedPayment, amounts, times, states)), "A")
+    shape = draw(st.sampled_from(["later-larger", "random", "same"]))
+    if shape == "later-larger":  # sooner-smaller A against later-larger B: flips
+        lag, scale = draw(st.floats(0.5, 3.0)), draw(st.floats(1.05, 2.0))
+        pays = [DatedPayment(x * scale, t + lag, s) for x, t, s in zip(amounts, times, states)]
+    elif shape == "random":
+        pays = [
+            DatedPayment(draw(st.floats(1.5, 2000.0)), draw(st.floats(0.0, 20.0)), draw(st.sampled_from(labels)))
+            for _ in range(draw(st.integers(1, 5)))
+        ]
+    else:  # a tie at every shift
+        pays = list(a0.payments)
+    # Some cases break one payment of B: a reward outside the utility or eta
+    # domain, a missing or unknown state, or a label the regime ignores.
+    breakage = draw(st.sampled_from(["none"] * 4 + ["domain", "eta", "missing", "unknown", "label"]))
+    broken = {
+        "domain": (-5.0, labels[0]),
+        "eta": (0.5, labels[0]),
+        "missing": (10.0, None),
+        "unknown": (10.0, "crash"),
+        "label": (10.0, "boom"),
+    }.get(breakage)
+    if broken is not None:
+        pays[draw(st.integers(0, len(pays) - 1))] = DatedPayment(broken[0], 1.0, broken[1])
+    b0 = PaymentSchedule(tuple(pays), "B")
+    # Unsorted, with repeats; the last one reaches where hyperbolic-type regimes flip.
+    shifts = draw(st.lists(st.floats(0.0, 40.0), max_size=12)) + [draw(st.floats(10.0, 60.0))]
+    return u, d, a0, b0, shifts, draw(st.booleans())
+
+
+def _outcome(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = run()
+        except DesirablesError as exc:
+            return type(exc), None, caught
+    return None, result, caught
+
+
+def _abs_sum(u, d, sch, delta, rounded):
+    return sum(
+        abs(effective_utility(u, d, p.amount, p.time + delta, p.state, round_factors=rounded))
+        for p in sch.payments
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_scans())
+def test_grid_scan_matches_compare_per_shift(case):
+    u, d, a0, b0, shifts, rounded = case
+    tol = 1e-9
+    err, res, warned = _outcome(lambda: reversal_scan(u, d, a0, b0, shifts, tol=tol, round_factors=rounded))
+    ref_err, ref, ref_warned = _outcome(
+        lambda: scan_by_compare(u, d, a0, b0, shifts, tol=tol, round_factors=rounded)
+    )
+    assert err is ref_err
+    assert bool(warned) == bool(ref_warned)
+    assert all("state-independent" in str(w.message) for w in warned)
+    if err is not None:
+        assert err in (DomainError, MissingArgument, UnknownState)
+        return
+    assert res.baseline is ref.baseline
+    assert [delta for delta, _ in res.trace] == [delta for delta, _ in ref.trace]
+    for i, (delta, pref) in enumerate(ref.trace):
+        va, vb = ref.value_a[i], ref.value_b[i]
+        slack_a = 1e-12 * (abs(va) + _abs_sum(u, d, a0, delta, rounded))
+        slack_b = 1e-12 * (abs(vb) + _abs_sum(u, d, b0, delta, rounded))
+        assert abs(res.value_a[i] - va) <= slack_a
+        assert abs(res.value_b[i] - vb) <= slack_b
+        # Within tol plus the values' slack the sides of the band may differ.
+        if abs(va - vb) > tol + slack_a + slack_b:
+            assert res.trace[i][1] is pref, (delta, va, vb)
+    opposite = {Preference.A: Preference.B, Preference.B: Preference.A}.get(res.baseline)
+    assert res.first_flip == next((t for t, p in res.trace if p is opposite), None)

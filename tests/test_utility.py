@@ -19,6 +19,7 @@ from desirables import (
     audit_admissibility,
 )
 
+from desirables._backend import GRID
 from helpers import utility_zoo, reward_window
 
 
@@ -173,3 +174,36 @@ def test_phi_power_is_odd_and_increasing():
     xs = np.linspace(-3, 3, 41)
     vals = [phi(float(x)) for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+# -- array evaluation ----------------------------------------------------------
+def _array_zoo():
+    table = PhiTable((-10.0, 0.0, 1.0, 5.0, 100.0), (-20.0, 0.0, 2.0, 6.0, 50.0))
+    zoo = [Linear(), LogShift(), Sqrt(), PowerDiscounted(0.35)]
+    for phi in (PhiScale(2.5), PhiPower(0.6), PhiPoly((0.0, 1.0, 0.1, 0.01)), table):
+        zoo += [Composed(LogShift(), phi), Composed(Sqrt(), phi)]
+    return zoo
+
+
+def test_array_eval_matches_scalar_elementwise():
+    x = np.concatenate([np.linspace(0.001, 3.0, 37), np.geomspace(3.0, 5e4, 40)]).reshape(7, 11)
+    for u in _array_zoo():
+        grid = u.eval(x)
+        assert grid.shape == x.shape
+        scalar = np.array([[u.eval(float(v)) for v in row] for row in x])
+        # numpy's log1p/pow may differ from libm's in the last bits.
+        np.testing.assert_allclose(grid, scalar, rtol=4e-15, atol=0.0, err_msg=repr(u))
+
+
+def test_array_phi_table_extrapolates_like_scalar():
+    table = PhiTable((-1.0, 0.0, 2.0), (-3.0, 0.0, 1.0))
+    w = np.array([-50.0, -1.0, -0.5, 0.0, 1.0, 2.0, 2.0001, 80.0])
+    assert table(w, GRID).tolist() == [table(float(v)) for v in w]
+
+
+def test_array_eval_names_first_reward_outside_domain():
+    x = np.array([[4.0, 1.0], [-0.5, -3.0]])
+    with pytest.raises(DomainError, match=r"sqrt: reward -0\.5 outside domain"):
+        Sqrt().eval(x)
+    with pytest.raises(DomainError, match=r"reward nan outside"):
+        LogShift().eval(np.array([1.0, math.nan, -2.0]))
