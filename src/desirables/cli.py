@@ -16,16 +16,6 @@ import numpy as np
 
 from . import config as configmod
 from .coherence import AssessmentSet, Functional, audit, fit_functional
-from .discount import (
-    DiscountSpec,
-    Exponential,
-    GeneralizedHyperbolic,
-    Hybrid,
-    Hyperbolic,
-    InverseLog,
-    QuasiHyperbolic,
-    ScaleDependent,
-)
 from .errors import ConfigError, DesirablesError, SpaceMismatch
 from .intertemporal import effective_utility, reversal_scan, schedule_value
 
@@ -116,8 +106,6 @@ def cmd_scan(args) -> int:
             tol=args.tol,
             round_factors=args.paper_rounding,
         )
-    except ValueError as exc:
-        return _usage_error(str(exc))
     except DesirablesError as exc:
         return _runtime_error(str(exc))
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -213,38 +201,38 @@ def _parse_range(text: str) -> list[float]:
     return values
 
 
+_EXP = {"kind": "exponential", "r": None}
+
+# Each regime's swept parameters and its discount block.  Every flag is named
+# after the config key it sets: a None in the block takes the value of the
+# parameter (or --log-base) of that name at each point; --x is the reward.
 _CURVE_PARAMS = {
-    "exponential": ("r",),
-    "hyperbolic": ("k",),
-    "quasi": ("beta", "delta"),
-    "generalized": ("k", "p"),
-    "scale": ("r", "x"),
-    "state": ("r",),
-    "hybrid": ("lambda", "r", "k"),
+    "exponential": (("r",), _EXP),
+    "hyperbolic": (("k",), {"kind": "hyperbolic", "k": None}),
+    "quasi": (("beta", "delta"), {"kind": "quasi_hyperbolic", "beta": None, "delta": None}),
+    "generalized": (("k", "p"), {"kind": "generalized_hyperbolic", "k": None, "p": None}),
+    "scale": (
+        ("r", "x"),
+        {"kind": "scale_dependent", "base": _EXP, "eta": {"form": "inverse_log", "log_base": None}},
+    ),
+    "state": (("r",), _EXP),
+    "hybrid": (
+        ("lambda", "r", "k"),
+        {"kind": "hybrid", "lambda": None, "d1": _EXP, "d2": {"kind": "hyperbolic", "k": None}},
+    ),
 }
 
 
-def _curve_spec(regime: str, params: dict[str, float]) -> tuple[DiscountSpec, float | None]:
-    """Discount spec and the reward argument (if any) for one parameter point."""
-    if regime == "exponential" or regime == "state":
-        return Exponential(params["r"]), None
-    if regime == "hyperbolic":
-        return Hyperbolic(params["k"]), None
-    if regime == "quasi":
-        return QuasiHyperbolic(params["beta"], params["delta"]), None
-    if regime == "generalized":
-        return GeneralizedHyperbolic(params["k"], params["p"]), None
-    if regime == "scale":
-        return (
-            ScaleDependent(Exponential(params["r"]), InverseLog(params["log_base"])),
-            params["x"],
-        )
-    return Hybrid(params["lambda"], Exponential(params["r"]), Hyperbolic(params["k"])), None
+def _fill(block: dict, params: dict) -> dict:
+    return {
+        key: _fill(value, params) if isinstance(value, dict) else params.get(key, value)
+        for key, value in block.items()
+    }
 
 
 def cmd_curves(args) -> int:
     regime = args.regime
-    wanted = _CURVE_PARAMS[regime]
+    wanted, block = _CURVE_PARAMS[regime]
     supplied = {
         "r": args.r,
         "k": args.k,
@@ -256,10 +244,10 @@ def cmd_curves(args) -> int:
     }
     for name in wanted:
         if supplied[name] is None:
-            return _usage_error(f"regime {regime!r} needs --{'lambda' if name == 'lambda' else name}")
+            return _usage_error(f"regime {regime!r} needs --{name}")
     for name, value in supplied.items():
         if value is not None and name not in wanted:
-            return _usage_error(f"regime {regime!r} does not use --{'lambda' if name == 'lambda' else name}")
+            return _usage_error(f"regime {regime!r} does not use --{name}")
 
     grids = [supplied[name] for name in wanted]
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -267,13 +255,15 @@ def cmd_curves(args) -> int:
     delays = np.array(args.t)
     try:
         for combo in itertools.product(*grids):
-            params = dict(zip(wanted, combo))
-            params["log_base"] = args.log_base
-            spec, x = _curve_spec(regime, params)
+            params = dict(zip(wanted, combo), log_base=args.log_base)
+            tree = configmod.ConfigTree(data={"discount": _fill(block, params)})
+            spec = configmod.build_scenario(tree).discount
             label = ",".join(f"{name}={value:g}" for name, value in zip(wanted, combo))
-            factors = spec.factor(delays, x).tolist()
+            factors = spec.factor(delays, params.get("x")).tolist()
             for t, factor in zip(args.t, factors):
                 writer.writerow([regime, label, f"{t:g}", f"{factor:.10g}"])
+    except ConfigError as exc:
+        return _usage_error(str(exc))
     except DesirablesError as exc:
         return _runtime_error(str(exc))
     return _EXIT_OK

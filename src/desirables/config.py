@@ -14,11 +14,23 @@ Grammar (informal)::
 Comments run from '#' to end of line.  Strings are double-quoted with \\"
 and \\\\ escapes.  Item separators inside blocks are optional (newline or
 comma); list elements require commas.  Unknown keys are hard errors.
+
+``build_scenario`` turns a parsed tree into a validated ``Scenario``.  Every
+component block (``utility`` and its ``phi``, ``discount`` and its ``eta``) is
+built by one function, ``_build``, from one table, ``_COMPONENTS``: for each
+family, the key that names the kind (``kind`` or ``form``), and for each kind
+the constructor and its keys in argument order.  Each key has one typed reader
+(number, list of numbers, state-rate block, or nested component) and may carry
+a default.  The rest of the scenario (rewards, shifts, state labels) goes
+through the same readers.  A constructor's ``ValueError`` is reported as a
+``ConfigError`` at its block; every error carries the line and column of the
+nearest enclosing key.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field as dc_field
 
 from .discount import (
@@ -65,6 +77,10 @@ _TOKEN_RE = re.compile(
 )
 
 
+# Blocks and lists nest at most this deep, well inside Python's recursion limit.
+_MAX_NESTING = 64
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str
@@ -90,7 +106,10 @@ def _tokenize(text: str) -> list[_Token]:
             line_start = m.end()
         elif kind == "number":
             raw = m.group()
-            value = float(raw) if any(c in raw for c in ".eE") else int(raw)
+            try:
+                value = float(raw) if any(c in raw for c in ".eE") else int(raw)
+            except ValueError:  # more digits than int() converts
+                raise ConfigError(f"number too long ({len(raw)} digits)", line, col) from None
             tokens.append(_Token("number", value, line, col))
         elif kind == "ident":
             word = m.group()
@@ -118,7 +137,11 @@ class ConfigTree:
     positions: dict[tuple, tuple[int, int]] = dc_field(default_factory=dict)
 
     def where(self, path: tuple) -> tuple[int | None, int | None]:
-        return self.positions.get(tuple(path), (None, None))
+        """Position of ``path``, else of its nearest ancestor that has one."""
+        path = tuple(path)
+        while path and path not in self.positions:
+            path = path[:-1]
+        return self.positions.get(path, (None, None))
 
 
 class _Parser:
@@ -141,6 +164,12 @@ class _Parser:
             raise ConfigError(f"expected {kind!r}, got {tok.value!r}", tok.line, tok.column)
         return tok
 
+    def open(self, bracket: str, path: tuple) -> None:
+        tok = self.expect(bracket)
+        if len(path) > _MAX_NESTING:
+            message = f"values nested deeper than {_MAX_NESTING} levels"
+            raise ConfigError(message, tok.line, tok.column)
+
     def parse_config(self) -> ConfigTree:
         data: dict = {}
         labeled: set[str] = set()
@@ -162,6 +191,7 @@ class _Parser:
                     )
                 group = data.setdefault(key, {})
                 labeled.add(key)
+                self.positions.setdefault(path, (tok.line, tok.column))
                 if label in group:
                     raise ConfigError(
                         f"duplicate {key} label {label!r}", tok.line, tok.column
@@ -181,7 +211,7 @@ class _Parser:
         return ConfigTree(data=data, labeled=labeled, positions=self.positions)
 
     def parse_block(self, path: tuple) -> dict:
-        self.expect("{")
+        self.open("{", path)
         block: dict = {}
         while True:
             tok = self.peek()
@@ -219,7 +249,7 @@ class _Parser:
         raise ConfigError(f"expected a value, got {tok.value!r}", tok.line, tok.column)
 
     def parse_list(self, path: tuple) -> list:
-        self.expect("[")
+        self.open("[", path)
         items: list = []
         if self.peek().kind == "]":
             self.next()
@@ -243,7 +273,7 @@ def parse(text: str) -> ConfigTree:
     return _Parser(_tokenize(text)).parse_config()
 
 
-def _emit_value(value, indent: int) -> str:
+def _emit_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -253,11 +283,15 @@ def _emit_value(value, indent: int) -> str:
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, list):
-        return "[" + ", ".join(_emit_value(v, indent) for v in value) + "]"
+        return "[" + ", ".join(_emit_value(v) for v in value) + "]"
     if isinstance(value, dict):
-        inner = ", ".join(f"{k} = {_emit_value(v, indent)}" for k, v in value.items())
+        inner = ", ".join(f"{k} = {_emit_value(v)}" for k, v in value.items())
         return "{" + inner + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _emit_block(block: dict) -> str:
+    return "{\n" + "".join(f"  {k} = {_emit_value(v)}\n" for k, v in block.items()) + "}\n"
 
 
 def serialize(tree: ConfigTree) -> str:
@@ -266,20 +300,12 @@ def serialize(tree: ConfigTree) -> str:
     for key, value in tree.data.items():
         if key in tree.labeled:
             for label, block in value.items():
-                body = "".join(
-                    f"  {k} = {_emit_value(v, 1)}\n" for k, v in block.items()
-                )
-                lines.append(f'{key} "{_escape(label)}" {{\n{body}}}\n')
+                lines.append(f"{key} {_emit_value(label)} {_emit_block(block)}")
         elif isinstance(value, dict):
-            body = "".join(f"  {k} = {_emit_value(v, 1)}\n" for k, v in value.items())
-            lines.append(f"{key} {{\n{body}}}\n")
+            lines.append(f"{key} {_emit_block(value)}")
         else:
-            lines.append(f"{key} = {_emit_value(value, 0)}\n")
+            lines.append(f"{key} = {_emit_value(value)}\n")
     return "".join(lines)
-
-
-def _escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
 @dataclass
@@ -300,36 +326,6 @@ class Scenario:
 
 _TOP_KEYS = {"utility", "discount", "states", "schedule", "scan", "assessments", "wealth", "gamble"}
 
-_UTILITY_KEYS = {
-    "linear": set(),
-    "log_shift": set(),
-    "sqrt": set(),
-    "power_discounted": {"alpha"},
-    "composed": {"base", "phi"},
-}
-
-_PHI_KEYS = {
-    "scale": {"c"},
-    "power": {"p"},
-    "poly": {"coeffs"},
-    "table": {"x", "y"},
-}
-
-_DISCOUNT_KEYS = {
-    "exponential": {"r"},
-    "hyperbolic": {"k"},
-    "quasi_hyperbolic": {"beta", "delta"},
-    "generalized_hyperbolic": {"k", "p"},
-    "scale_dependent": {"base", "eta"},
-    "state_dependent": {"rates"},
-    "hybrid": {"lambda", "d1", "d2"},
-}
-
-_ETA_KEYS = {
-    "inverse_log": {"log_base"},
-    "tabulated": {"x", "y"},
-}
-
 
 def _fail(tree: ConfigTree, path: tuple, message: str):
     line, col = tree.where(path)
@@ -348,113 +344,102 @@ def _need(tree: ConfigTree, path: tuple, block: dict, key: str, what: str):
     return block[key]
 
 
-def _number(tree: ConfigTree, path: tuple, value, what: str) -> float:
+def _make(tree: ConfigTree, path: tuple, make, *args):
+    """Call a constructor, reporting its ValueError as a ConfigError at ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        _fail(tree, path, str(exc))
+
+
+# Typed readers: (tree, path of the value, value, key) -> constructor argument.
+
+
+def _number(tree: ConfigTree, path: tuple, value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(tree, path, f"{what} must be a number, got {value!r}")
+        _fail(tree, path, f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # 1e999 reads as inf; NaN fails too
+        _fail(tree, path, f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _build_utility(tree: ConfigTree, path: tuple, block) -> Utility:
+def _numbers(tree: ConfigTree, path: tuple, value, key: str, nonempty=False) -> list[float]:
+    if not isinstance(value, list) or (nonempty and not value):
+        _fail(tree, path, f"{key} must be a {'nonempty ' if nonempty else ''}list of numbers")
+    # Entries are named in the singular: "shift must be a number, got 'a'".
+    item = key.removesuffix("s")
+    return [_number(tree, path + (i,), v, item) for i, v in enumerate(value)]
+
+
+def _rates(tree: ConfigTree, path: tuple, value, key: str) -> dict[str, float]:
+    if not isinstance(value, dict) or not value:
+        _fail(tree, path, f"{key} must be a nonempty block of state = rate")
+    return {s: _number(tree, path + (s,), r, s) for s, r in value.items()}
+
+
+def _states(tree: ConfigTree, path: tuple, value, key: str) -> StateSpace:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        _fail(tree, path, f"{key} must be a list of strings")
+    return _make(tree, path, StateSpace, tuple(value))
+
+
+def _component(family: str):
+    """Reader of a nested component block of ``family``."""
+    return lambda tree, path, value, key: _build(tree, path, value, family)
+
+
+# family -> (the key naming its kind, {kind: (constructor, keys in argument
+# order)}); each key is (name, reader) or (name, reader, default).
+_COMPONENTS = {
+    "utility": ("kind", {
+        "linear": (Linear, ()),
+        "log_shift": (LogShift, ()),
+        "sqrt": (Sqrt, ()),
+        "power_discounted": (PowerDiscounted, (("alpha", _number),)),
+        "composed": (Composed, (("base", _component("utility")), ("phi", _component("phi")))),
+    }),
+    "phi": ("form", {
+        "scale": (PhiScale, (("c", _number),)),
+        "power": (PhiPower, (("p", _number),)),
+        "poly": (PhiPoly, (("coeffs", _numbers),)),
+        "table": (PhiTable, (("x", _numbers), ("y", _numbers))),
+    }),
+    "discount": ("kind", {
+        "exponential": (Exponential, (("r", _number),)),
+        "hyperbolic": (Hyperbolic, (("k", _number),)),
+        "quasi_hyperbolic": (QuasiHyperbolic, (("beta", _number), ("delta", _number))),
+        "generalized_hyperbolic": (GeneralizedHyperbolic, (("k", _number), ("p", _number))),
+        "scale_dependent": (
+            ScaleDependent, (("base", _component("discount")), ("eta", _component("eta")))
+        ),
+        "state_dependent": (StateDependent, (("rates", _rates),)),
+        "hybrid": (
+            Hybrid,
+            (("lambda", _number), ("d1", _component("discount")), ("d2", _component("discount"))),
+        ),
+    }),
+    "eta": ("form", {
+        "inverse_log": (InverseLog, (("log_base", _number, 10),)),
+        "tabulated": (TabulatedEta, (("x", _numbers), ("y", _numbers))),
+    }),
+}
+
+
+def _build(tree: ConfigTree, path: tuple, block, family: str):
+    """Construct the ``family`` component described by ``block`` (see ``_COMPONENTS``)."""
+    tag, kinds = _COMPONENTS[family]
     if not isinstance(block, dict):
-        _fail(tree, path, "utility must be a block")
-    kind = _need(tree, path, block, "kind", "utility")
-    if kind not in _UTILITY_KEYS:
-        _fail(tree, path + ("kind",), f"unknown utility kind {kind!r}")
-    _check_keys(tree, path, block, _UTILITY_KEYS[kind] | {"kind"}, f"utility {kind!r}")
-    try:
-        if kind == "linear":
-            return Linear()
-        if kind == "log_shift":
-            return LogShift()
-        if kind == "sqrt":
-            return Sqrt()
-        if kind == "power_discounted":
-            alpha = _number(tree, path + ("alpha",), _need(tree, path, block, "alpha", kind), "alpha")
-            return PowerDiscounted(alpha)
-        base = _build_utility(tree, path + ("base",), _need(tree, path, block, "base", kind))
-        phi = _build_phi(tree, path + ("phi",), _need(tree, path, block, "phi", kind))
-        return Composed(base, phi)
-    except ValueError as exc:
-        _fail(tree, path, str(exc))
-
-
-def _build_phi(tree: ConfigTree, path: tuple, block):
-    if not isinstance(block, dict):
-        _fail(tree, path, "phi must be a block")
-    form = _need(tree, path, block, "form", "phi")
-    if form not in _PHI_KEYS:
-        _fail(tree, path + ("form",), f"unknown phi form {form!r}")
-    _check_keys(tree, path, block, _PHI_KEYS[form] | {"form"}, f"phi {form!r}")
-    try:
-        if form == "scale":
-            return PhiScale(_number(tree, path + ("c",), _need(tree, path, block, "c", form), "c"))
-        if form == "power":
-            return PhiPower(_number(tree, path + ("p",), _need(tree, path, block, "p", form), "p"))
-        if form == "poly":
-            coeffs = _need(tree, path, block, "coeffs", form)
-            if not isinstance(coeffs, list):
-                _fail(tree, path + ("coeffs",), "coeffs must be a list of numbers")
-            return PhiPoly(tuple(float(c) for c in coeffs))
-        xs = _need(tree, path, block, "x", form)
-        ys = _need(tree, path, block, "y", form)
-        return PhiTable(tuple(xs), tuple(ys))
-    except ValueError as exc:
-        _fail(tree, path, str(exc))
-
-
-def _build_discount(tree: ConfigTree, path: tuple, block) -> DiscountSpec:
-    if not isinstance(block, dict):
-        _fail(tree, path, "discount must be a block")
-    kind = _need(tree, path, block, "kind", "discount")
-    if kind not in _DISCOUNT_KEYS:
-        _fail(tree, path + ("kind",), f"unknown discount kind {kind!r}")
-    _check_keys(tree, path, block, _DISCOUNT_KEYS[kind] | {"kind"}, f"discount {kind!r}")
-
-    def num(key):
-        return _number(tree, path + (key,), _need(tree, path, block, key, kind), key)
-
-    try:
-        if kind == "exponential":
-            return Exponential(num("r"))
-        if kind == "hyperbolic":
-            return Hyperbolic(num("k"))
-        if kind == "quasi_hyperbolic":
-            return QuasiHyperbolic(num("beta"), num("delta"))
-        if kind == "generalized_hyperbolic":
-            return GeneralizedHyperbolic(num("k"), num("p"))
-        if kind == "scale_dependent":
-            base = _build_discount(tree, path + ("base",), _need(tree, path, block, "base", kind))
-            eta = _build_eta(tree, path + ("eta",), _need(tree, path, block, "eta", kind))
-            return ScaleDependent(base, eta)
-        if kind == "state_dependent":
-            rates = _need(tree, path, block, "rates", kind)
-            if not isinstance(rates, dict) or not rates:
-                _fail(tree, path + ("rates",), "rates must be a nonempty block of state = rate")
-            return StateDependent({k: _number(tree, path + ("rates", k), v, k) for k, v in rates.items()})
-        lam = num("lambda")
-        d1 = _build_discount(tree, path + ("d1",), _need(tree, path, block, "d1", kind))
-        d2 = _build_discount(tree, path + ("d2",), _need(tree, path, block, "d2", kind))
-        return Hybrid(lam, d1, d2)
-    except ValueError as exc:
-        _fail(tree, path, str(exc))
-
-
-def _build_eta(tree: ConfigTree, path: tuple, block):
-    if not isinstance(block, dict):
-        _fail(tree, path, "eta must be a block")
-    form = _need(tree, path, block, "form", "eta")
-    if form not in _ETA_KEYS:
-        _fail(tree, path + ("form",), f"unknown eta form {form!r}")
-    _check_keys(tree, path, block, _ETA_KEYS[form] | {"form"}, f"eta {form!r}")
-    try:
-        if form == "inverse_log":
-            base = block.get("log_base", 10)
-            return InverseLog(_number(tree, path + ("log_base",), base, "log_base"))
-        xs = _need(tree, path, block, "x", form)
-        ys = _need(tree, path, block, "y", form)
-        return TabulatedEta(tuple(xs), tuple(ys))
-    except ValueError as exc:
-        _fail(tree, path, str(exc))
+        _fail(tree, path, f"{family} must be a block")
+    kind = _need(tree, path, block, tag, family)
+    if not isinstance(kind, str) or kind not in kinds:
+        _fail(tree, path + (tag,), f"unknown {family} {tag} {kind!r}")
+    make, keys = kinds[kind]
+    _check_keys(tree, path, block, {key for key, *_ in keys} | {tag}, f"{family} {kind!r}")
+    args = []
+    for key, read, *default in keys:
+        value = block.get(key, *default) if default else _need(tree, path, block, key, kind)
+        args.append(read(tree, path + (key,), value, key))
+    return _make(tree, path, make, *args)
 
 
 def _build_gamble(
@@ -473,27 +458,18 @@ def _build_gamble(
         _fail(tree, path, "gamble must be a block or a gamble name")
     _check_keys(tree, path, block, {"states", "rewards", "wealth"}, "gamble")
     rewards = _need(tree, path, block, "rewards", "gamble")
-    if not isinstance(rewards, list) or not rewards:
-        _fail(tree, path + ("rewards",), "rewards must be a nonempty list of numbers")
+    rewards = _numbers(tree, path + ("rewards",), rewards, "rewards", nonempty=True)
     space = states
     if "states" in block:
-        labels = block["states"]
-        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-            _fail(tree, path + ("states",), "states must be a list of labels")
-        space = StateSpace(tuple(labels))
+        space = _states(tree, path + ("states",), block["states"], "states")
         if states is not None and space != states:
             _fail(tree, path + ("states",), "gamble states differ from the states block")
     if space is None:
         _fail(tree, path, "gamble needs states (inline or via a states block)")
-    wealth = block.get("wealth", default_wealth)
-    try:
-        return Gamble(
-            space,
-            [_number(tree, path + ("rewards", i), r, "reward") for i, r in enumerate(rewards)],
-            wealth_floor=None if wealth is None else float(wealth),
-        )
-    except ValueError as exc:
-        _fail(tree, path, str(exc))
+    wealth = default_wealth
+    if "wealth" in block:
+        wealth = _number(tree, path + ("wealth",), block["wealth"], "wealth")
+    return _make(tree, path, Gamble, space, rewards, wealth)
 
 
 def build_scenario(tree: ConfigTree) -> Scenario:
@@ -503,13 +479,11 @@ def build_scenario(tree: ConfigTree) -> Scenario:
         if key not in _TOP_KEYS:
             _fail(tree, (key,), f"unknown top-level key {key!r}")
 
-    utility = Linear()
-    if "utility" in data:
-        utility = _build_utility(tree, ("utility",), data["utility"])
+    utility = _build(tree, ("utility",), data.get("utility", {"kind": "linear"}), "utility")
 
     discount = None
     if "discount" in data:
-        discount = _build_discount(tree, ("discount",), data["discount"])
+        discount = _build(tree, ("discount",), data["discount"], "discount")
 
     states = None
     if "states" in data:
@@ -518,12 +492,7 @@ def build_scenario(tree: ConfigTree) -> Scenario:
             _fail(tree, ("states",), "states must be a block")
         _check_keys(tree, ("states",), block, {"labels"}, "states")
         labels = _need(tree, ("states",), block, "labels", "states")
-        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-            _fail(tree, ("states", "labels"), "labels must be a list of strings")
-        try:
-            states = StateSpace(tuple(labels))
-        except ValueError as exc:
-            _fail(tree, ("states",), str(exc))
+        states = _states(tree, ("states", "labels"), labels, "labels")
 
     wealth = None
     if "wealth" in data:
@@ -556,15 +525,13 @@ def build_scenario(tree: ConfigTree) -> Scenario:
                 if not isinstance(entry, dict):
                     _fail(tree, epath, "each payment is a block {amount = ..., t = ...}")
                 _check_keys(tree, epath, entry, {"amount", "t", "state"}, "payment")
-                amount = _number(tree, epath, _need(tree, epath, entry, "amount", "payment"), "amount")
-                t = _number(tree, epath, _need(tree, epath, entry, "t", "payment"), "t")
+                amount = _need(tree, epath, entry, "amount", "payment")
+                amount = _number(tree, epath + ("amount",), amount, "amount")
+                t = _number(tree, epath + ("t",), _need(tree, epath, entry, "t", "payment"), "t")
                 state = entry.get("state")
                 if state is not None and not isinstance(state, str):
                     _fail(tree, epath + ("state",), "state must be a label string")
-                try:
-                    payments.append(DatedPayment(amount, t, state))
-                except ValueError as exc:
-                    _fail(tree, epath, str(exc))
+                payments.append(_make(tree, epath, DatedPayment, amount, t, state))
             schedules[name] = PaymentSchedule(tuple(payments), label=name)
 
     scan_shifts = None
@@ -575,40 +542,37 @@ def build_scenario(tree: ConfigTree) -> Scenario:
             _fail(tree, ("scan",), "scan must be a block")
         _check_keys(tree, ("scan",), block, {"shifts", "a", "b"}, "scan")
         shifts = _need(tree, ("scan",), block, "shifts", "scan")
-        if not isinstance(shifts, list) or not shifts:
-            _fail(tree, ("scan", "shifts"), "shifts must be a nonempty list of numbers")
-        scan_shifts = [
-            _number(tree, ("scan", "shifts", i), v, "shift") for i, v in enumerate(shifts)
-        ]
+        scan_shifts = _numbers(tree, ("scan", "shifts"), shifts, "shifts", nonempty=True)
+        for i, shift in enumerate(scan_shifts):
+            if not shift >= 0:
+                _fail(tree, ("scan", "shifts", i), f"shifts must be nonnegative, got {shift!r}")
         names = list(schedules)
         a = block.get("a", names[0] if len(names) >= 1 else None)
         b = block.get("b", names[1] if len(names) >= 2 else None)
         for side, val in (("a", a), ("b", b)):
-            if val is None or val not in schedules:
+            if not isinstance(val, str) or val not in schedules:
                 _fail(tree, ("scan",), f"scan side {side!r} needs an existing schedule name")
         scan_pair = (a, b)
 
     accepted: list[Gamble] = []
     rejected: list[Gamble] = []
-    has_assessments = False
-    if "assessments" in data:
-        has_assessments = True
+    has_assessments = "assessments" in data
+    if has_assessments:
         block = data["assessments"]
         if not isinstance(block, dict):
             _fail(tree, ("assessments",), "assessments must be a block")
         _check_keys(tree, ("assessments",), block, {"accepted", "rejected", "wealth"}, "assessments")
-        aw = block.get("wealth", wealth)
-        aw = None if aw is None else _number(tree, ("assessments", "wealth"), aw, "wealth")
-        entries = _need(tree, ("assessments",), block, "accepted", "assessments")
-        if not isinstance(entries, list):
-            _fail(tree, ("assessments", "accepted"), "accepted must be a list")
-        for i, entry in enumerate(entries):
-            accepted.append(
-                _build_gamble(tree, ("assessments", "accepted", i), entry, states, aw, named_gambles)
-            )
-        for i, entry in enumerate(block.get("rejected", [])):
-            rejected.append(
-                _build_gamble(tree, ("assessments", "rejected", i), entry, states, aw, named_gambles)
+        aw = wealth
+        if "wealth" in block:
+            aw = _number(tree, ("assessments", "wealth"), block["wealth"], "wealth")
+        _need(tree, ("assessments",), block, "accepted", "assessments")
+        for side, gambles in (("accepted", accepted), ("rejected", rejected)):
+            entries = block.get(side, [])
+            if not isinstance(entries, list):
+                _fail(tree, ("assessments", side), f"{side} must be a list")
+            gambles.extend(
+                _build_gamble(tree, ("assessments", side, i), entry, states, aw, named_gambles)
+                for i, entry in enumerate(entries)
             )
 
     return Scenario(

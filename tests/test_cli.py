@@ -285,3 +285,31 @@ def test_missing_config_file(capsys):
 
 def test_usage_error_without_command(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--regime", "quasi", "--beta", "2", "--delta", "0.9"), "beta must lie in (0, 1]"),
+        (("--regime", "exponential", "--r", "-1"), "rate must be nonnegative"),
+        (("--regime", "hybrid", "--lambda", "1.5", "--r", "0.1", "--k", "1"), "lambda must lie"),
+        (("--regime", "scale", "--r", "0.1", "--x", "100", "--log-base", "1"), "log base must"),
+        (("--regime", "hyperbolic", "--k", "inf"), "k must be a finite number, got inf"),
+    ],
+    ids=["quasi-beta", "exponential-r", "hybrid-lambda", "scale-log-base", "hyperbolic-k-inf"],
+)
+def test_curves_invalid_parameter_exits_2(capsys, argv, message):
+    rc, out, err = run(capsys, "curves", *argv, "--t", "0:3:1")
+    assert rc == 2
+    assert out == "regime,param_set,t,factor\n"
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_check_malformed_assessments_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "rejected.conf"
+    cfg.write_text('states { labels = ["s1", "s2"] }\nassessments { accepted = [], rejected = 3 }\n')
+    rc, out, err = run(capsys, "check", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert "line 2" in err and "rejected must be a list" in err

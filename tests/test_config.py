@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -161,3 +162,116 @@ def test_config_error_without_position():
     err = ConfigError("plain message")
     assert err.line is None
     assert "plain message" in str(err)
+
+
+def test_scan_negative_shift_is_rejected_with_position():
+    text = (
+        'discount { kind = "hyperbolic", k = 0.5 }\n'
+        'schedule "A" { pay = [{amount = 100, t = 0}] }\n'
+        'schedule "B" { pay = [{amount = 120, t = 1}] }\n'
+        "scan { shifts = [0, -1] }\n"
+    )
+    with pytest.raises(ConfigError, match="shifts must be nonnegative, got -1.0") as err:
+        build_scenario(parse(text))
+    assert (err.value.line, err.value.column) == (4, 8)
+
+
+TABLE = 'utility {{ kind = "composed", base = {{kind = "linear"}}, phi = {{form = "table", {}}} }}'
+ETA = (
+    'discount {{ kind = "scale_dependent", base = {{kind = "exponential", r = 1}}, '
+    'eta = {{form = "tabulated", {}}} }}'
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (TABLE.format("x = 5, y = [-1, 1]"), "x must be a list of numbers"),
+        (ETA.format("x = 5, y = [1]"), "x must be a list of numbers"),
+        ("utility { kind = [1] }", "unknown utility kind [1]"),
+        ('discount { kind = {form = "x"} }', "unknown discount kind"),
+        (
+            'states { labels = ["s1", "s2"] }\nassessments { accepted = [], rejected = 3 }',
+            "rejected must be a list",
+        ),
+        (TABLE.format("x = [-1, true], y = [-1, 1]"), "x must be a number, got True"),
+        (TABLE.format("x = [-1, 1], y = [true, 2]"), "y must be a number, got True"),
+        (
+            'utility { kind = "composed", base = {kind = "linear"}, '
+            'phi = {form = "poly", coeffs = [0, true]} }',
+            "coeff must be a number, got True",
+        ),
+        (
+            'states { labels = ["s1", "s2"] }\n'
+            "assessments { accepted = [{rewards = [1, -1], wealth = true}] }",
+            "wealth must be a number, got True",
+        ),
+        (
+            'states { labels = ["s1", "s2"] }\n'
+            'assessments { accepted = [{rewards = [1, -1], wealth = "x"}] }',
+            "wealth must be a number, got 'x'",
+        ),
+        ('gamble { states = [], rewards = [1] }', "state space needs at least one state"),
+        (
+            'discount { kind = "exponential", r = 0.1 }\n'
+            'schedule "A" { pay = [{amount = 1, t = 0}] }\n'
+            'schedule "B" { pay = [{amount = 2, t = 1}] }\n'
+            "scan { shifts = [0], a = [1] }",
+            "scan side 'a' needs an existing schedule name",
+        ),
+        ("wealth = 1" + "0" * 400, "wealth must be a finite number"),
+        ('discount { kind = "exponential", r = 1e999 }', "r must be a finite number, got inf"),
+        ('discount { kind = "hyperbolic", k = 1 }\nscan { shifts = [-1e999] }', "got -inf"),
+    ],
+    ids=[
+        "phi-table-scalar-x",
+        "eta-tabulated-scalar-x",
+        "kind-list",
+        "kind-block",
+        "rejected-scalar",
+        "table-x-bool",
+        "table-y-bool",
+        "poly-coeff-bool",
+        "gamble-wealth-bool",
+        "gamble-wealth-string",
+        "gamble-empty-states",
+        "scan-side-list",
+        "int-overflow",
+        "float-overflow",
+        "shift-overflow",
+    ],
+)
+def test_malformed_values_raise_config_errors_with_position(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)) as err:
+        build_scenario(parse(text))
+    assert err.value.line is not None
+
+
+def test_list_entry_errors_report_the_enclosing_key():
+    text = (
+        'discount { kind = "exponential", r = 0.1 }\n'
+        'schedule "A" { pay = [{amount = 1, t = 0}] }\n'
+        'schedule "B" { pay = [{amount = 2, t = 1}] }\n'
+        'scan { shifts = [0, "a"] }\n'
+    )
+    with pytest.raises(ConfigError, match="shift must be a number, got 'a'") as err:
+        build_scenario(parse(text))
+    assert (err.value.line, err.value.column) == (4, 8)
+    text = 'states { labels = ["s1", "s2"] }\nassessments { accepted = [{rewards = [1, "x"]}] }'
+    with pytest.raises(ConfigError, match="reward must be a number, got 'x'") as err:
+        build_scenario(parse(text))
+    assert (err.value.line, err.value.column) == (2, 28)
+
+
+def test_labeled_component_errors_carry_a_position():
+    with pytest.raises(ConfigError, match="utility needs key 'kind'") as err:
+        build_scenario(parse('\nutility "x" { kind = "linear" }'))
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
+def test_eta_log_base_defaults_to_ten():
+    text = (
+        'discount { kind = "scale_dependent", base = {kind = "exponential", r = 1.0}, '
+        'eta = {form = "inverse_log"} }'
+    )
+    assert build_scenario(parse(text)).discount.eta.log_base == 10.0
