@@ -8,7 +8,6 @@ Run:  python3 demos/06_lp_kernel.py
 import numpy as np
 
 from desirables.lp import (
-    Constraint,
     LpProblem,
     check_infeasibility_certificate,
     format_problem,
@@ -17,13 +16,14 @@ from desirables.lp import (
 
 print("=== a margin-maximization problem on the 2-simplex ===")
 # maximize m subject to 2 w1 - w2 >= m, w1 + w2 = 1, w >= 0, m free.
+# A problem is arrays: one row of the constraint matrix per constraint,
+# with one relation and one right-hand side per row.
 problem = LpProblem(
-    objective=(0.0, 0.0, 1.0),
-    constraints=(
-        Constraint((2.0, -1.0, -1.0), ">=", 0.0),
-        Constraint((1.0, 1.0, 0.0), "=", 1.0),
-    ),
-    lower_bounds=(0.0, 0.0, float("-inf")),
+    objective=[0.0, 0.0, 1.0],
+    constraints=np.array([[2.0, -1.0, -1.0], [1.0, 1.0, 0.0]]),
+    relations=(">=", "="),
+    rhs=[0.0, 1.0],
+    lower_bounds=[0.0, 0.0, -np.inf],
 )
 print(format_problem(problem))
 solution = solve(problem)
@@ -31,10 +31,8 @@ print(f"status = {solution.status.value}, w = {solution.x[:2]}, margin = {soluti
 
 print()
 print("=== infeasibility comes with a checkable certificate ===")
-bad = LpProblem(
-    objective=(0.0,),
-    constraints=(Constraint((1.0,), ">=", 1.0), Constraint((1.0,), "<=", 0.0)),
-)
+# x >= 1 and x <= 0:
+bad = LpProblem(objective=[0.0], constraints=[[1.0], [1.0]], relations=(">=", "<="), rhs=[1, 0])
 verdict = solve(bad)
 print(f"status = {verdict.status.value}")
 print(f"certificate y = {verdict.certificate}")

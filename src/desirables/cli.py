@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import config as configmod
 from .coherence import AssessmentSet, Functional, audit, fit_functional
 from .errors import ConfigError, DesirablesError, SpaceMismatch
-from .intertemporal import effective_utility, reversal_scan, schedule_value
+from .intertemporal import reversal_scan, schedule_value
 
 _EXIT_OK = 0
 _EXIT_FINDINGS = 1
@@ -44,33 +45,6 @@ def _runtime_error(message: str) -> int:
     return _EXIT_RUNTIME
 
 
-def _named_schedule_value(scenario, name, rounded):
-    """Schedule value with payment-level error attribution."""
-    sch = scenario.schedules[name]
-    try:
-        return schedule_value(
-            scenario.utility, scenario.discount, sch, round_factors=rounded
-        )
-    except DesirablesError:
-        # Re-evaluate payment by payment to name the culprit.
-        for i, p in enumerate(sch.payments):
-            try:
-                effective_utility(
-                    scenario.utility,
-                    scenario.discount,
-                    p.amount,
-                    p.time,
-                    p.state,
-                    round_factors=rounded,
-                )
-            except DesirablesError as exc:
-                raise DesirablesError(
-                    f'schedule "{name}" payment {i} '
-                    f"(amount={p.amount:g}, t={p.time:g}): {exc}"
-                ) from None
-        raise
-
-
 def cmd_eval(args) -> int:
     scenario = _load_scenario(args.config)
     if not scenario.schedules:
@@ -78,11 +52,14 @@ def cmd_eval(args) -> int:
     if scenario.discount is None:
         return _usage_error("no discount block")
     rows = []
-    try:
-        for name in scenario.schedules:
-            rows.append((name, _named_schedule_value(scenario, name, args.paper_rounding)))
-    except DesirablesError as exc:
-        return _runtime_error(str(exc))
+    for name, sch in scenario.schedules.items():
+        try:
+            value = schedule_value(
+                scenario.utility, scenario.discount, sch, round_factors=args.paper_rounding
+            )
+        except DesirablesError as exc:
+            return _runtime_error(f'schedule "{name}" {exc}')
+        rows.append((name, value))
     print("schedule\tvalue")
     for name, value in rows:
         print(f"{name}\t{value:.6g}")
@@ -178,7 +155,12 @@ def cmd_fit(args) -> int:
     return _EXIT_FINDINGS
 
 
+# Most points one lo:hi:step range may expand to (plotted sweeps take about a hundred).
+_MAX_RANGE_POINTS = 100_000
+
+
 def _parse_range(text: str) -> list[float]:
+    """A number, or lo:hi:step as lo, lo + step, ... up to hi; ValueError names the flaw."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -187,14 +169,15 @@ def _parse_range(text: str) -> list[float]:
             raise ValueError
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"malformed range {text!r}; use a number or lo:hi:step"
-        ) from None
+        raise ValueError(f"malformed range {text!r}; use a number or lo:hi:step") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"malformed range {text!r}; lo, hi and step must be finite")
     if step <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError(
-            f"malformed range {text!r}; need step > 0 and hi >= lo"
-        )
-    n = int(round((hi - lo) / step))
+        raise ValueError(f"malformed range {text!r}; need step > 0 and hi >= lo")
+    span = (hi - lo) / step  # inf if hi - lo overflows
+    if not span < _MAX_RANGE_POINTS - 0.5:
+        raise ValueError(f"range {text!r} has more than {_MAX_RANGE_POINTS} points")
+    n = int(round(span))
     values = [lo + i * step for i in range(n + 1)]
     if values[-1] > hi + 1e-9 * step:
         values.pop()
@@ -233,7 +216,7 @@ def _fill(block: dict, params: dict) -> dict:
 def cmd_curves(args) -> int:
     regime = args.regime
     wanted, block = _CURVE_PARAMS[regime]
-    supplied = {
+    flags = {
         "r": args.r,
         "k": args.k,
         "p": args.p,
@@ -242,6 +225,13 @@ def cmd_curves(args) -> int:
         "lambda": getattr(args, "lam"),
         "x": args.x,
     }
+    try:
+        times = _parse_range(args.t)
+        supplied = {
+            name: None if text is None else _parse_range(text) for name, text in flags.items()
+        }
+    except ValueError as exc:
+        return _usage_error(str(exc))
     for name in wanted:
         if supplied[name] is None:
             return _usage_error(f"regime {regime!r} needs --{name}")
@@ -252,7 +242,7 @@ def cmd_curves(args) -> int:
     grids = [supplied[name] for name in wanted]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["regime", "param_set", "t", "factor"])
-    delays = np.array(args.t)
+    delays = np.array(times)
     try:
         for combo in itertools.product(*grids):
             params = dict(zip(wanted, combo), log_base=args.log_base)
@@ -260,7 +250,7 @@ def cmd_curves(args) -> int:
             spec = configmod.build_scenario(tree).discount
             label = ",".join(f"{name}={value:g}" for name, value in zip(wanted, combo))
             factors = spec.factor(delays, params.get("x")).tolist()
-            for t, factor in zip(args.t, factors):
+            for t, factor in zip(times, factors):
                 writer.writerow([regime, label, f"{t:g}", f"{factor:.10g}"])
     except ConfigError as exc:
         return _usage_error(str(exc))
@@ -311,14 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curves = sub.add_parser("curves", help="emit discount-curve data as CSV")
     p_curves.add_argument("--regime", required=True, choices=sorted(_CURVE_PARAMS))
-    p_curves.add_argument("--t", type=_parse_range, required=True, help="delays, lo:hi:step")
-    p_curves.add_argument("--r", type=_parse_range, help="rate(s)")
-    p_curves.add_argument("--k", type=_parse_range, help="hyperbolic k value(s)")
-    p_curves.add_argument("--p", type=_parse_range, help="generalized power(s)")
-    p_curves.add_argument("--beta", type=_parse_range, help="present-bias beta value(s)")
-    p_curves.add_argument("--delta", type=_parse_range, help="long-run delta value(s)")
-    p_curves.add_argument("--lambda", dest="lam", type=_parse_range, help="mixture weight(s)")
-    p_curves.add_argument("--x", type=_parse_range, help="reward(s) for scale-dependent curves")
+    # Each takes a number or a lo:hi:step range, expanded by cmd_curves.
+    p_curves.add_argument("--t", required=True, help="delays, lo:hi:step")
+    p_curves.add_argument("--r", help="rate(s)")
+    p_curves.add_argument("--k", help="hyperbolic k value(s)")
+    p_curves.add_argument("--p", help="generalized power(s)")
+    p_curves.add_argument("--beta", help="present-bias beta value(s)")
+    p_curves.add_argument("--delta", help="long-run delta value(s)")
+    p_curves.add_argument("--lambda", dest="lam", help="mixture weight(s)")
+    p_curves.add_argument("--x", help="reward(s) for scale-dependent curves")
     p_curves.add_argument("--log-base", type=float, default=10.0)
     p_curves.set_defaults(func=cmd_curves)
     return parser

@@ -146,11 +146,10 @@ def accept_decision(a: AssessmentSet, g: Gamble) -> AcceptanceDecision:
     m, n = U.shape
 
     # maximize s subject to U lam + s <= c, lam >= 0, s <= 1 (cap keeps it bounded).
-    objective = tuple([0.0] * n + [1.0])
-    rows = [lp.Constraint(tuple(U[j]) + (1.0,), lp.LE, float(c[j])) for j in range(m)]
-    rows.append(lp.Constraint((0.0,) * n + (1.0,), lp.LE, 1.0))
-    bounds = tuple([0.0] * n + [-math.inf])
-    sol = lp.solve(lp.LpProblem(objective, tuple(rows), bounds))
+    objective = np.append(np.zeros(n), 1.0)  # also the cap row
+    rows = np.vstack([np.column_stack([U, np.ones(m)]), objective])
+    bounds = np.append(np.zeros(n), -math.inf)
+    sol = lp.solve(lp.LpProblem(objective, rows, (lp.LE,) * (m + 1), np.append(c, 1.0), bounds))
     if sol.status is not lp.LpStatus.OPTIMAL:
         raise AssertionError(f"margin LP cannot be {sol.status}")
     margin = float(sol.value)
@@ -192,10 +191,10 @@ def check_partial_loss(a: AssessmentSet) -> PartialLossReport:
     """
     U = a.transformed_generators()
     m, n = U.shape
-    objective = tuple([0.0] * n + [1.0])
-    rows = [lp.Constraint(tuple(U[j]) + (1.0,), lp.LE, 0.0) for j in range(m)]
-    rows.append(lp.Constraint((1.0,) * n + (0.0,), lp.LE, 1.0))
-    sol = lp.solve(lp.LpProblem(objective, tuple(rows), (0.0,) * (n + 1)))
+    objective = np.append(np.zeros(n), 1.0)
+    rows = np.vstack([np.column_stack([U, np.ones(m)]), np.append(np.ones(n), 0.0)])
+    rhs = np.append(np.zeros(m), 1.0)
+    sol = lp.solve(lp.LpProblem(objective, rows, (lp.LE,) * (m + 1), rhs))
     if sol.status is not lp.LpStatus.OPTIMAL:
         raise AssertionError(f"partial-loss LP cannot be {sol.status}")
     margin = float(sol.value)
@@ -301,14 +300,18 @@ def _fit_lp(m, UA, UR, active, eps):
     acc = [i for kind, i in active if kind == "accepted"]
     rej = [j for kind, j in active if kind == "rejected"]
     # Variables: w_1..w_m, margin (free).
-    objective = tuple([0.0] * m + [1.0])
-    rows = [lp.Constraint(tuple(UA[:, i]) + (-1.0,), lp.GE, 0.0) for i in acc]
-    rows += [lp.Constraint(tuple(UR[:, j]) + (0.0,), lp.LE, -eps) for j in rej]
-    rows.append(lp.Constraint((1.0,) * m + (0.0,), lp.EQ, 1.0))
-    if not acc:  # margin otherwise unbounded
-        rows.append(lp.Constraint((0.0,) * m + (1.0,), lp.LE, 1.0))
-    bounds = tuple([0.0] * m + [-math.inf])
-    problem = lp.LpProblem(objective, tuple(rows), bounds)
+    objective = np.append(np.zeros(m), 1.0)
+    cap = [] if acc else [objective]  # margin otherwise unbounded
+    rows = np.vstack([
+        np.column_stack([UA[:, acc].T, np.full(len(acc), -1.0)]),
+        np.column_stack([UR[:, rej].T, np.zeros(len(rej))]),
+        np.append(np.ones(m), 0.0),
+        *cap,
+    ])
+    relations = (lp.GE,) * len(acc) + (lp.LE,) * len(rej) + (lp.EQ,) + (lp.LE,) * len(cap)
+    rhs = np.concatenate([np.zeros(len(acc)), np.full(len(rej), -eps), [1.0] * (1 + len(cap))])
+    bounds = np.append(np.zeros(m), -math.inf)
+    problem = lp.LpProblem(objective, rows, relations, rhs, bounds)
     sol = lp.solve(problem)
     if sol.status is lp.LpStatus.OPTIMAL and sol.value >= -_TOL:
         return Functional(np.maximum(sol.x[:m], 0.0)), set()
@@ -317,7 +320,8 @@ def _fit_lp(m, UA, UR, active, eps):
         proven = lp.check_infeasibility_certificate(problem, evidence)
     else:  # weak duality: the duals y make (-y, 1) refute "margin >= -_TOL"
         evidence = sol.y
-        cut = lp.LpProblem(objective, (*rows, lp.Constraint(objective, lp.GE, -_TOL)), bounds)
+        cut_rows = np.vstack([rows, objective])
+        cut = lp.LpProblem(objective, cut_rows, relations + (lp.GE,), np.append(rhs, -_TOL), bounds)
         proven = lp.check_infeasibility_certificate(cut, np.append(-evidence, 1.0))
     # Rows follow ``active``: accepted constraints, then rejected ones.
     return None, {c for c, v in zip(active, evidence) if v == 0.0} if proven else set()

@@ -110,8 +110,8 @@ class Exponential(DiscountSpec):
     kind = "exponential"
 
     def __post_init__(self):
-        if not self.r >= 0:
-            raise ValueError(f"rate must be nonnegative, got {self.r!r}")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"rate must be nonnegative and finite, got {self.r!r}")
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         return _rounded(xp.exp(-self.r * t), rounded, xp)
@@ -126,8 +126,8 @@ class Hyperbolic(DiscountSpec):
     kind = "hyperbolic"
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k!r}")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"k must be positive and finite, got {self.k!r}")
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         return _rounded(1.0 / (1.0 + self.k * t), rounded, xp)
@@ -166,10 +166,10 @@ class GeneralizedHyperbolic(DiscountSpec):
     kind = "generalized_hyperbolic"
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k!r}")
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p!r}")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"k must be positive and finite, got {self.k!r}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {self.p!r}")
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         return _rounded((1.0 + self.k * t) ** (-self.p), rounded, xp)
@@ -205,8 +205,8 @@ class InverseLog(EtaSpec):
     domain_min = 1.0
 
     def __post_init__(self):
-        if not self.log_base > 1:
-            raise ValueError(f"log base must exceed 1, got {self.log_base!r}")
+        if not 1 < self.log_base < math.inf:
+            raise ValueError(f"log base must exceed 1 and be finite, got {self.log_base!r}")
 
     def value(self, x: float) -> float:
         self._check(x)
@@ -236,6 +236,8 @@ class TabulatedEta(EtaSpec):
         object.__setattr__(self, "ys", ys)
         if len(xs) != len(ys) or len(xs) < 1:
             raise ValueError("table needs matching nonempty x/y sequences")
+        if not all(map(math.isfinite, xs + ys)):
+            raise ValueError("table values must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("table x values must be strictly increasing")
         if any(y <= 0 for y in ys):
@@ -291,8 +293,8 @@ class StateDependent(DiscountSpec):
         object.__setattr__(self, "_by_label", dict(items))
         if not items:
             raise ValueError("rate map must not be empty")
-        if any(r <= 0 for _, r in items):
-            raise ValueError("every state rate must be positive")
+        if not all(0 < r < math.inf for _, r in items):
+            raise ValueError("every state rate must be positive and finite")
 
     def rate(self, s: str) -> float:
         for label, r in self.rates:

@@ -12,8 +12,9 @@ quantities (eta(x), state rates) once per payment and block, each shift's value
 summed over the payment columns in the order ``sum`` adds payments.  numpy's
 ``exp``/``log1p``/``pow`` can differ from libm's in the last bits, so a scan
 value may differ from ``schedule_value`` of the shifted schedule by a few
-ulps.  The baseline is ``compare`` of the unshifted schedules, and a domain
-error names the cell a shift-by-shift loop would have met first.
+ulps.  The baseline is ``compare`` of the unshifted schedules.  An error in
+a block is raised as the shift-by-shift loop raises it, naming the payment
+(see ``schedule_value``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discount import DiscountSpec, uses_states
+from .errors import DesirablesError
 from .utility import Utility
 
 __all__ = [
@@ -94,17 +96,26 @@ def schedule_value(
     *,
     round_factors: bool = False,
 ) -> float:
-    """Sum of per-payment effective utilities, invariant to payment order."""
+    """Sum of per-payment effective utilities, invariant to payment order.
+
+    An error in a payment is re-raised as the same type, its message prefixed
+    with ``payment {i} (amount=..., t=...)``.
+    """
     if not uses_states(d) and any(p.state is not None for p in sch.payments):
         warnings.warn(
             f"schedule {sch.label!r} carries state labels but the discount "
             "regime is state-independent; labels are ignored",
             stacklevel=2,
         )
-    return sum(
-        effective_utility(u, d, p.amount, p.time, p.state, round_factors=round_factors)
-        for p in sch.payments
-    )
+    values = []
+    for i, p in enumerate(sch.payments):
+        try:
+            values.append(
+                effective_utility(u, d, p.amount, p.time, p.state, round_factors=round_factors)
+            )
+        except DesirablesError as exc:
+            raise type(exc)(f"payment {i} (amount={p.amount:g}, t={p.time:g}): {exc}") from None
+    return sum(values)
 
 
 def compare(
@@ -194,7 +205,14 @@ def reversal_scan(
     for lo in range(0, len(deltas), _BLOCK_SHIFTS):
         block = slice(lo, lo + _BLOCK_SHIFTS)
         t = times[None, :] + np.array(deltas[block])[:, None]
-        cells = u.eval(d.factor(t, x, states, round_factors=round_factors) * x)
+        try:
+            cells = u.eval(d.factor(t, x, states, round_factors=round_factors) * x)
+        except DesirablesError:
+            # Replay the block shift by shift, so the error names its payment.
+            for delta in deltas[block]:
+                a, b = shift_schedule(a0, delta), shift_schedule(b0, delta)
+                compare(u, d, a, b, round_factors=round_factors)
+            raise
         va[block], vb[block] = _sum_columns(cells[:, :n_a]), _sum_columns(cells[:, n_a:])
     a_wins, b_wins = (va > vb + tol).tolist(), (vb > va + tol).tolist()
     trace = tuple(

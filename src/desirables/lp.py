@@ -1,29 +1,34 @@
 """Small dense linear-programming kernel: two-phase simplex with Bland's rule.
 
-Problems are stated as ``maximize objective @ x`` subject to rows
-``coeffs @ x (<=|>=|=) rhs`` and per-variable lower bounds of 0 or -inf
-(free variables are split internally).  Pivoting is deterministic (Bland's
-anti-cycling rule, ties broken by smallest basis index), so identical inputs
-produce bit-identical solutions.  Each step (entering column, ratio test,
-rank-1 pivot update) is a numpy array operation that makes the same choices
-and the same floating-point operations as a scalar loop over the tableau, so
-outputs are bit-identical to the scalar Bland loop; summations keep their
-row order for the same reason.
+A problem is arrays: ``maximize objective @ x`` subject to
+``constraints[k] @ x (relations[k]) rhs[k]`` for each row k of the m x n
+matrix ``constraints``, with per-variable lower bounds of 0 or -inf (free
+variables are split internally)::
 
-Infeasible problems carry a Farkas certificate ``y`` over the original
-constraint rows with the convention
+    LpProblem(objective=[0, 0, 1], constraints=[[2, -1, -1], [1, 1, 0]],
+              relations=(">=", "="), rhs=[0, 1], lower_bounds=[0, 0, -inf])
+
+Pivoting is deterministic (Bland's anti-cycling rule, ties broken by
+smallest basis index), so identical inputs produce bit-identical solutions.
+Each step (entering column, ratio test, rank-1 pivot update) is a numpy array
+operation that makes the same choices and the same floating-point operations
+as a scalar loop over the tableau, so outputs are bit-identical to the scalar
+Bland loop; summations keep their row order for the same reason.
+
+Infeasible problems carry a Farkas certificate ``y`` over the constraint
+rows with the convention
 
     y[k] <= 0 for "<=" rows, y[k] >= 0 for ">=" rows, free for "=" rows,
-    sum_k y[k] * coeffs_k <= 0 on bounded variables (= 0 on free ones),
-    sum_k y[k] * rhs_k > 0,
+    y @ constraints <= 0 on bounded variables (= 0 on free ones),
+    y @ rhs > 0,
 
 which makes the row combination contradict feasibility directly; see
 :func:`check_infeasibility_certificate`.  Optimal problems carry the dual
-values ``y`` over the original rows, read from the phase-2 reduced costs:
+values ``y`` over the rows, read from the phase-2 reduced costs:
 
     y[k] >= 0 for "<=" rows, y[k] <= 0 for ">=" rows, free for "=" rows,
-    sum_k y[k] * coeffs_k >= objective on bounded variables (= on free ones),
-    sum_k y[k] * rhs_k = value.
+    y @ constraints >= objective on bounded variables (= on free ones),
+    y @ rhs = value.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ import numpy as np
 from .errors import DimensionError, NumericalInstability
 
 __all__ = [
-    "Constraint",
     "LpProblem",
     "LpStatus",
     "LpSolution",
@@ -55,54 +59,58 @@ _MAX_ITER = 100_000
 LE, GE, EQ = "<=", ">=", "="
 
 
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[float, ...]
-    rel: str
-    rhs: float
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", float(self.rhs))
-        if self.rel not in (LE, GE, EQ):
-            raise ValueError(f"relation must be one of <=, >=, =, got {self.rel!r}")
-        if not all(math.isfinite(c) for c in coeffs) or not math.isfinite(self.rhs):
-            raise ValueError("constraint coefficients must be finite")
+def _frozen(values) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
-    """maximize objective @ x subject to constraints and lower bounds (0 or -inf)."""
+    """maximize objective @ x s.t. constraints @ x (relations) rhs, x >= lower_bounds.
 
-    objective: tuple[float, ...]
-    constraints: tuple[Constraint, ...]
-    lower_bounds: tuple[float, ...] | None = None
+    ``constraints`` is the m x n coefficient matrix, ``relations`` one of
+    "<=", ">=", "=" per row, and ``lower_bounds`` 0 or -inf per variable (all
+    0 when omitted).  Arrays are stored as read-only float copies.
+    """
+
+    objective: np.ndarray
+    constraints: np.ndarray
+    relations: tuple[str, ...]
+    rhs: np.ndarray
+    lower_bounds: np.ndarray | None = None
 
     def __post_init__(self):
-        objective = tuple(float(c) for c in self.objective)
-        constraints = tuple(self.constraints)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraints", constraints)
-        n = len(objective)
-        if n == 0 or not all(math.isfinite(c) for c in objective):
+        objective = _frozen(self.objective)
+        n = objective.size
+        if objective.ndim != 1 or n == 0 or not np.isfinite(objective).all():
             raise ValueError("objective must be a nonempty finite vector")
-        lb = self.lower_bounds
-        lb = tuple(0.0 for _ in objective) if lb is None else tuple(float(b) for b in lb)
-        object.__setattr__(self, "lower_bounds", lb)
-        if len(lb) != n or any(b != 0.0 and b != -math.inf for b in lb):
+        lb = _frozen(np.zeros(n) if self.lower_bounds is None else self.lower_bounds)
+        if lb.shape != (n,) or not ((lb == 0.0) | (lb == -math.inf)).all():
             raise ValueError("lower bounds must be 0 or -inf, one per variable")
+        relations = tuple(self.relations)
+        m = len(relations)
         if n > _MAX_VARS:
             raise DimensionError(f"{n} variables exceeds the kernel limit of {_MAX_VARS}")
-        if len(constraints) > _MAX_ROWS:
+        if m > _MAX_ROWS:
+            raise DimensionError(f"{m} constraints exceeds the kernel limit of {_MAX_ROWS}")
+        unknown = set(relations) - {LE, GE, EQ}
+        if unknown:
+            raise ValueError(f"relation must be one of <=, >=, =, got {unknown.pop()!r}")
+        A, rhs = _frozen(self.constraints), _frozen(self.rhs)
+        if A.size == 0:
+            A = A.reshape(0, n)
+        if A.shape != (m, n) or rhs.shape != (m,):
             raise DimensionError(
-                f"{len(constraints)} constraints exceeds the kernel limit of {_MAX_ROWS}"
+                f"constraint matrix of shape {A.shape} and rhs of shape {rhs.shape} "
+                f"do not fit {m} relations over {n} variables"
             )
-        for c in constraints:
-            if len(c.coeffs) != n:
-                raise DimensionError(
-                    f"constraint row has {len(c.coeffs)} coefficients, expected {n}"
-                )
+        if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+            raise ValueError("constraint coefficients must be finite")
+        # Frozen: store the validated copies past __setattr__.
+        self.__dict__.update(
+            objective=objective, constraints=A, relations=relations, rhs=rhs, lower_bounds=lb
+        )
 
 
 class LpStatus(Enum):
@@ -123,9 +131,8 @@ class LpSolution:
 def format_problem(p: LpProblem) -> str:
     """Plain-text tableau dump for bug reports."""
     lines = ["maximize  " + "  ".join(f"{c:+g}" for c in p.objective)]
-    for k, c in enumerate(p.constraints):
-        row = "  ".join(f"{a:+g}" for a in c.coeffs)
-        lines.append(f"row {k}:  {row}  {c.rel}  {c.rhs:g}")
+    for k, (row, rel, b) in enumerate(zip(p.constraints, p.relations, p.rhs)):
+        lines.append(f"row {k}:  " + "  ".join(f"{a:+g}" for a in row) + f"  {rel}  {b:g}")
     bounds = "  ".join("free" if b == -math.inf else "0" for b in p.lower_bounds)
     lines.append("lower bounds:  " + bounds)
     return "\n".join(lines)
@@ -136,60 +143,41 @@ class _Tableau:
 
     def __init__(self, p: LpProblem):
         self.problem = p
-        n = len(p.objective)
-        m = len(p.constraints)
+        m, n = p.constraints.shape
 
         # Structural columns: variable var[k] times sign[k]; free variables
         # contribute a (+1, -1) pair.
-        pairs: list[tuple[int, float]] = []
-        for j, lb in enumerate(p.lower_bounds):
-            pairs += [(j, 1.0)] if lb == 0.0 else [(j, 1.0), (j, -1.0)]
-        self.var = np.array([j for j, _ in pairs])
-        self.sign = np.array([s for _, s in pairs])
-        n_struct = len(pairs)
+        free = p.lower_bounds == -math.inf
+        self.var = np.repeat(np.arange(n), np.where(free, 2, 1))
+        self.sign = np.where(np.diff(self.var, prepend=-1) == 0, -1.0, 1.0)
+        n_struct = self.var.size
 
-        A = np.array([c.coeffs for c in p.constraints]).reshape(m, n)
-        rows = A[:, self.var] * self.sign
-        rhs = np.array([c.rhs for c in p.constraints])
+        rows = p.constraints[:, self.var] * self.sign
+        rhs = p.rhs.copy()
         flip = rhs < 0
         rows[flip], rhs[flip] = -rows[flip], -rhs[flip]
         self.tau = np.where(flip, -1.0, 1.0)
-        swap = {LE: GE, GE: LE, EQ: EQ}
-        rels = [swap[c.rel] if f else c.rel for c, f in zip(p.constraints, flip)]
+        rel = np.array(p.relations, dtype=str)
+        le = np.where(flip, rel == GE, rel == LE)  # relation after the flip
+        extra, art = rel != EQ, ~le  # rows with a slack/surplus, with an artificial
 
-        n_extra = sum(1 for r in rels if r in (LE, GE))
-        n_art = sum(1 for r in rels if r in (GE, EQ))
+        n_extra, n_art = int(extra.sum()), int(art.sum())
         total = n_struct + n_extra + n_art
         T = np.zeros((m, total + 1))
         T[:, :n_struct] = rows
         T[:, -1] = rhs
 
-        # Identity column per row: the slack for <=, the artificial otherwise.
-        self.identity_col = np.full(m, -1, dtype=int)
-        self.basis = np.full(m, -1, dtype=int)
-        self.art_cols: list[int] = []
-        extra = n_struct
-        art = n_struct + n_extra
-        for i, rel in enumerate(rels):
-            if rel == LE:
-                T[i, extra] = 1.0
-                self.identity_col[i] = extra
-                self.basis[i] = extra
-                extra += 1
-            elif rel == GE:
-                T[i, extra] = -1.0
-                extra += 1
-                T[i, art] = 1.0
-                self.identity_col[i] = art
-                self.basis[i] = art
-                self.art_cols.append(art)
-                art += 1
-            else:
-                T[i, art] = 1.0
-                self.identity_col[i] = art
-                self.basis[i] = art
-                self.art_cols.append(art)
-                art += 1
+        # Slack (+1) or surplus (-1) columns, then artificial columns, each in
+        # row order.  Identity column per row: the slack for <=, the artificial
+        # otherwise; it starts in the basis.
+        extra_col = n_struct + np.cumsum(extra) - 1
+        art_col = n_struct + n_extra + np.cumsum(art) - 1
+        T[extra, extra_col[extra]] = np.where(le, 1.0, -1.0)[extra]
+        T[art, art_col[art]] = 1.0
+        self.identity_col = np.where(le, extra_col, art_col)
+        self.basis = self.identity_col.copy()
+        self.art = np.zeros(total, dtype=bool)
+        self.art[art_col[art]] = True
 
         self.T = T
         self.n_struct = n_struct
@@ -251,13 +239,10 @@ def solve(p: LpProblem) -> LpSolution:
     tab = _Tableau(p)
     T = tab.T
     total = T.shape[1] - 1
-    art = np.zeros(total, dtype=bool)
-    art[tab.art_cols] = True
+    art = tab.art
 
-    if tab.art_cols:
-        cost1 = np.zeros(total)
-        cost1[tab.art_cols] = 1.0
-        status, _ = _simplex_min(tab, cost1, allowed=np.ones(total, dtype=bool))
+    if art.any():
+        status, _ = _simplex_min(tab, art.astype(float), allowed=np.ones(total, dtype=bool))
         if status != "optimal":  # phase 1 is bounded below by 0
             raise NumericalInstability("phase 1 unbounded\n" + format_problem(p))
         value1 = float(
@@ -268,7 +253,7 @@ def solve(p: LpProblem) -> LpSolution:
         _drive_out_artificials(tab, art)
 
     cost2 = np.zeros(total)
-    cost2[: tab.n_struct] = -np.array(p.objective)[tab.var] * tab.sign
+    cost2[: tab.n_struct] = -p.objective[tab.var] * tab.sign
     status, reduced = _simplex_min(tab, cost2, allowed=~art)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
@@ -317,44 +302,36 @@ def _certificate(tab: _Tableau, art: np.ndarray) -> np.ndarray:
 
 
 def _recheck(p: LpProblem, x: np.ndarray, tol: float = 1e-7) -> None:
-    for c in p.constraints:
-        lhs = float(np.dot(c.coeffs, x))
-        ok = (
-            lhs <= c.rhs + tol
-            if c.rel == LE
-            else lhs >= c.rhs - tol
-            if c.rel == GE
-            else abs(lhs - c.rhs) <= tol
+    """Raise on the first row (in row order), then variable, that ``x`` violates."""
+    lhs, rhs = p.constraints @ x, p.rhs
+    rel = np.array(p.relations, dtype=str)
+    ok = np.where(
+        rel == LE, lhs <= rhs + tol, np.where(rel == GE, lhs >= rhs - tol, np.abs(lhs - rhs) <= tol)
+    )
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NumericalInstability(
+            f"solution violates {rel[k]} row by {abs(lhs[k] - rhs[k]):.3e}\n"
+            + format_problem(p)
         )
-        if not ok:
-            raise NumericalInstability(
-                f"solution violates {c.rel} row by {abs(lhs - c.rhs):.3e}\n"
-                + format_problem(p)
-            )
-    for xj, lb in zip(x, p.lower_bounds):
-        if lb == 0.0 and xj < -tol:
-            raise NumericalInstability(
-                f"solution violates nonnegativity: {xj:.3e}\n" + format_problem(p)
-            )
+    negative = (p.lower_bounds == 0.0) & (x < -tol)
+    if negative.any():
+        raise NumericalInstability(
+            f"solution violates nonnegativity: {x[np.argmax(negative)]:.3e}\n"
+            + format_problem(p)
+        )
 
 
 def check_infeasibility_certificate(p: LpProblem, y: np.ndarray, tol: float = 1e-7) -> bool:
     """Verify a Farkas certificate against the documented sign convention."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (len(p.constraints),):
+    if y.shape != p.rhs.shape:
         return False
-    for yk, c in zip(y, p.constraints):
-        if c.rel == LE and yk > tol:
-            return False
-        if c.rel == GE and yk < -tol:
-            return False
-    combo = np.zeros(len(p.objective))
-    for yk, c in zip(y, p.constraints):
-        combo += yk * np.asarray(c.coeffs)
-    for gj, lb in zip(combo, p.lower_bounds):
-        if lb == 0.0 and gj > tol:
-            return False
-        if lb == -math.inf and abs(gj) > tol:
-            return False
-    rhs_combo = float(sum(yk * c.rhs for yk, c in zip(y, p.constraints)))
-    return rhs_combo > tol
+    rel = np.array(p.relations, dtype=str)
+    if (y[rel == LE] > tol).any() or (y[rel == GE] < -tol).any():
+        return False
+    combo = y @ p.constraints
+    free = p.lower_bounds == -math.inf
+    if (combo[~free] > tol).any() or (np.abs(combo[free]) > tol).any():
+        return False
+    return float(y @ p.rhs) > tol

@@ -184,8 +184,8 @@ class PhiScale(_PhiBase):
     form = "scale"
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"scale factor must be positive, got {self.c!r}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {self.c!r}")
 
     def __call__(self, w, xp=SCALAR):
         return self.c * w
@@ -200,8 +200,8 @@ class PhiPower(_PhiBase):
     form = "power"
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"power exponent must be positive, got {self.p!r}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"power exponent must be positive and finite, got {self.p!r}")
 
     def __call__(self, w, xp=SCALAR):
         return xp.copysign(xp.abs(w) ** self.p, w)
@@ -223,6 +223,8 @@ class PhiPoly(_PhiBase):
         object.__setattr__(self, "coeffs", coeffs)
         if not coeffs or coeffs[0] != 0.0:
             raise ValueError("polynomial needs a zero constant term so that phi(0) = 0")
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"polynomial coefficients must be finite, got {coeffs!r}")
 
     def __call__(self, w, xp=SCALAR):
         acc = 0.0
@@ -250,6 +252,8 @@ class PhiTable(_PhiBase):
         object.__setattr__(self, "ys", ys)
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("table needs matching x/y sequences of length >= 2")
+        if not all(map(math.isfinite, xs + ys)):
+            raise ValueError("table values must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("table x values must be strictly increasing")
         if any(b <= a for a, b in zip(ys, ys[1:])):

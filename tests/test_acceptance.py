@@ -319,7 +319,7 @@ def test_criterion_12_lp_kernel_determinism(capsys):
     with criterion(12, "LP kernel vs enumeration, byte-identical reruns"):
         for p in CORPUS:
             sol = solve(p)
-            rows = [(c.coeffs, c.rel, c.rhs) for c in p.constraints]
+            rows = list(zip(p.constraints, p.relations, p.rhs))
             status, _, val_ref = vertex_lp_optimum(p.objective, rows, p.lower_bounds)
             assert sol.status.value == status
             if sol.status is LpStatus.OPTIMAL:

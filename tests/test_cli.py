@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from desirables import cli
 from desirables.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -247,6 +248,28 @@ def test_curves_parameter_sweep_order_is_deterministic(capsys):
 def test_curves_malformed_range_exits_2(capsys):
     rc, _, err = run(capsys, "curves", "--regime", "quasi", "--beta", "x:y", "--t", "0:1:1")
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, text", [("--r", "0.1:inf:1"), ("--t", "-inf:1:1"), ("--t", "0:1:nan")])
+def test_curves_non_finite_range_exits_2(capsys, flag, text):
+    flags = {"--r": "0.1", "--t": "0:3:1", flag: text}
+    argv = [f"{name}={value}" for name, value in flags.items()]
+    rc, out, err = run(capsys, "curves", "--regime", "exponential", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be finite" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["0:100000:1", "0:1:0.00001", "-1e308:1e308:1"])
+def test_curves_range_point_cap_exits_2(capsys, text):
+    # One point more than the cap, and a span that overflows.
+    rc, out, err = run(capsys, "curves", "--regime", "hyperbolic", "--k", "0.5", f"--t={text}")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "more than 100000 points" in err
+    assert err.count("\n") == 1
+    assert len(cli._parse_range("0:99999:1")) == 100000  # exactly at the cap
 
 
 def test_curves_missing_and_extra_parameters(capsys):

@@ -264,6 +264,36 @@ def test_fit_constraints_describe_the_compatible_polytope():
     assert not satisfies(np.array([0.0, 1.0]))  # violates the acceptance row
 
 
+@st.composite
+def _feasible_sets(draw):
+    """Linear-utility sets planted at a weight vector w0 that every assessment admits.
+
+    Accepted gambles have w0 . f >= 0; rejected ones w0 . g = -delta <= -0.05.
+    """
+    m = draw(st.integers(1, 5))
+    tenths = st.integers(-20, 20).map(lambda k: k / 10)
+    vec = st.lists(tenths, min_size=m, max_size=m).map(np.array)
+    w0 = np.array(draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)), dtype=float)
+    w0 /= w0.sum()
+    accepted = [v - min(w0 @ v, 0.0) for v in draw(st.lists(vec, max_size=6))]
+    deltas = draw(st.lists(st.sampled_from((0.05, 0.2, 0.5)), max_size=3))
+    rejected = [v - (w0 @ v + delta) for v, delta in zip(draw(st.lists(vec, min_size=3)), deltas)]
+    return assessment_on(m, Linear(), accepted, rejected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_feasible_sets())
+def test_fit_constraints_rows_hold_at_the_fitted_weights(aset):
+    rows = fit_constraints(aset)
+    m, n, r = aset.space.m, len(aset.accepted), len(aset.rejected)
+    assert len(rows) == n + r + 1 + m
+    result = fit_functional(aset)
+    assert isinstance(result, Functional)
+    for coeffs, rel, rhs in rows:
+        lhs = float(np.dot(coeffs, result.weights))
+        assert {">=": lhs >= rhs - 1e-9, "<=": lhs <= rhs + 1e-9, "=": abs(lhs - rhs) <= 1e-9}[rel]
+
+
 def test_rho_examples():
     ell = Functional(np.array([0.5, 0.5]))
     assert rho(ell, LogShift(), G(1, 3)) == pytest.approx(

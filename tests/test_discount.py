@@ -12,6 +12,10 @@ from desirables import (
     Hyperbolic,
     InverseLog,
     MissingArgument,
+    PhiPoly,
+    PhiPower,
+    PhiScale,
+    PhiTable,
     QuasiHyperbolic,
     ScaleDependent,
     StateDependent,
@@ -117,6 +121,39 @@ def test_parameter_validation():
         TabulatedEta((1.0, 2.0), (0.5, -0.1))
     with pytest.raises(DomainError):
         Exponential(0.5).factor(-1.0)
+
+
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (Exponential, (INF,)),
+        (Exponential, (NAN,)),
+        (Hyperbolic, (INF,)),
+        (GeneralizedHyperbolic, (INF, 1.0)),
+        (GeneralizedHyperbolic, (0.5, INF)),
+        (StateDependent, ({"s1": 0.1, "s2": INF},)),
+        (StateDependent, ({"s1": NAN},)),
+        (InverseLog, (INF,)),
+        (TabulatedEta, ((1.0, INF), (0.5, 0.7))),
+        (TabulatedEta, ((1.0, 2.0), (0.5, INF))),
+        (TabulatedEta, ((NAN,), (0.5,))),
+        (PhiScale, (INF,)),
+        (PhiScale, (NAN,)),
+        (PhiPower, (INF,)),
+        (PhiPoly, ((0.0, NAN),)),
+        (PhiPoly, ((0.0, 1.0, -INF),)),
+        (PhiTable, ((-INF, INF), (-1.0, 1.0))),
+        (PhiTable, ((-1.0, 1.0), (-INF, 1.0))),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+)
+def test_constructors_reject_non_finite_parameters(cls, args):
+    # Each of these used to construct and then evaluate to NaN.
+    with pytest.raises(ValueError, match="finite"):
+        cls(*args)
 
 
 def test_nesting_depth_limit():

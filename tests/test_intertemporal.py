@@ -240,6 +240,16 @@ def test_domain_error_propagates():
         effective_utility(LogShift(), Exponential(0.1), -5.0, 0.0)
 
 
+def test_schedule_value_names_the_failing_payment():
+    # The error keeps its type and names the first payment that raised.
+    with pytest.raises(DomainError, match=r"^payment 1 \(amount=-3, t=0\): log_shift: reward"):
+        schedule_value(LogShift(), Exponential(0.1), sched((5, 0), (-3, 0), (-4, 1)))
+    sd = StateDependent({"s1": 0.1})
+    both = PaymentSchedule((DatedPayment(1, 0, "s1"), DatedPayment(2, 1.5, "s2")))
+    with pytest.raises(UnknownState, match=r"^payment 1 \(amount=2, t=1\.5\): state 's2'"):
+        schedule_value(Linear(), sd, both)
+
+
 def test_non_finite_delays_are_rejected_where_they_enter():
     with pytest.raises(ValueError, match="payment time must be nonnegative, got nan"):
         DatedPayment(10.0, math.nan)
@@ -275,7 +285,8 @@ def test_scan_domain_error_matches_shift_by_shift_loop():
         reversal_scan(u, d, a0, b0, shifts, round_factors=True)
     with pytest.raises(DomainError) as loop:
         scan_by_compare(u, d, a0, b0, shifts, round_factors=True)
-    assert str(grid.value) == str(loop.value) == "sqrt: reward 0.0 outside domain x > 0.0"
+    message = "payment 0 (amount=100, t=6): sqrt: reward 0.0 outside domain x > 0.0"
+    assert str(grid.value) == str(loop.value) == message
 
 
 def test_scan_warns_on_labels_under_state_independent_regime():

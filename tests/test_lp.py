@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from desirables import DimensionError, NumericalInstability
 from desirables.lp import (
-    Constraint,
     LpProblem,
     LpStatus,
     check_infeasibility_certificate,
@@ -23,11 +22,9 @@ INF = float("-inf")
 
 
 def P(objective, rows, bounds=None):
-    return LpProblem(
-        tuple(objective),
-        tuple(Constraint(tuple(c), rel, rhs) for c, rel, rhs in rows),
-        None if bounds is None else tuple(bounds),
-    )
+    """LpProblem from a list of (coefficients, relation, rhs) rows."""
+    coeffs, relations, rhs = zip(*rows)
+    return LpProblem(objective, coeffs, relations, rhs, bounds)
 
 
 def test_single_variable_box():
@@ -81,19 +78,19 @@ CORPUS = [
 def test_corpus_against_vertex_enumeration(idx):
     p = CORPUS[idx]
     sol = solve(p)
-    rows = [(c.coeffs, c.rel, c.rhs) for c in p.constraints]
+    rows = list(zip(p.constraints, p.relations, p.rhs))
     status, x_ref, val_ref = vertex_lp_optimum(p.objective, rows, p.lower_bounds)
     assert sol.status.value == status
     if sol.status is LpStatus.OPTIMAL:
         assert sol.value == pytest.approx(val_ref, abs=1e-9)
-        for c in p.constraints:
-            lhs = float(np.dot(c.coeffs, sol.x))
-            if c.rel == "<=":
-                assert lhs <= c.rhs + 1e-9
-            elif c.rel == ">=":
-                assert lhs >= c.rhs - 1e-9
+        for coeffs, rel, rhs in rows:
+            lhs = float(np.dot(coeffs, sol.x))
+            if rel == "<=":
+                assert lhs <= rhs + 1e-9
+            elif rel == ">=":
+                assert lhs >= rhs - 1e-9
             else:
-                assert lhs == pytest.approx(c.rhs, abs=1e-9)
+                assert lhs == pytest.approx(rhs, abs=1e-9)
         for xj, lb in zip(sol.x, p.lower_bounds):
             if lb == 0.0:
                 assert xj >= -1e-9
@@ -116,13 +113,13 @@ def test_deterministic_bit_identical_solutions():
 def _random_problem(rng):
     n = int(rng.integers(1, 4))
     m = int(rng.integers(1, 5))
-    rows = []
-    for _ in range(m):
-        coeffs = tuple(float(v) for v in rng.uniform(-2, 2, n))
-        rel = ("<=", ">=", "=")[int(rng.integers(3))]
-        rows.append(Constraint(coeffs, rel, float(rng.uniform(-3, 3))))
-    bounds = tuple(0.0 if rng.random() < 0.8 else INF for _ in range(n))
-    return LpProblem(tuple(float(v) for v in rng.uniform(-2, 2, n)), tuple(rows), bounds)
+    A, relations, rhs = np.empty((m, n)), [], np.empty(m)
+    for k in range(m):
+        A[k] = rng.uniform(-2, 2, n)
+        relations.append(("<=", ">=", "=")[int(rng.integers(3))])
+        rhs[k] = rng.uniform(-3, 3)
+    bounds = [0.0 if rng.random() < 0.8 else INF for _ in range(n)]
+    return LpProblem(rng.uniform(-2, 2, n), A, tuple(relations), rhs, bounds)
 
 
 def test_scale_invariance_of_verdicts():
@@ -130,12 +127,7 @@ def test_scale_invariance_of_verdicts():
     for _ in range(100):
         p = _random_problem(rng)
         scaled = LpProblem(
-            p.objective,
-            tuple(
-                Constraint(tuple(1e3 * a for a in c.coeffs), c.rel, 1e3 * c.rhs)
-                for c in p.constraints
-            ),
-            p.lower_bounds,
+            p.objective, 1e3 * p.constraints, p.relations, 1e3 * p.rhs, p.lower_bounds
         )
         s1, s2 = solve(p), solve(scaled)
         assert s1.status == s2.status
@@ -144,21 +136,46 @@ def test_scale_invariance_of_verdicts():
 
 
 def test_dimension_limits():
+    LpProblem([1.0] * 64, np.ones((256, 64)), ("<=",) * 256, np.ones(256))  # at the limits
     with pytest.raises(DimensionError):
-        LpProblem(tuple([1.0] * 65), ())
+        LpProblem([1.0] * 65, (), (), ())
     with pytest.raises(DimensionError):
-        LpProblem((1.0,), tuple(Constraint((1.0,), "<=", 1.0) for _ in range(257)))
-    with pytest.raises(DimensionError):
-        LpProblem((1.0, 2.0), (Constraint((1.0,), "<=", 1.0),))
+        LpProblem((1.0,), np.ones((257, 1)), ("<=",) * 257, np.ones(257))
+    with pytest.raises(DimensionError):  # a row of the wrong length
+        LpProblem((1.0, 2.0), [[1.0]], ("<=",), (1.0,))
+    with pytest.raises(DimensionError):  # one relation per row
+        LpProblem((1.0,), [[1.0], [2.0]], ("<=",), (1.0, 2.0))
+    with pytest.raises(DimensionError):  # one rhs per row
+        LpProblem((1.0,), [[1.0]], ("<=",), (1.0, 2.0))
 
 
-def test_problem_validation():
+@pytest.mark.parametrize(
+    "objective, rows, relations, rhs, bounds",
+    [
+        ((1.0,), [[1.0]], ("<",), (1.0,), None),  # unknown relation
+        ((1.0,), [[float("nan")]], ("<=",), (1.0,), None),
+        ((1.0,), [[math.inf]], ("<=",), (1.0,), None),
+        ((1.0,), [[1.0]], ("<=",), (math.nan,), None),
+        ((1.0,), [[1.0]], ("=",), (-math.inf,), None),
+        ((math.nan,), [[1.0]], ("<=",), (1.0,), None),
+        ((), (), (), (), None),  # no variables
+        ((1.0,), (), (), (), (-2.0,)),  # lower bounds must be 0 or -inf
+        ((1.0,), (), (), (), (0.0, 0.0)),  # one lower bound per variable
+    ],
+)
+def test_problem_validation(objective, rows, relations, rhs, bounds):
     with pytest.raises(ValueError):
-        Constraint((1.0,), "<", 1.0)
-    with pytest.raises(ValueError):
-        Constraint((float("nan"),), "<=", 1.0)
-    with pytest.raises(ValueError):
-        LpProblem((1.0,), (), (-2.0,))  # lower bounds must be 0 or -inf
+        LpProblem(objective, rows, relations, rhs, bounds)
+
+
+def test_problem_stores_read_only_copies():
+    A, b = np.ones((1, 2)), np.ones(1)
+    p = LpProblem([1.0, 1.0], A, ["<="], b, [0.0, INF])
+    A[0, 0] = b[0] = 5.0
+    assert p.constraints.tolist() == [[1.0, 1.0]] and p.rhs.tolist() == [1.0]
+    assert p.relations == ("<=",) and p.lower_bounds.tolist() == [0.0, INF]
+    for arr in (p.objective, p.constraints, p.rhs, p.lower_bounds):
+        assert arr.dtype == float and not arr.flags.writeable
 
 
 def test_free_variable_reaches_negative_optimum():
@@ -204,18 +221,24 @@ def _pinned_problem(rng):
     bounds = tuple(INF if rng.random() < 0.2 else 0.0 for _ in range(n))
     planted = rng.random() < 0.7
     x0 = rng.integers(0, 3, n) * (rng.random() < 0.8)
-    rows = []
+    A, rels, b = [], [], []  # rows of the constraint matrix, relations, right-hand sides
+
+    def add(row, rel, rhs):
+        A.append(row)
+        rels.append(rel)
+        b.append(rhs)
+
     if planted and rng.random() < 0.6:  # box the variables so many are bounded
         for j in range(min(n, m)):
-            e = tuple(float(k == j) for k in range(n))
-            rows.append(Constraint(e, "<=", 4.0))
+            e = np.eye(n)[j]
+            add(e, "<=", 4.0)
             if bounds[j] == INF:
-                rows.append(Constraint(e, ">=", -4.0))
-    while len(rows) < m:
+                add(e, ">=", -4.0)
+    while len(A) < m:
         rel = ("<=", ">=", "=")[int(rng.integers(3))]
-        if rows and rng.random() < 0.15:
-            src = rows[int(rng.integers(len(rows)))]
-            rows.append(Constraint(src.coeffs, src.rel if planted else rel, src.rhs))
+        if A and rng.random() < 0.15:
+            src = int(rng.integers(len(A)))
+            add(A[src], rels[src] if planted else rel, b[src])
             continue
         a = draw(n)
         if planted:
@@ -223,8 +246,8 @@ def _pinned_problem(rng):
             rhs = float(a @ x0) + (slack if rel == "<=" else -slack)
         else:
             rhs = 0.0 if rng.random() < 0.3 else float(draw(1)[0])
-        rows.append(Constraint(tuple(a), rel, rhs))
-    return LpProblem(tuple(draw(n)), tuple(rows[:m]), bounds)
+        add(a, rel, rhs)
+    return LpProblem(draw(n), A[:m], tuple(rels[:m]), b[:m], bounds)
 
 
 #: sha256 of the kernel's outputs on the pinned corpus, recorded with the scalar
@@ -259,9 +282,7 @@ def test_pinned_corpus_outputs_are_bit_identical():
 def _highs(p):
     """Re-solve p with scipy's HiGHS: (status, optimal value or None), or None if it gives up."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    A = np.array([c.coeffs for c in p.constraints])
-    b = np.array([c.rhs for c in p.constraints])
-    rels = np.array([c.rel for c in p.constraints])
+    A, b, rels = p.constraints, p.rhs, np.array(p.relations)
     A_ub = np.vstack([A[rels == "<="], -A[rels == ">="]])
     b_ub = np.concatenate([b[rels == "<="], -b[rels == ">="]])
     eq = rels == "="
@@ -306,22 +327,21 @@ def _highs_sized_problems(draw):
         b = A @ x0 + sign * slack
     else:
         b = np.array(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)))
-    rows = [(tuple(scale * A[i]), rels[i], scale * float(b[i])) for i in range(m)]
-    return P(tuple(float(v) for v in c), rows, bounds)
+    return LpProblem(c, scale * A, tuple(rels), scale * b, bounds)
 
 
 def _assert_duals_prove_optimum(p, sol, tol):
     """y >= 0 on <= rows, <= 0 on >= rows; A^T y >= c (= c on free variables); b . y = value."""
     y = sol.y
     assert y.shape == (len(p.constraints),) and not y.flags.writeable
-    rels = np.array([c.rel for c in p.constraints])
+    rels = np.array(p.relations)
     assert y[rels == "<="].min(initial=0.0) >= -tol
     assert y[rels == ">="].max(initial=0.0) <= tol
-    gap = y @ np.array([c.coeffs for c in p.constraints]) - np.array(p.objective)
-    free = np.array(p.lower_bounds) == INF
+    gap = y @ p.constraints - p.objective
+    free = p.lower_bounds == INF
     assert gap[~free].min(initial=0.0) >= -tol
     assert np.abs(gap[free]).max(initial=0.0) <= tol
-    assert float(y @ np.array([c.rhs for c in p.constraints])) == pytest.approx(sol.value, abs=tol)
+    assert float(y @ p.rhs) == pytest.approx(sol.value, abs=tol)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -346,14 +366,14 @@ def test_conflict_search_lp_reaches_verified_optimum():
     # Captured at full precision from a fit_functional conflict search, where
     # the kernel's optimum misses a <= row by 6.2e-6 and the recheck raises.
     data = json.loads((Path(__file__).parent / "data" / "lp_violates_le_row.json").read_text())
-    p = LpProblem(
-        tuple(data["objective"]),
-        tuple(Constraint(tuple(c["coeffs"]), c["rel"], c["rhs"]) for c in data["constraints"]),
-        tuple(float(b) for b in data["lower_bounds"]),
+    p = P(
+        data["objective"],
+        [(c["coeffs"], c["rel"], c["rhs"]) for c in data["constraints"]],
+        [float(b) for b in data["lower_bounds"]],
     )
     sol = solve(p)
     assert sol.status is LpStatus.OPTIMAL
-    for c in p.constraints:
-        lhs = float(np.dot(c.coeffs, sol.x))
-        assert {"<=": lhs <= c.rhs + 1e-7, ">=": lhs >= c.rhs - 1e-7, "=": abs(lhs - c.rhs) <= 1e-7}[c.rel]
+    for coeffs, rel, rhs in zip(p.constraints, p.relations, p.rhs):
+        lhs = float(np.dot(coeffs, sol.x))
+        assert {"<=": lhs <= rhs + 1e-7, ">=": lhs >= rhs - 1e-7, "=": abs(lhs - rhs) <= 1e-7}[rel]
     assert sol.value == pytest.approx(data["highs_optimum"], abs=1e-7)
