@@ -7,146 +7,18 @@ inference and representation fitting in the utility-transformed cone via a
 small deterministic LP kernel.
 """
 
-from .coherence import (
-    AcceptanceDecision,
-    AssessmentSet,
-    Finding,
-    Functional,
-    Infeasible,
-    PartialLossReport,
-    accept_decision,
-    accepts,
-    audit,
-    avoids_partial_loss,
-    check_ordering_invariance,
-    check_partial_loss,
-    check_transform_invariance,
-    cross_check_functional,
-    fit_constraints,
-    fit_functional,
-    rho,
-)
-from .discount import (
-    ConstraintReport,
-    DiscountSpec,
-    Exponential,
-    GeneralizedHyperbolic,
-    Hybrid,
-    Hyperbolic,
-    InverseLog,
-    QuasiHyperbolic,
-    ScaleDependent,
-    StateDependent,
-    TabulatedEta,
-    check_scale_monotonicity,
-    factor,
-    uses_states,
-)
-from .errors import (
-    ConfigError,
-    DesirablesError,
-    DimensionError,
-    DomainError,
-    ImageError,
-    MissingArgument,
-    NumericalInstability,
-    SpaceMismatch,
-    UnknownState,
-)
-from .gamble import Gamble, StateSpace, dominates, transform, u_convex_combine
-from .intertemporal import (
-    DatedPayment,
-    PaymentSchedule,
-    Preference,
-    ScanResult,
-    compare,
-    effective_utility,
-    reversal_scan,
-    schedule_value,
-    shift_schedule,
-)
-from .utility import (
-    AdmissibilityReport,
-    Composed,
-    Linear,
-    LogShift,
-    PhiPoly,
-    PhiPower,
-    PhiScale,
-    PhiTable,
-    PowerDiscounted,
-    Sqrt,
-    Utility,
-    audit_admissibility,
-)
+from . import coherence, discount, errors, gamble, intertemporal, utility
+from .coherence import *
+from .discount import *
+from .errors import *
+from .gamble import *
+from .intertemporal import *
+from .utility import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptanceDecision",
-    "AdmissibilityReport",
-    "AssessmentSet",
-    "Composed",
-    "ConfigError",
-    "ConstraintReport",
-    "DatedPayment",
-    "DesirablesError",
-    "DimensionError",
-    "DiscountSpec",
-    "DomainError",
-    "Exponential",
-    "Finding",
-    "Functional",
-    "Gamble",
-    "GeneralizedHyperbolic",
-    "Hybrid",
-    "Hyperbolic",
-    "ImageError",
-    "Infeasible",
-    "InverseLog",
-    "Linear",
-    "LogShift",
-    "MissingArgument",
-    "NumericalInstability",
-    "PartialLossReport",
-    "PaymentSchedule",
-    "PhiPoly",
-    "PhiPower",
-    "PhiScale",
-    "PhiTable",
-    "PowerDiscounted",
-    "Preference",
-    "QuasiHyperbolic",
-    "ScaleDependent",
-    "ScanResult",
-    "SpaceMismatch",
-    "Sqrt",
-    "StateDependent",
-    "StateSpace",
-    "TabulatedEta",
-    "UnknownState",
-    "Utility",
-    "accept_decision",
-    "accepts",
-    "audit",
-    "audit_admissibility",
-    "avoids_partial_loss",
-    "check_ordering_invariance",
-    "check_partial_loss",
-    "check_scale_monotonicity",
-    "check_transform_invariance",
-    "compare",
-    "cross_check_functional",
-    "dominates",
-    "fit_constraints",
-    "fit_functional",
-    "effective_utility",
-    "factor",
-    "reversal_scan",
-    "rho",
-    "schedule_value",
-    "shift_schedule",
-    "transform",
-    "u_convex_combine",
-    "uses_states",
+    name
+    for module in (coherence, discount, errors, gamble, intertemporal, utility)
+    for name in module.__all__
 ]

@@ -206,6 +206,30 @@ _CURVE_PARAMS = {
 }
 
 
+# The swept flags, each a number or a lo:hi:step range, with their help text.
+_SWEPT = {
+    "r": "rate(s)",
+    "k": "hyperbolic k value(s)",
+    "p": "generalized power(s)",
+    "beta": "present-bias beta value(s)",
+    "delta": "long-run delta value(s)",
+    "lambda": "mixture weight(s)",
+    "x": "reward(s) for scale-dependent curves",
+}
+_RANGE_FLAGS = frozenset(f"--{name}" for name in ("t", *_SWEPT))
+
+
+def _join_range_values(argv: list[str]) -> list[str]:
+    """Join ``--t -1:0:1`` into ``--t=-1:0:1``: argparse would read the value as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RANGE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _fill(block: dict, params: dict) -> dict:
     return {
         key: _fill(value, params) if isinstance(value, dict) else params.get(key, value)
@@ -216,19 +240,11 @@ def _fill(block: dict, params: dict) -> dict:
 def cmd_curves(args) -> int:
     regime = args.regime
     wanted, block = _CURVE_PARAMS[regime]
-    flags = {
-        "r": args.r,
-        "k": args.k,
-        "p": args.p,
-        "beta": args.beta,
-        "delta": args.delta,
-        "lambda": getattr(args, "lam"),
-        "x": args.x,
-    }
     try:
         times = _parse_range(args.t)
         supplied = {
-            name: None if text is None else _parse_range(text) for name, text in flags.items()
+            name: None if getattr(args, name) is None else _parse_range(getattr(args, name))
+            for name in _SWEPT
         }
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -303,13 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--regime", required=True, choices=sorted(_CURVE_PARAMS))
     # Each takes a number or a lo:hi:step range, expanded by cmd_curves.
     p_curves.add_argument("--t", required=True, help="delays, lo:hi:step")
-    p_curves.add_argument("--r", help="rate(s)")
-    p_curves.add_argument("--k", help="hyperbolic k value(s)")
-    p_curves.add_argument("--p", help="generalized power(s)")
-    p_curves.add_argument("--beta", help="present-bias beta value(s)")
-    p_curves.add_argument("--delta", help="long-run delta value(s)")
-    p_curves.add_argument("--lambda", dest="lam", help="mixture weight(s)")
-    p_curves.add_argument("--x", help="reward(s) for scale-dependent curves")
+    for name, text in _SWEPT.items():
+        p_curves.add_argument(f"--{name}", help=text)
     p_curves.add_argument("--log-base", type=float, default=10.0)
     p_curves.set_defaults(func=cmd_curves)
     return parser
@@ -317,6 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["curves"]:
+        argv = _join_range_values(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

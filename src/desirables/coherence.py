@@ -79,14 +79,21 @@ class AssessmentSet:
         Computed on the first call, so a DomainError surfaces at the query, and
         cached as a read-only array for later calls.
         """
-        U = self.__dict__.get("_transformed")
+        return self._transformed("accepted")
+
+    def transformed_rejected(self) -> np.ndarray:
+        """m x r matrix of the rejected gambles' transforms, built and cached the same way."""
+        return self._transformed("rejected")
+
+    def _transformed(self, side: str) -> np.ndarray:
+        U = self.__dict__.get("_u_" + side)
         if U is None:
-            m, n = self.space.m, len(self.accepted)
-            U = np.zeros((m, n))
-            for i, g in enumerate(self.accepted):
+            gambles = getattr(self, side)
+            U = np.zeros((self.space.m, len(gambles)))
+            for i, g in enumerate(gambles):
                 U[:, i] = transform(self.utility, g)
             U.flags.writeable = False
-            object.__setattr__(self, "_transformed", U)
+            self.__dict__["_u_" + side] = U  # frozen: a cache past __setattr__
         return U
 
 
@@ -236,11 +243,7 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
     """
     if not 0 < strict_margin <= 1e-2:
         raise ValueError(f"strict margin must lie in (0, 1e-2], got {strict_margin!r}")
-    UA = a.transformed_generators()
-    UR = np.zeros((a.space.m, len(a.rejected)))
-    for j, g in enumerate(a.rejected):
-        UR[:, j] = transform(a.utility, g)
-
+    UA, UR = a.transformed_generators(), a.transformed_rejected()
     labels = [("accepted", i) for i in range(UA.shape[1])]
     labels += [("rejected", j) for j in range(UR.shape[1])]
 
@@ -277,18 +280,12 @@ def fit_constraints(
     margin-maximizing element, and callers needing the whole face can work
     from this list.
     """
-    rows: list[tuple[np.ndarray, str, float]] = []
-    UA = a.transformed_generators()
-    for i in range(UA.shape[1]):
-        rows.append((UA[:, i].copy(), ">=", 0.0))
-    for g in a.rejected:
-        rows.append((transform(a.utility, g), "<=", -float(strict_margin)))
-    rows.append((np.ones(a.space.m), "=", 1.0))
-    for j in range(a.space.m):
-        e = np.zeros(a.space.m)
-        e[j] = 1.0
-        rows.append((e, ">=", 0.0))
-    return tuple(rows)
+    UA, UR, m = a.transformed_generators(), a.transformed_rejected(), a.space.m
+    n, r = UA.shape[1], UR.shape[1]
+    coeffs = np.vstack([UA.T, UR.T, np.ones(m), np.eye(m)])
+    relations = (lp.GE,) * n + (lp.LE,) * r + (lp.EQ,) + (lp.GE,) * m
+    rhs = [0.0] * n + [-float(strict_margin)] * r + [1.0] + [0.0] * m
+    return tuple(zip(coeffs, relations, rhs))
 
 
 def _fit_lp(m, UA, UR, active, eps):
@@ -339,16 +336,12 @@ def check_ordering_invariance(ell: Functional, c: float, u: Utility, fs) -> bool
     fs = list(fs)
     if not fs:
         raise ValueError("need at least one gamble")
-    w = np.asarray(ell.weights)
-    base = np.array([float(np.dot(w, transform(u, f))) for f in fs])
-    scaled = np.array([float(np.dot(c * w, transform(u, f))) for f in fs])
-    if not np.array_equal(np.sign(base), np.sign(scaled)):
-        return False
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if np.sign(base[i] - base[j]) != np.sign(scaled[i] - scaled[j]):
-                return False
-    return True
+    U = np.column_stack([transform(u, f) for f in fs])
+    base, scaled = ell.weights @ U, (c * ell.weights) @ U
+    return bool(
+        np.array_equal(np.sign(base), np.sign(scaled))
+        and np.array_equal(np.sign(base[:, None] - base), np.sign(scaled[:, None] - scaled))
+    )
 
 
 def check_transform_invariance(u: Utility, phi, fs) -> bool:
@@ -359,18 +352,14 @@ def check_transform_invariance(u: Utility, phi, fs) -> bool:
     """
     if abs(phi(0.0)) > 1e-12:
         raise ValueError(f"phi(0) must be 0, got {phi(0.0)!r}")
-    fs = list(fs)
-    values = sorted({float(v) for f in fs for v in transform(u, f)} | {0.0})
+    transformed = [transform(u, f).tolist() for f in fs]
+    values = sorted({v for uf in transformed for v in uf} | {0.0})
     for a, b in zip(values, values[1:]):
         if not phi(b) > phi(a):
             raise ValueError(f"phi is not strictly increasing between {a!r} and {b!r}")
-    for f in fs:
-        uf = transform(u, f)
-        acc_u = bool(np.all(uf >= 0))
-        acc_phi = all(phi(float(v)) >= 0 for v in uf)
-        if acc_u != acc_phi:
-            return False
-    return True
+    return all(
+        all(v >= 0 for v in uf) == all(phi(v) >= 0 for v in uf) for uf in transformed
+    )
 
 
 @dataclass(frozen=True)
@@ -431,9 +420,8 @@ def cross_check_functional(
     Checks every accepted generator, plus any candidate gambles that the
     natural extension accepts.
     """
-    for f in a.accepted:
-        if rho(ell, a.utility, f) < -tol:
-            return False
+    if (ell.weights @ a.transformed_generators() < -tol).any():
+        return False
     for g in candidates:
         if accepts(a, g) and rho(ell, a.utility, g) < -tol:
             return False

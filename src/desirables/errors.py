@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DesirablesError",
+    "DomainError",
+    "ImageError",
+    "SpaceMismatch",
+    "MissingArgument",
+    "UnknownState",
+    "DimensionError",
+    "NumericalInstability",
+    "ConfigError",
+]
+
 
 class DesirablesError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,7 +42,15 @@ class DimensionError(DesirablesError):
 
 
 class NumericalInstability(DesirablesError):
-    """The LP kernel met a pivot too small to trust; the message carries a problem dump."""
+    """The LP kernel met a pivot too small to trust, or its solution failed the recheck.
+
+    The message is one line; ``problem`` holds the LP (``lp.format_problem``
+    dumps it for bug reports).
+    """
+
+    def __init__(self, message: str, problem=None):
+        super().__init__(message)
+        self.problem = problem
 
 
 class ConfigError(DesirablesError):

@@ -97,48 +97,52 @@ def dominates(f: Gamble, g: Gamble) -> bool:
     return bool(np.all(f.rewards >= g.rewards))
 
 
+def _utility(u: Utility, rewards: np.ndarray, w: float) -> np.ndarray:
+    # u(x), or u(w + x) - u(w) for kinds that need a wealth shift, as one array eval.
+    return u.eval(w + rewards) - u.eval(w) if u.needs_wealth_shift else u.eval(rewards)
+
+
 def transform(u: Utility, f: Gamble) -> np.ndarray:
-    """Utility of a gamble, applied pointwise per state.
+    """Utility of a gamble, one array evaluation over its states.
 
     Kinds that require strictly positive arguments are evaluated on
     wealth-shifted rewards, u(w + f(s)) - u(w), which restores u(0) = 0 and
-    preserves monotonicity while keeping losses within the wealth bank.
+    preserves monotonicity while keeping losses within the wealth bank.  The
+    array ``eval`` may differ from per-state scalar ``eval`` by a few ulps (see
+    :mod:`desirables._backend`).  A DomainError names the first failing state.
     """
-    out = np.empty(f.space.m)
-    shift = u.needs_wealth_shift
-    base = u.eval(f.wealth_floor) if shift else 0.0
-    for i, label in enumerate(f.space.labels):
-        x = float(f.rewards[i])
-        try:
-            out[i] = u.eval(f.wealth_floor + x) - base if shift else u.eval(x)
-        except DomainError as exc:
-            raise DomainError(f"state {label!r}: {exc}") from None
-    return out
+    try:
+        return _utility(u, f.rewards, f.wealth_floor)
+    except DomainError as exc:
+        x = f.rewards + (f.wealth_floor if u.needs_wealth_shift else 0.0)
+        label = f.space.labels[int(np.argmin(x > u.domain_lo))]
+        raise DomainError(f"state {label!r}: {exc}") from None
 
 
 def u_convex_combine(u: Utility, f: Gamble, g: Gamble, lam: float, mu: float) -> Gamble:
     """The gamble h with u(h) = lam*u(f) + mu*u(g), taken pointwise.
 
-    With linear utility this reduces to lam*f + mu*g exactly.  Raises
-    ImageError naming the first state where the combination leaves u's image.
+    With linear utility this reduces to lam*f + mu*g exactly.  u(f) and u(g)
+    are array evaluations, which may differ from per-state scalar ``eval`` by
+    a few ulps; ``inverse`` is applied per state.  Raises DomainError when a
+    reward of f or g leaves u's domain, else ImageError naming the first state
+    where the combination leaves u's image.
     """
     _check_same_space(f, g)
     if lam < 0 or mu < 0:
         raise ValueError(f"coefficients must be nonnegative, got {lam!r}, {mu!r}")
     w = max(f.wealth_floor, g.wealth_floor)
+    v = lam * _utility(u, f.rewards, w) + mu * _utility(u, g.rewards, w)
     shift = u.needs_wealth_shift
     base = u.eval(w) if shift else 0.0
 
-    def to_util(x: float) -> float:
-        return u.eval(w + x) - base if shift else u.eval(x)
-
-    rewards = np.empty(f.space.m)
-    for i, label in enumerate(f.space.labels):
-        v = lam * to_util(float(f.rewards[i])) + mu * to_util(float(g.rewards[i]))
+    def inverse(label: str, value: float) -> float:
         try:
-            rewards[i] = u.inverse(v + base) - w if shift else u.inverse(v)
+            return u.inverse(value + base) - w if shift else u.inverse(value)
         except ImageError as exc:
             raise ImageError(f"state {label!r}: {exc}") from None
+
+    rewards = np.array(list(map(inverse, f.space.labels, v.tolist())))
     # Unbounded-below utilities let the combination dip under the inputs'
     # floor; widen the bank so the result stays admissible.
     return Gamble(f.space, rewards, wealth_floor=max(w, float(-rewards.min())))

@@ -188,8 +188,7 @@ class _Tableau:
         piv = T[row, col]
         if abs(piv) < _PIVOT_MIN:
             raise NumericalInstability(
-                f"pivot magnitude {abs(piv):.3e} below {_PIVOT_MIN}\n"
-                + format_problem(self.problem)
+                f"pivot magnitude {abs(piv):.3e} below {_PIVOT_MIN}", self.problem
             )
         T[row, :] /= piv
         # Rows with a zero (or -0.0) pivot-column entry are left untouched, as
@@ -231,7 +230,7 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
         coef = obj[entering]
         if coef != 0.0:
             obj -= coef * T[row, :]
-    raise NumericalInstability("iteration cap exceeded\n" + format_problem(tab.problem))
+    raise NumericalInstability("iteration cap exceeded", tab.problem)
 
 
 def solve(p: LpProblem) -> LpSolution:
@@ -244,7 +243,7 @@ def solve(p: LpProblem) -> LpSolution:
     if art.any():
         status, _ = _simplex_min(tab, art.astype(float), allowed=np.ones(total, dtype=bool))
         if status != "optimal":  # phase 1 is bounded below by 0
-            raise NumericalInstability("phase 1 unbounded\n" + format_problem(p))
+            raise NumericalInstability("phase 1 unbounded", p)
         value1 = float(
             sum(T[i, -1] for i in np.nonzero(tab.row_alive)[0] if art[tab.basis[i]])
         )
@@ -311,14 +310,12 @@ def _recheck(p: LpProblem, x: np.ndarray, tol: float = 1e-7) -> None:
     if not ok.all():
         k = int(np.argmin(ok))
         raise NumericalInstability(
-            f"solution violates {rel[k]} row by {abs(lhs[k] - rhs[k]):.3e}\n"
-            + format_problem(p)
+            f"solution violates {rel[k]} row by {abs(lhs[k] - rhs[k]):.3e}", p
         )
     negative = (p.lower_bounds == 0.0) & (x < -tol)
     if negative.any():
         raise NumericalInstability(
-            f"solution violates nonnegativity: {x[np.argmax(negative)]:.3e}\n"
-            + format_problem(p)
+            f"solution violates nonnegativity: {x[np.argmax(negative)]:.3e}", p
         )
 
 

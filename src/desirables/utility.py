@@ -371,9 +371,9 @@ def audit_admissibility(
     if hi is None:
         hi = max(100.0, lo + 1.0)
     grid = np.linspace(lo, hi, grid_n)
-    values = np.array([u.eval(float(x)) for x in grid])
-    increasing = bool(np.all(np.diff(values) > 0))
-    bad = tuple(float(g) for g, d in zip(grid[1:], np.diff(values)) if d <= 0)
+    steps = np.diff(u.eval(grid))
+    increasing = bool(np.all(steps > 0))
+    bad = tuple(grid[1:][steps <= 0].tolist())
     zero_norm = abs(u.eval(0.0)) <= 1e-12 if u.domain_lo < 0 else None
     return AdmissibilityReport(
         strictly_increasing=increasing,

@@ -4,7 +4,9 @@ Apart from :func:`greedy_conflict`, nothing here touches the package's
 simplex kernel: feasibility is decided by exhaustive lambda-grid search and by
 vertex enumeration of the Farkas dual polytope, and tiny LPs are re-solved by
 enumerating candidate vertices.  :func:`scan_by_compare` is the reversal scan
-as one scalar ``compare`` per shift.
+as one scalar ``compare`` per shift, and :func:`transform_by_state` and
+:func:`u_convex_combine_by_state` are the utility transform and u-convex
+combination as one scalar ``eval`` (and ``inverse``) per state.
 """
 
 import itertools
@@ -14,14 +16,19 @@ import numpy as np
 
 from desirables import (
     AssessmentSet,
+    DomainError,
     Functional,
+    Gamble,
+    ImageError,
     Preference,
     ScanResult,
     compare,
     fit_functional,
     schedule_value,
     shift_schedule,
+    Utility,
 )
+from desirables.gamble import _check_same_space
 
 
 def grid_witness(U, c, lo=0.0, hi=10.0, step=0.01, slack=None):
@@ -232,3 +239,50 @@ def scan_by_compare(u, d, a0, b0, shifts, *, tol=1e-9, round_factors=False):
         if first_flip is None and pref is opposite.get(baseline):
             first_flip = delta
     return ScanResult(tuple(trace), baseline, first_flip, tuple(value_a), tuple(value_b))
+
+
+def transform_by_state(u: Utility, f: Gamble) -> np.ndarray:
+    """Utility of a gamble, applied pointwise per state.
+
+    Kinds that require strictly positive arguments are evaluated on
+    wealth-shifted rewards, u(w + f(s)) - u(w), which restores u(0) = 0 and
+    preserves monotonicity while keeping losses within the wealth bank.
+    """
+    out = np.empty(f.space.m)
+    shift = u.needs_wealth_shift
+    base = u.eval(f.wealth_floor) if shift else 0.0
+    for i, label in enumerate(f.space.labels):
+        x = float(f.rewards[i])
+        try:
+            out[i] = u.eval(f.wealth_floor + x) - base if shift else u.eval(x)
+        except DomainError as exc:
+            raise DomainError(f"state {label!r}: {exc}") from None
+    return out
+
+
+def u_convex_combine_by_state(u: Utility, f: Gamble, g: Gamble, lam: float, mu: float) -> Gamble:
+    """The gamble h with u(h) = lam*u(f) + mu*u(g), taken pointwise.
+
+    With linear utility this reduces to lam*f + mu*g exactly.  Raises
+    ImageError naming the first state where the combination leaves u's image.
+    """
+    _check_same_space(f, g)
+    if lam < 0 or mu < 0:
+        raise ValueError(f"coefficients must be nonnegative, got {lam!r}, {mu!r}")
+    w = max(f.wealth_floor, g.wealth_floor)
+    shift = u.needs_wealth_shift
+    base = u.eval(w) if shift else 0.0
+
+    def to_util(x: float) -> float:
+        return u.eval(w + x) - base if shift else u.eval(x)
+
+    rewards = np.empty(f.space.m)
+    for i, label in enumerate(f.space.labels):
+        v = lam * to_util(float(f.rewards[i])) + mu * to_util(float(g.rewards[i]))
+        try:
+            rewards[i] = u.inverse(v + base) - w if shift else u.inverse(v)
+        except ImageError as exc:
+            raise ImageError(f"state {label!r}: {exc}") from None
+    # Unbounded-below utilities let the combination dip under the inputs'
+    # floor; widen the bank so the result stays admissible.
+    return Gamble(f.space, rewards, wealth_floor=max(w, float(-rewards.min())))

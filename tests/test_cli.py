@@ -261,6 +261,25 @@ def test_curves_non_finite_range_exits_2(capsys, flag, text):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, rest",
+    [
+        ("--t", "-inf:1:1", ("--regime", "exponential", "--r", "0.1")),
+        ("--k", "-1:1:1", ("--regime", "hyperbolic", "--t", "0:1:1")),
+        ("--lambda", "-1:0:1", ("--regime", "hybrid", "--r", "0.1", "--k", "1", "--t", "0:1:1")),
+    ],
+)
+def test_curves_value_starting_with_dash_is_the_flags_value(capsys, flag, value, rest):
+    # Passed as a separate argument, the value must not be read as an option.
+    joined = run(capsys, "curves", *rest, f"{flag}={value}")
+    separate = run(capsys, "curves", *rest, flag, value)
+    assert separate == joined
+    rc, _, err = separate
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage" not in err
+
+
 @pytest.mark.parametrize("text", ["0:100000:1", "0:1:0.00001", "-1e308:1e308:1"])
 def test_curves_range_point_cap_exits_2(capsys, text):
     # One point more than the cap, and a span that overflows.

@@ -110,6 +110,20 @@ def test_transformed_generators_cached_read_only_and_lazy():
         accepts(outside, G(1.0, 1.0))
 
 
+def test_transformed_rejected_cached_read_only_and_lazy():
+    aset = AssessmentSet(S2, LogShift(), (G(1, -0.5),), (G(-0.5, -0.25), G(2, -0.75)))
+    UR = aset.transformed_rejected()
+    assert aset.transformed_rejected() is UR and not UR.flags.writeable
+    assert UR.shape == (2, 2)
+    assert np.array_equal(UR[:, 1], transform(LogShift(), G(2, -0.75)))
+    assert linear_set([G(1, 0)]).transformed_rejected().shape == (2, 0)
+    # An out-of-domain rejected gamble is accepted at construction and reported
+    # when the matrix is first built, naming the state.
+    outside = AssessmentSet(S2, Sqrt(), (G(1.0, 1.0),), (G(1.0, -0.5),))
+    with pytest.raises(DomainError, match="^state 's2': "):
+        outside.transformed_rejected()
+
+
 def test_partial_loss_witness():
     report = check_partial_loss(linear_set([G(1, -2), G(-2, 1)]))
     assert not report.avoids

@@ -11,6 +11,7 @@ from desirables import DimensionError, NumericalInstability
 from desirables.lp import (
     LpProblem,
     LpStatus,
+    _recheck,
     check_infeasibility_certificate,
     format_problem,
     solve,
@@ -189,6 +190,15 @@ def test_format_problem_mentions_rows_and_bounds():
     p = P((1.0, -1.0), [((1.0, 1.0), "<=", 4.0)], (0.0, INF))
     text = format_problem(p)
     assert "maximize" in text and "<=" in text and "free" in text
+
+
+def test_kernel_error_is_one_line_and_carries_the_problem():
+    p = P((1.0, 1.0), [((1.0, 1.0), "<=", 1.0), ((1.0, -1.0), ">=", 0.0)])
+    with pytest.raises(NumericalInstability) as info:
+        _recheck(p, np.array([2.0, 0.0]))
+    assert str(info.value) == "solution violates <= row by 1.000e+00"
+    assert info.value.problem is p
+    assert "row 0:" in format_problem(info.value.problem)
 
 
 def test_ratio_tie_goes_to_smallest_basis_index():
