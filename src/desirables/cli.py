@@ -73,18 +73,15 @@ def cmd_scan(args) -> int:
     if scenario.scan_shifts is None or scenario.scan_pair is None:
         return _usage_error("no scan block")
     name_a, name_b = scenario.scan_pair
-    try:
-        result = reversal_scan(
-            scenario.utility,
-            scenario.discount,
-            scenario.schedules[name_a],
-            scenario.schedules[name_b],
-            scenario.scan_shifts,
-            tol=args.tol,
-            round_factors=args.paper_rounding,
-        )
-    except DesirablesError as exc:
-        return _runtime_error(str(exc))
+    result = reversal_scan(
+        scenario.utility,
+        scenario.discount,
+        scenario.schedules[name_a],
+        scenario.schedules[name_b],
+        scenario.scan_shifts,
+        tol=args.tol,
+        round_factors=args.paper_rounding,
+    )
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["delta", "value_a", "value_b", "preference"])
     for (delta, pref), va, vb in zip(result.trace, result.value_a, result.value_b):
@@ -118,10 +115,7 @@ def cmd_check(args) -> int:
         aset = _assessment_set(scenario)
     except (ValueError, SpaceMismatch, ConfigError) as exc:
         return _usage_error(str(exc))
-    try:
-        findings = audit(aset)
-    except DesirablesError as exc:
-        return _runtime_error(str(exc))
+    findings = audit(aset)
     if not findings:
         print("coherent")
         return _EXIT_OK
@@ -142,8 +136,6 @@ def cmd_fit(args) -> int:
         result = fit_functional(aset, strict_margin=args.strict_margin)
     except ValueError as exc:
         return _usage_error(str(exc))
-    except DesirablesError as exc:
-        return _runtime_error(str(exc))
     if isinstance(result, Functional):
         print("state\tweight")
         for label, w in zip(aset.space.labels, result.weights):
@@ -270,14 +262,11 @@ def cmd_curves(args) -> int:
                 writer.writerow([regime, label, f"{t:g}", f"{factor:.10g}"])
     except ConfigError as exc:
         return _usage_error(str(exc))
-    except DesirablesError as exc:
-        return _runtime_error(str(exc))
     return _EXIT_OK
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario config path")
-    sub.add_argument("--tol", type=float, default=1e-9, help="indifference tolerance")
     sub.add_argument(
         "--paper-rounding",
         action="store_true",
@@ -299,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="preference-reversal scan over time shifts")
     _add_config_flags(p_scan)
+    p_scan.add_argument("--tol", type=float, default=1e-9, help="indifference tolerance")
     p_scan.set_defaults(func=cmd_scan)
 
     p_check = sub.add_parser("check", help="audit assessments for coherence")
@@ -346,3 +336,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -128,8 +128,9 @@ class AcceptanceDecision:
 
     ``witness`` holds the conic coefficients when accepted; ``certificate``
     holds a Farkas vector y >= 0 with U^T y >= 0 and y . u(g) < 0 proving
-    rejection: the margin LP's l1-normalized duals, checked (None if the check
-    fails).  ``margin`` is the maximized minimum slack, capped at 1.
+    rejection: the margin LP's l1-normalized duals of the state rows, which the
+    LP kernel checks (None when that check fails or y . u(g) is not negative).
+    ``margin`` is the maximized minimum slack, capped at 1.
     """
 
     accepted: bool
@@ -166,13 +167,15 @@ def accept_decision(a: AssessmentSet, g: Gamble) -> AcceptanceDecision:
         return AcceptanceDecision(True, margin, witness=witness)
 
     # Rejected: the duals of the state rows, l1-normalized, are the certificate
-    # (the cap row is slack, so its dual is 0).  It is checked before use.
+    # (the cap row is slack, so its dual is 0).  The kernel checked their signs
+    # and b . y = margin within its tolerance, which does not imply c . y < 0.
+    if sol.y is None:
+        return AcceptanceDecision(False, margin)
     y = sol.y[:m]
     total = float(np.abs(y).sum())
     y = y / total if total > 0 else y
-    proven = y.min() >= -_TOL and (U.T @ y).min(initial=0.0) >= -_TOL and c @ y < 0
     y.flags.writeable = False
-    return AcceptanceDecision(False, margin, certificate=y if proven else None)
+    return AcceptanceDecision(False, margin, certificate=y if c @ y < 0 else None)
 
 
 def accepts(a: AssessmentSet, g: Gamble) -> bool:
@@ -225,8 +228,9 @@ class Infeasible:
 
     Entries are ("accepted", i) or ("rejected", j) indices into the assessment
     set, found by greedy single-constraint deletion in input order; constraints
-    with a zero entry in the last checked Farkas certificate or negative-margin
-    duals are dropped without a solve.
+    with a zero entry in the last evidence (a Farkas certificate, or duals that
+    bound the margin below zero, both checked by the LP kernel) are dropped
+    without a solve.
     """
 
     conflict: tuple[tuple[str, int], ...]
@@ -291,8 +295,9 @@ def fit_constraints(
 def _fit_lp(m, UA, UR, active, eps):
     """Margin LP over a constraint subset: (Functional, set()), or (None, droppable).
 
-    ``droppable`` holds the active constraints with a zero entry in the checked
-    evidence: the Farkas certificate, or the duals when the margin is negative.
+    ``droppable`` holds the active constraints with a zero entry in the evidence:
+    the kernel-checked Farkas certificate, or the kernel-checked duals when their
+    bound b . y on the margin lies below -_TOL by the kernel's 1e-7 tolerance.
     """
     acc = [i for kind, i in active if kind == "accepted"]
     rej = [j for kind, j in active if kind == "rejected"]
@@ -308,20 +313,14 @@ def _fit_lp(m, UA, UR, active, eps):
     relations = (lp.GE,) * len(acc) + (lp.LE,) * len(rej) + (lp.EQ,) + (lp.LE,) * len(cap)
     rhs = np.concatenate([np.zeros(len(acc)), np.full(len(rej), -eps), [1.0] * (1 + len(cap))])
     bounds = np.append(np.zeros(m), -math.inf)
-    problem = lp.LpProblem(objective, rows, relations, rhs, bounds)
-    sol = lp.solve(problem)
+    sol = lp.solve(lp.LpProblem(objective, rows, relations, rhs, bounds))
     if sol.status is lp.LpStatus.OPTIMAL and sol.value >= -_TOL:
         return Functional(np.maximum(sol.x[:m], 0.0)), set()
-    if sol.status is lp.LpStatus.INFEASIBLE:
-        evidence = sol.certificate
-        proven = lp.check_infeasibility_certificate(problem, evidence)
-    else:  # weak duality: the duals y make (-y, 1) refute "margin >= -_TOL"
+    evidence = sol.certificate
+    if sol.y is not None and sol.y @ rhs < -_TOL - 1e-7:  # weak duality: margin <= b . y
         evidence = sol.y
-        cut_rows = np.vstack([rows, objective])
-        cut = lp.LpProblem(objective, cut_rows, relations + (lp.GE,), np.append(rhs, -_TOL), bounds)
-        proven = lp.check_infeasibility_certificate(cut, np.append(-evidence, 1.0))
     # Rows follow ``active``: accepted constraints, then rejected ones.
-    return None, {c for c, v in zip(active, evidence) if v == 0.0} if proven else set()
+    return None, set() if evidence is None else {c for c, v in zip(active, evidence) if v == 0.0}
 
 
 def rho(ell: Functional, u: Utility, f: Gamble) -> float:

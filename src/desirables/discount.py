@@ -297,18 +297,16 @@ class StateDependent(DiscountSpec):
             raise ValueError("every state rate must be positive and finite")
 
     def rate(self, s: str) -> float:
-        for label, r in self.rates:
-            if label == s:
-                return r
-        raise UnknownState(f"state {s!r} not in rate map {[l for l, _ in self.rates]!r}")
-
-    def _state_rate(self, s) -> float:
         try:
             return self._by_label[s]
         except (KeyError, TypeError):
-            if s is None:
-                raise MissingArgument("state-dependent discounting needs a state label") from None
-            return self.rate(s)
+            labels = [l for l, _ in self.rates]
+            raise UnknownState(f"state {s!r} not in rate map {labels!r}") from None
+
+    def _state_rate(self, s) -> float:
+        if s is None:
+            raise MissingArgument("state-dependent discounting needs a state label")
+        return self.rate(s)
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         # The rate is per payment: scalar code, once per payment on a grid.

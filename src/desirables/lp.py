@@ -15,20 +15,19 @@ operation that makes the same choices and the same floating-point operations
 as a scalar loop over the tableau, so outputs are bit-identical to the scalar
 Bland loop; summations keep their row order for the same reason.
 
-Infeasible problems carry a Farkas certificate ``y`` over the constraint
-rows with the convention
-
-    y[k] <= 0 for "<=" rows, y[k] >= 0 for ">=" rows, free for "=" rows,
-    y @ constraints <= 0 on bounded variables (= 0 on free ones),
-    y @ rhs > 0,
-
-which makes the row combination contradict feasibility directly; see
-:func:`check_infeasibility_certificate`.  Optimal problems carry the dual
-values ``y`` over the rows, read from the phase-2 reduced costs:
+Optimal problems carry the dual values ``y`` over the rows, read from the
+phase-2 reduced costs:
 
     y[k] >= 0 for "<=" rows, y[k] <= 0 for ">=" rows, free for "=" rows,
     y @ constraints >= objective on bounded variables (= on free ones),
     y @ rhs = value.
+
+Infeasible problems carry a Farkas certificate ``y``: -y satisfies the first
+two lines for a zero objective and y @ rhs > 0, which contradicts feasibility
+directly.  Both are checked before they are returned, as ``x`` is: the duals
+within 1e-7 * max(1, |objective|_inf) * (1 + |value|), the certificate by
+:func:`check_infeasibility_certificate`.  A vector that fails its check is
+returned as ``None``; the status and ``x`` are unchanged.
 """
 
 from __future__ import annotations
@@ -248,7 +247,9 @@ def solve(p: LpProblem) -> LpSolution:
             sum(T[i, -1] for i in np.nonzero(tab.row_alive)[0] if art[tab.basis[i]])
         )
         if value1 > _TOL:
-            return LpSolution(LpStatus.INFEASIBLE, certificate=_certificate(tab, art))
+            y = _certificate(tab, art)
+            y = y if check_infeasibility_certificate(p, y) else None
+            return LpSolution(LpStatus.INFEASIBLE, certificate=y)
         _drive_out_artificials(tab, art)
 
     cost2 = np.zeros(total)
@@ -268,6 +269,9 @@ def solve(p: LpProblem) -> LpSolution:
     # redundant row leaves its basic artificial a zero column, hence a zero dual.
     y = tab.tau * reduced[tab.identity_col]
     x.flags.writeable = y.flags.writeable = False
+    tol = 1e-7 * max(1.0, float(np.abs(p.objective).max())) * (1.0 + abs(value))
+    if not (_dual_feasible(p, y, p.objective, tol) and abs(float(y @ p.rhs) - value) <= tol):
+        y = None
     return LpSolution(LpStatus.OPTIMAL, x=x, value=value, y=y)
 
 
@@ -319,16 +323,15 @@ def _recheck(p: LpProblem, x: np.ndarray, tol: float = 1e-7) -> None:
         )
 
 
+def _dual_feasible(p: LpProblem, y: np.ndarray, c, tol: float) -> bool:
+    """y >= 0 on "<=" rows, <= 0 on ">=" rows; y @ constraints >= c, with = c on free variables."""
+    rel, free = np.array(p.relations, dtype=str), p.lower_bounds == -math.inf
+    gap = y @ p.constraints - c
+    signs = (y[rel == LE] >= -tol).all() and (y[rel == GE] <= tol).all()
+    return bool(signs and (gap[~free] >= -tol).all() and (np.abs(gap[free]) <= tol).all())
+
+
 def check_infeasibility_certificate(p: LpProblem, y: np.ndarray, tol: float = 1e-7) -> bool:
-    """Verify a Farkas certificate against the documented sign convention."""
+    """Verify a Farkas certificate: -y is dual feasible for a zero objective, and y @ rhs > tol."""
     y = np.asarray(y, dtype=float)
-    if y.shape != p.rhs.shape:
-        return False
-    rel = np.array(p.relations, dtype=str)
-    if (y[rel == LE] > tol).any() or (y[rel == GE] < -tol).any():
-        return False
-    combo = y @ p.constraints
-    free = p.lower_bounds == -math.inf
-    if (combo[~free] > tol).any() or (np.abs(combo[free]) > tol).any():
-        return False
-    return float(y @ p.rhs) > tol
+    return y.shape == p.rhs.shape and _dual_feasible(p, -y, 0.0, tol) and float(y @ p.rhs) > tol

@@ -7,6 +7,10 @@ enumerating candidate vertices.  :func:`scan_by_compare` is the reversal scan
 as one scalar ``compare`` per shift, and :func:`transform_by_state` and
 :func:`u_convex_combine_by_state` are the utility transform and u-convex
 combination as one scalar ``eval`` (and ``inverse``) per state.
+:func:`inline_accept_check`, :func:`cut_problem_check` and
+:func:`farkas_check` are the evidence checks coherence made on unchecked LP
+duals and certificates before the kernel checked them itself; they build LP
+problems but solve none.
 """
 
 import itertools
@@ -28,7 +32,11 @@ from desirables import (
     shift_schedule,
     Utility,
 )
+from desirables import lp
 from desirables.gamble import _check_same_space
+
+# Margin tolerance of the coherence LPs.
+_TOL = 1e-9
 
 
 def grid_witness(U, c, lo=0.0, hi=10.0, step=0.01, slack=None):
@@ -286,3 +294,43 @@ def u_convex_combine_by_state(u: Utility, f: Gamble, g: Gamble, lam: float, mu: 
     # Unbounded-below utilities let the combination dip under the inputs'
     # floor; widen the bank so the result stays admissible.
     return Gamble(f.space, rewards, wealth_floor=max(w, float(-rewards.min())))
+
+
+def farkas_check(p, y, tol=1e-7):
+    """Farkas certificate check with the sign convention spelled out row by row."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != p.rhs.shape:
+        return False
+    rel = np.array(p.relations, dtype=str)
+    if (y[rel == lp.LE] > tol).any() or (y[rel == lp.GE] < -tol).any():
+        return False
+    combo = y @ p.constraints
+    free = p.lower_bounds == -math.inf
+    if (combo[~free] > tol).any() or (np.abs(combo[free]) > tol).any():
+        return False
+    return float(y @ p.rhs) > tol
+
+
+def inline_accept_check(U, c, y):
+    """Rejection evidence from the margin LP's raw state-row duals ``y``.
+
+    Returns (proven, certificate): the duals l1-normalized, and whether they
+    satisfy y >= 0, U^T y >= 0 and c . y < 0.
+    """
+    total = float(np.abs(y).sum())
+    y = y / total if total > 0 else y
+    proven = y.min() >= -_TOL and (U.T @ y).min(initial=0.0) >= -_TOL and c @ y < 0
+    return proven, y
+
+
+def cut_problem_check(problem, y):
+    """Whether the raw duals ``y`` of the fit LP ``problem`` prove its margin below -_TOL.
+
+    By weak duality (-y, 1) is then a Farkas certificate for ``problem`` with
+    the extra row ``margin >= -_TOL``.
+    """
+    objective, rows, relations = problem.objective, problem.constraints, problem.relations
+    rhs, bounds = problem.rhs, problem.lower_bounds
+    cut_rows = np.vstack([rows, objective])
+    cut = lp.LpProblem(objective, cut_rows, relations + (lp.GE,), np.append(rhs, -_TOL), bounds)
+    return farkas_check(cut, np.append(-y, 1.0))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -355,3 +358,36 @@ def test_check_malformed_assessments_exits_2(capsys, tmp_path):
     assert rc == 2
     assert out == ""
     assert "line 2" in err and "rejected must be a list" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "check", "fit"])
+def test_tol_is_a_scan_flag_only(capsys, command):
+    rc, _, err = run(capsys, command, "--config", str(DATA / "check_coherent.conf"), "--tol", "1")
+    assert rc == 2
+    assert "unrecognized arguments: --tol 1" in err
+
+
+@pytest.mark.parametrize("command", ["check", "fit"])
+def test_assessment_domain_error_exits_3_with_one_line(capsys, tmp_path, command):
+    cfg = tmp_path / "breach.conf"
+    cfg.write_text(
+        'utility { kind = "log_shift" }\n'
+        'states { labels = ["s1", "s2"] }\n'
+        "assessments { accepted = [{rewards = [1, -2]}] }\n"
+    )
+    rc, out, err = run(capsys, command, "--config", str(cfg))
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: state 's2'") and err.count("\n") == 1
+
+
+def test_module_run_matches_main(capsys):
+    argv = ["curves", "--regime", "exponential", "--r", "0.1", "--t", "0:2:1"]
+    rc, out, _ = run(capsys, *argv)
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "desirables.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout) == (rc, out)
+    assert out.count("\n") == 4

@@ -1,5 +1,6 @@
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +34,18 @@ from desirables import (
     transform,
     u_convex_combine,
 )
+from desirables import coherence, lp
 
 from helpers import random_assessment, random_gamble, random_query, utility_zoo
-from oracles import farkas_verdict, fit_feasible_w1, greedy_conflict, grid_witness
+from oracles import (
+    cut_problem_check,
+    farkas_check,
+    farkas_verdict,
+    fit_feasible_w1,
+    greedy_conflict,
+    grid_witness,
+    inline_accept_check,
+)
 
 S2 = StateSpace(("s1", "s2"))
 
@@ -213,6 +223,119 @@ def test_conflict_search_matches_plain_greedy_deletion(aset):
     result = fit_functional(aset)
     assert isinstance(result, Infeasible)
     assert result.conflict == greedy_conflict(aset)
+
+
+@contextmanager
+def _recorded_solves():
+    """Log (problem, solution, raw evidence) per ``lp.solve``.
+
+    The raw evidence is the vector the kernel checked before deciding whether
+    to return it: the duals, or the Farkas certificate (the check sees -y).
+    """
+    log = []
+    real_solve, real_check = lp.solve, lp._dual_feasible
+
+    def check(p, y, c, tol):
+        log[-1][2] = np.array(y)
+        return real_check(p, y, c, tol)
+
+    def solve(p):
+        entry = [p, None, None]
+        log.append(entry)
+        entry[1] = sol = real_solve(p)
+        if sol.status is lp.LpStatus.INFEASIBLE:
+            entry[2] = -entry[2]
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", solve)
+        mp.setattr(lp, "_dual_feasible", check)
+        yield log
+
+
+def test_accept_evidence_is_returned_exactly_when_the_inline_check_passes():
+    rng = np.random.default_rng(21)
+    rejected = 0
+    with _recorded_solves() as log:
+        for _ in range(400):
+            aset = random_assessment(rng, m_max=6, n_max=8)
+            g = random_query(rng, aset)
+            decision = accept_decision(aset, g)
+            if decision.accepted:
+                continue
+            rejected += 1
+            U, c = aset.transformed_generators(), transform(aset.utility, g)
+            proven, y = inline_accept_check(U, c, log[-1][2][: aset.space.m])
+            assert (decision.certificate is not None) == proven
+            if proven:
+                assert np.array_equal(decision.certificate, y)
+    assert rejected >= 100
+
+
+def _assert_fit_evidence_matches_cut_check(aset, eps=1e-6):
+    """Solve the full fit LP and each single-deletion subset; compare evidence both ways."""
+    UA, UR = aset.transformed_generators(), aset.transformed_rejected()
+    labels = [("accepted", i) for i in range(UA.shape[1])]
+    labels += [("rejected", j) for j in range(UR.shape[1])]
+    statuses = []
+    with _recorded_solves() as log:
+        for active in [labels] + [[c for c in labels if c != d] for d in labels]:
+            result, droppable = coherence._fit_lp(aset.space.m, UA, UR, active, eps)
+            problem, sol, raw = log[-1]
+            if result is not None:
+                continue
+            statuses.append(sol.status)
+            if sol.status is lp.LpStatus.INFEASIBLE:
+                proven = farkas_check(problem, raw)
+                assert (sol.certificate is not None) == proven
+            else:
+                proven = cut_problem_check(problem, raw)
+                bound = None if sol.y is None else sol.y @ problem.rhs
+                assert (bound is not None and bound < -1e-9 - 1e-7) == proven
+            assert droppable == ({c for c, v in zip(active, raw) if v == 0.0} if proven else set())
+    return statuses
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_conflicting_sets())
+def test_fit_evidence_is_returned_exactly_when_the_cut_problem_check_passes(aset):
+    # The full set admits no functional, so its LP always reaches the evidence path.
+    assert _assert_fit_evidence_matches_cut_check(aset)
+
+
+def test_fit_evidence_matches_cut_check_on_random_sets():
+    rng = np.random.default_rng(22)
+    statuses = []
+    for _ in range(40):
+        aset = random_assessment(rng, m_max=5, n_max=6)
+        rejected = tuple(random_gamble(rng, aset.space, aset.utility) for _ in range(3))
+        aset = AssessmentSet(aset.space, aset.utility, aset.accepted, rejected)
+        statuses += _assert_fit_evidence_matches_cut_check(aset)
+    assert set(statuses) == {lp.LpStatus.OPTIMAL, lp.LpStatus.INFEASIBLE}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_conflicting_sets())
+def test_conflict_search_without_certificates_matches_greedy_deletion(aset):
+    # A wrong Farkas certificate is withheld by the kernel; the search then
+    # solves every infeasible trial and must still find the plain greedy conflict.
+    expected = greedy_conflict(aset)
+    real, wrong = lp._certificate, []
+
+    def certificate(tab, art):
+        wrong.append(True)
+        return -real(tab, art)
+
+    with _recorded_solves() as log, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_certificate", certificate)
+        result = fit_functional(aset)
+    infeasible = [sol for _, sol, _ in log if sol.status is lp.LpStatus.INFEASIBLE]
+    assert len(infeasible) == len(wrong)
+    assert all(sol.certificate is None for sol in infeasible)
+    if any(g.rewards.min() >= 0 for g in aset.rejected):  # the full LP is infeasible
+        assert wrong
+    assert isinstance(result, Infeasible)
+    assert result.conflict == expected
 
 
 def _highs_fit_feasible(UA, UR, eps):

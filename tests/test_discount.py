@@ -177,6 +177,20 @@ def test_missing_arguments_and_unknown_state():
         state.factor(1.0, s="s9")
 
 
+def test_state_rate_lookup_and_messages():
+    state = StateDependent({"s2": 0.15, "s1": 0.05})
+    assert state.rate("s1") == 0.05 and state.rate("s2") == 0.15
+    assert state.factor(2.0, s="s2") == math.exp(-0.15 * 2.0)
+    for bad in ("s9", None, ["s1"]):
+        with pytest.raises(UnknownState) as info:
+            state.rate(bad)
+        assert str(info.value) == f"state {bad!r} not in rate map ['s1', 's2']"
+    with pytest.raises(UnknownState, match=r"^state 's9' not in rate map \['s1', 's2'\]$"):
+        state.factor(1.0, s="s9")
+    with pytest.raises(MissingArgument, match="^state-dependent discounting needs a state label$"):
+        state.factor(1.0)
+
+
 def test_scale_monotonicity_trivial_at_time_zero():
     d = ScaleDependent(Exponential(1.0), InverseLog())
     report = check_scale_monotonicity(d, [0.0], [2.0, 10.0, 1500.0])

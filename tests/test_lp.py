@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from desirables import DimensionError, NumericalInstability
+from desirables import DimensionError, NumericalInstability, lp
 from desirables.lp import (
     LpProblem,
     LpStatus,
@@ -17,7 +17,7 @@ from desirables.lp import (
     solve,
 )
 
-from oracles import vertex_lp_optimum
+from oracles import farkas_check, vertex_lp_optimum
 
 INF = float("-inf")
 
@@ -40,6 +40,29 @@ def test_contradictory_bounds_infeasible():
     sol = solve(p)
     assert sol.status is LpStatus.INFEASIBLE
     assert check_infeasibility_certificate(p, sol.certificate)
+
+
+def test_wrong_certificate_is_withheld(monkeypatch):
+    real = lp._certificate
+    monkeypatch.setattr(lp, "_certificate", lambda tab, art: -real(tab, art))
+    sol = solve(P((0.0,), [((1.0,), ">=", 1.0), ((1.0,), "<=", 0.0)]))
+    assert sol.status is LpStatus.INFEASIBLE
+    assert sol.certificate is None and sol.x is None
+
+
+def test_certificate_check_matches_the_row_by_row_convention():
+    # Random problems with sign patterns of y near the tolerance boundary.
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(400):
+        p = _random_problem(rng)
+        sol = solve(p)
+        y = sol.certificate if sol.certificate is not None else rng.normal(size=len(p.rhs))
+        for cand in (y, -y, y + rng.choice((0.0, 2e-7, -2e-7), size=y.shape)):
+            verdict = check_infeasibility_certificate(p, cand)
+            assert verdict == farkas_check(p, cand)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_margin_maximization_on_simplex():
@@ -343,6 +366,7 @@ def _highs_sized_problems(draw):
 def _assert_duals_prove_optimum(p, sol, tol):
     """y >= 0 on <= rows, <= 0 on >= rows; A^T y >= c (= c on free variables); b . y = value."""
     y = sol.y
+    assert y is not None
     assert y.shape == (len(p.constraints),) and not y.flags.writeable
     rels = np.array(p.relations)
     assert y[rels == "<="].min(initial=0.0) >= -tol
