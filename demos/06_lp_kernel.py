@@ -1,7 +1,8 @@
 """The dense LP kernel that powers acceptance queries and functional fitting.
 
-Two-phase simplex with Bland's rule: deterministic pivoting, margin
-objectives, and Farkas certificates for infeasible systems.
+Two-phase simplex with Dantzig pricing and a Bland's-rule fallback against
+cycling: deterministic pivoting, margin objectives, and Farkas certificates
+for infeasible systems.
 Run:  python3 demos/06_lp_kernel.py
 """
 

@@ -293,6 +293,9 @@ class StateDependent(DiscountSpec):
         object.__setattr__(self, "_by_label", dict(items))
         if not items:
             raise ValueError("rate map must not be empty")
+        for (label, _), (following, _) in zip(items, items[1:]):  # sorted: repeats are adjacent
+            if label == following:
+                raise ValueError(f"state label {label!r} appears more than once in the rate map")
         if not all(0 < r < math.inf for _, r in items):
             raise ValueError("every state rate must be positive and finite")
 

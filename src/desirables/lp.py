@@ -1,4 +1,4 @@
-"""Small dense linear-programming kernel: two-phase simplex with Bland's rule.
+"""Small dense linear-programming kernel: two-phase simplex, Dantzig pricing.
 
 A problem is arrays: ``maximize objective @ x`` subject to
 ``constraints[k] @ x (relations[k]) rhs[k]`` for each row k of the m x n
@@ -8,12 +8,14 @@ variables are split internally)::
     LpProblem(objective=[0, 0, 1], constraints=[[2, -1, -1], [1, 1, 0]],
               relations=(">=", "="), rhs=[0, 1], lower_bounds=[0, 0, -inf])
 
-Pivoting is deterministic (Bland's anti-cycling rule, ties broken by
-smallest basis index), so identical inputs produce bit-identical solutions.
-Each step (entering column, ratio test, rank-1 pivot update) is a numpy array
-operation that makes the same choices and the same floating-point operations
-as a scalar loop over the tableau, so outputs are bit-identical to the scalar
-Bland loop; summations keep their row order for the same reason.
+The entering column has the most negative reduced cost (Dantzig's rule);
+after 50 consecutive degenerate pivots the lowest-index improving column
+enters instead (Bland's rule) until a pivot makes progress, so the simplex
+cannot cycle.  Ratio-test ties go to the smallest basis index.  ">=" rows with
+a zero right-hand side are negated into "<=" rows and start on a slack, not
+an artificial.  Pivoting is deterministic and every step (entering column,
+ratio test, rank-1 pivot update) is a fixed sequence of numpy operations, so
+identical inputs produce bit-identical solutions.
 
 Optimal problems carry the dual values ``y`` over the rows, read from the
 phase-2 reduced costs:
@@ -54,6 +56,7 @@ _MAX_ROWS = 256
 _TOL = 1e-9
 _PIVOT_MIN = 1e-12
 _MAX_ITER = 100_000
+_STALL = 50  # consecutive degenerate pivots before Bland's rule takes over
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -153,10 +156,12 @@ class _Tableau:
 
         rows = p.constraints[:, self.var] * self.sign
         rhs = p.rhs.copy()
-        flip = rhs < 0
+        rel = np.array(p.relations, dtype=str)
+        # Negate rows with a negative rhs, and ">=" rows with a zero rhs, which
+        # then start on a slack instead of an artificial.
+        flip = (rhs < 0) | ((rhs == 0) & (rel == GE))
         rows[flip], rhs[flip] = -rows[flip], -rhs[flip]
         self.tau = np.where(flip, -1.0, 1.0)
-        rel = np.array(p.relations, dtype=str)
         le = np.where(flip, rel == GE, rel == LE)  # relation after the flip
         extra, art = rel != EQ, ~le  # rows with a slack/surplus, with an artificial
 
@@ -199,9 +204,9 @@ class _Tableau:
 
 
 def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
-    """Minimize cost @ x_std over the tableau (Bland's rule); mutates tab.
+    """Minimize cost @ x_std (Dantzig's rule; Bland's after _STALL degenerate pivots).
 
-    Returns the status and the final reduced-cost row.
+    Mutates tab; returns the status and the final reduced-cost row.
     """
     T = tab.T
     ncols = T.shape[1] - 1
@@ -212,11 +217,15 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
         cb = cost[tab.basis[i]]
         if cb != 0.0:
             obj -= cb * T[i, :]
+    degenerate = 0  # consecutive pivots on a row with rhs 0
     for _ in range(_MAX_ITER):
         improving = allowed & (obj[:ncols] < -_TOL)
-        entering = int(np.argmax(improving))
-        if not improving[entering]:
+        if not improving.any():
             return "optimal", obj
+        if degenerate < _STALL:  # Dantzig: most negative reduced cost
+            entering = int(np.argmin(np.where(improving, obj[:ncols], 0.0)))
+        else:  # Bland: lowest index, until a pivot makes progress
+            entering = int(np.argmax(improving))
         # Min-ratio test; ties at the minimum ratio go to the smallest basis index.
         rows = np.flatnonzero(tab.row_alive & (T[:, entering] > _TOL))
         if rows.size == 0:
@@ -224,6 +233,7 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
         ratio = T[rows, -1] / T[rows, entering]
         tied = rows[ratio == ratio.min()]
         row = int(tied[np.argmin(tab.basis[tied])])
+        degenerate = degenerate + 1 if T[row, -1] == 0.0 else 0
         tab._pivot(row, entering)
         # Re-reduce the cost row against the new basic row.
         coef = obj[entering]

@@ -1,16 +1,19 @@
 """Independent brute-force oracles for the LP-backed decision paths and the scan.
 
-Apart from :func:`greedy_conflict`, nothing here touches the package's
-simplex kernel: feasibility is decided by exhaustive lambda-grid search and by
-vertex enumeration of the Farkas dual polytope, and tiny LPs are re-solved by
-enumerating candidate vertices.  :func:`scan_by_compare` is the reversal scan
+Apart from :func:`greedy_conflict` and :func:`bland_solve`, nothing here
+touches the package's simplex kernel: feasibility is decided by exhaustive
+lambda-grid search and by vertex enumeration of the Farkas dual polytope, and
+tiny LPs are re-solved by enumerating candidate vertices.  :func:`scan_by_compare` is the reversal scan
 as one scalar ``compare`` per shift, and :func:`transform_by_state` and
 :func:`u_convex_combine_by_state` are the utility transform and u-convex
 combination as one scalar ``eval`` (and ``inverse``) per state.
 :func:`inline_accept_check`, :func:`cut_problem_check` and
 :func:`farkas_check` are the evidence checks coherence made on unchecked LP
 duals and certificates before the kernel checked them itself; they build LP
-problems but solve none.
+problems but solve none.  :func:`bland_solve` is the kernel's solve path as
+it was under Bland's entering rule (it shares the kernel's problem type and
+checks), kept as the reference that the current pricing rule is compared
+against.
 """
 
 import itertools
@@ -24,6 +27,7 @@ from desirables import (
     Functional,
     Gamble,
     ImageError,
+    NumericalInstability,
     Preference,
     ScanResult,
     compare,
@@ -334,3 +338,182 @@ def cut_problem_check(problem, y):
     cut_rows = np.vstack([rows, objective])
     cut = lp.LpProblem(objective, cut_rows, relations + (lp.GE,), np.append(rhs, -_TOL), bounds)
     return farkas_check(cut, np.append(-y, 1.0))
+
+
+# -- Reference Bland kernel -------------------------------------------------
+# The two-phase simplex as it was before the kernel moved to Dantzig pricing:
+# Bland's lowest-index entering rule throughout, and an artificial for every
+# ">=" row.  Copied unchanged apart from names, with the tolerances frozen at
+# their values then; it reuses only the kernel's problem and solution types
+# and its unchanged checks (_recheck, _dual_feasible and
+# check_infeasibility_certificate).
+_BLAND_TOL = 1e-9
+_BLAND_PIVOT_MIN = 1e-12
+_BLAND_MAX_ITER = 100_000
+
+
+class BlandTableau:
+    """Dense simplex tableau over the standardized system D x = b, x >= 0, b >= 0."""
+
+    def __init__(self, p: lp.LpProblem):
+        self.problem = p
+        m, n = p.constraints.shape
+
+        # Structural columns: variable var[k] times sign[k]; free variables
+        # contribute a (+1, -1) pair.
+        free = p.lower_bounds == -math.inf
+        self.var = np.repeat(np.arange(n), np.where(free, 2, 1))
+        self.sign = np.where(np.diff(self.var, prepend=-1) == 0, -1.0, 1.0)
+        n_struct = self.var.size
+
+        rows = p.constraints[:, self.var] * self.sign
+        rhs = p.rhs.copy()
+        flip = rhs < 0
+        rows[flip], rhs[flip] = -rows[flip], -rhs[flip]
+        self.tau = np.where(flip, -1.0, 1.0)
+        rel = np.array(p.relations, dtype=str)
+        le = np.where(flip, rel == lp.GE, rel == lp.LE)  # relation after the flip
+        extra, art = rel != lp.EQ, ~le  # rows with a slack/surplus, with an artificial
+
+        n_extra, n_art = int(extra.sum()), int(art.sum())
+        total = n_struct + n_extra + n_art
+        T = np.zeros((m, total + 1))
+        T[:, :n_struct] = rows
+        T[:, -1] = rhs
+
+        # Slack (+1) or surplus (-1) columns, then artificial columns, each in
+        # row order.  Identity column per row: the slack for <=, the artificial
+        # otherwise; it starts in the basis.
+        extra_col = n_struct + np.cumsum(extra) - 1
+        art_col = n_struct + n_extra + np.cumsum(art) - 1
+        T[extra, extra_col[extra]] = np.where(le, 1.0, -1.0)[extra]
+        T[art, art_col[art]] = 1.0
+        self.identity_col = np.where(le, extra_col, art_col)
+        self.basis = self.identity_col.copy()
+        self.art = np.zeros(total, dtype=bool)
+        self.art[art_col[art]] = True
+
+        self.T = T
+        self.n_struct = n_struct
+        self.row_alive = np.ones(m, dtype=bool)
+
+    def _pivot(self, row: int, col: int) -> None:
+        T = self.T
+        piv = T[row, col]
+        if abs(piv) < _BLAND_PIVOT_MIN:
+            raise NumericalInstability(
+                f"pivot magnitude {abs(piv):.3e} below {_BLAND_PIVOT_MIN}", self.problem
+            )
+        T[row, :] /= piv
+        # Rows with a zero (or -0.0) pivot-column entry are left untouched, as
+        # x - 0*y would turn a stored -0.0 into +0.0.
+        rows = np.flatnonzero(T[:, col])
+        rows = rows[rows != row]
+        T[rows] -= T[rows, col][:, None] * T[row]
+        self.basis[row] = col
+
+
+def _bland_simplex_min(tab: BlandTableau, cost: np.ndarray, allowed: np.ndarray):
+    """Minimize cost @ x_std over the tableau (Bland's rule); mutates tab.
+
+    Returns the status and the final reduced-cost row.
+    """
+    T = tab.T
+    ncols = T.shape[1] - 1
+    # Reduced-cost row: cost minus the basis-weighted tableau rows.
+    obj = np.zeros(T.shape[1])
+    obj[:ncols] = cost
+    for i in np.nonzero(tab.row_alive)[0]:
+        cb = cost[tab.basis[i]]
+        if cb != 0.0:
+            obj -= cb * T[i, :]
+    for _ in range(_BLAND_MAX_ITER):
+        improving = allowed & (obj[:ncols] < -_BLAND_TOL)
+        entering = int(np.argmax(improving))
+        if not improving[entering]:
+            return "optimal", obj
+        # Min-ratio test; ties at the minimum ratio go to the smallest basis index.
+        rows = np.flatnonzero(tab.row_alive & (T[:, entering] > _BLAND_TOL))
+        if rows.size == 0:
+            return "unbounded", obj
+        ratio = T[rows, -1] / T[rows, entering]
+        tied = rows[ratio == ratio.min()]
+        row = int(tied[np.argmin(tab.basis[tied])])
+        tab._pivot(row, entering)
+        # Re-reduce the cost row against the new basic row.
+        coef = obj[entering]
+        if coef != 0.0:
+            obj -= coef * T[row, :]
+    raise NumericalInstability("iteration cap exceeded", tab.problem)
+
+
+def bland_solve(p: lp.LpProblem) -> lp.LpSolution:
+    """Solve the LP; returns Optimal(x, value, y), Infeasible(certificate), or Unbounded."""
+    tab = BlandTableau(p)
+    T = tab.T
+    total = T.shape[1] - 1
+    art = tab.art
+
+    if art.any():
+        status, _ = _bland_simplex_min(tab, art.astype(float), allowed=np.ones(total, dtype=bool))
+        if status != "optimal":  # phase 1 is bounded below by 0
+            raise NumericalInstability("phase 1 unbounded", p)
+        value1 = float(
+            sum(T[i, -1] for i in np.nonzero(tab.row_alive)[0] if art[tab.basis[i]])
+        )
+        if value1 > _BLAND_TOL:
+            y = _bland_certificate(tab, art)
+            y = y if lp.check_infeasibility_certificate(p, y) else None
+            return lp.LpSolution(lp.LpStatus.INFEASIBLE, certificate=y)
+        _bland_drive_out_artificials(tab, art)
+
+    cost2 = np.zeros(total)
+    cost2[: tab.n_struct] = -p.objective[tab.var] * tab.sign
+    status, reduced = _bland_simplex_min(tab, cost2, allowed=~art)
+    if status == "unbounded":
+        return lp.LpSolution(lp.LpStatus.UNBOUNDED)
+
+    x_std = np.zeros(total)
+    x_std[tab.basis[tab.row_alive]] = T[tab.row_alive, -1]
+    # add.at sums unbuffered in column order: 0.0 + x_plus (+ -x_minus), as a loop would.
+    x = np.zeros(len(p.objective))
+    np.add.at(x, tab.var, tab.sign * x_std[: tab.n_struct])
+    lp._recheck(p, x)
+    value = float(np.dot(p.objective, x))
+    # Duals: reduced costs at the identity columns, unflipped by tau.  A dropped
+    # redundant row leaves its basic artificial a zero column, hence a zero dual.
+    y = tab.tau * reduced[tab.identity_col]
+    x.flags.writeable = y.flags.writeable = False
+    tol = 1e-7 * max(1.0, float(np.abs(p.objective).max())) * (1.0 + abs(value))
+    if not (lp._dual_feasible(p, y, p.objective, tol) and abs(float(y @ p.rhs) - value) <= tol):
+        y = None
+    return lp.LpSolution(lp.LpStatus.OPTIMAL, x=x, value=value, y=y)
+
+
+def _bland_drive_out_artificials(tab: BlandTableau, art: np.ndarray) -> None:
+    """Pivot basic artificials (at level 0) out of the basis; drop redundant rows."""
+    T = tab.T
+    for i in np.nonzero(tab.row_alive)[0]:
+        if not art[tab.basis[i]]:
+            continue
+        eligible = ~art & (np.abs(T[i, :-1]) > _BLAND_TOL)
+        pivot_col = int(np.argmax(eligible))
+        if eligible[pivot_col]:
+            tab._pivot(int(i), pivot_col)
+        else:
+            tab.row_alive[i] = False
+            T[i, :] = 0.0
+
+
+def _bland_certificate(tab: BlandTableau, art: np.ndarray) -> np.ndarray:
+    """Farkas certificate over the original rows, from the phase-1 dual values."""
+    T = tab.T
+    m = len(tab.problem.constraints)
+    y_std = np.zeros(m)
+    basic_art_rows = [i for i in np.nonzero(tab.row_alive)[0] if art[tab.basis[i]]]
+    for i in range(m):
+        col = tab.identity_col[i]
+        y_std[i] = sum(T[r, col] for r in basic_art_rows)
+    y = tab.tau * y_std
+    y.flags.writeable = False
+    return y

@@ -191,6 +191,16 @@ def test_state_rate_lookup_and_messages():
         state.factor(1.0)
 
 
+@pytest.mark.parametrize(
+    "rates, label", [({1: 0.1, "1": 0.2}, "1"), ({"s1": 0.1, 2.5: 0.3, "2.5": 0.3}, "2.5")]
+)
+def test_state_labels_that_collide_after_str_are_rejected(rates, label):
+    # Labels are stored as str(key); two keys with one label would leave
+    # ``rates`` listing the label twice while ``factor`` uses one of the rates.
+    with pytest.raises(ValueError, match=f"^state label {label!r} appears more than once"):
+        StateDependent(rates)
+
+
 def test_scale_monotonicity_trivial_at_time_zero():
     d = ScaleDependent(Exponential(1.0), InverseLog())
     report = check_scale_monotonicity(d, [0.0], [2.0, 10.0, 1500.0])

@@ -17,7 +17,7 @@ from desirables.lp import (
     solve,
 )
 
-from oracles import farkas_check, vertex_lp_optimum
+from oracles import bland_solve, farkas_check, vertex_lp_optimum
 
 INF = float("-inf")
 
@@ -225,14 +225,48 @@ def test_kernel_error_is_one_line_and_carries_the_problem():
 
 
 def test_ratio_tie_goes_to_smallest_basis_index():
-    # Phase 1 enters x1; rows 1 and 2 tie at ratio 3.  Row 1's basic column is
-    # its artificial (index 5), row 2's is its slack (index 3), so Bland's
-    # (ratio, basis index) rule pivots on row 2 and ends at (3, 3); taking the
-    # lower row index would end at (0, 3).
+    # Reference kernel.  Phase 1 enters x1; rows 1 and 2 tie at ratio 3.  Row
+    # 1's basic column is its artificial (index 5), row 2's is its slack
+    # (index 3), so Bland's (ratio, basis index) rule pivots on row 2 and ends
+    # at (3, 3); taking the lower row index would end at (0, 3).
     p = P((0.0, 0.0), [((0.0, 1.0), "=", 3.0), ((1.0, 2.0), ">=", 3.0), ((1.0, 0.0), "<=", 3.0)])
-    sol = solve(p)
+    sol = bland_solve(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.x.tolist() == [3.0, 3.0]
+
+
+def test_ratio_tie_under_dantzig_pricing_goes_to_smallest_basis_index():
+    # Phase 1 enters x2, whose reduced cost -4 is the most negative (Bland's
+    # rule enters x1, at -3); rows 0 and 2 tie at ratio 1/2.  Row 0's basic
+    # column is its artificial (index 5), row 2's is its slack (index 4), so
+    # the kernel pivots on row 2 and ends at (1/2, 1/2); taking the lower row
+    # index would end at (1, 0), where the reference kernel ends.
+    p = P((0.0, 0.0), [((1.0, 2.0), ">=", 1.0), ((2.0, 2.0), ">=", 2.0), ((0.0, 2.0), "<=", 1.0)])
+    sol = solve(p)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.x.tolist() == [0.5, 0.5]
+    assert bland_solve(p).x.tolist() == [1.0, 0.0]
+
+
+def test_stalling_falls_back_to_blands_rule(monkeypatch):
+    # Beale's example, on which the most-negative-reduced-cost rule cycles
+    # through six degenerate bases at the origin.
+    p = P(
+        (0.75, -20.0, 0.5, -6.0),
+        [
+            ((0.25, -8.0, -1.0, 9.0), "<=", 0.0),
+            ((0.5, -12.0, -0.5, 3.0), "<=", 0.0),
+            ((0.0, 0.0, 1.0, 0.0), "<=", 1.0),
+        ],
+    )
+    monkeypatch.setattr(lp, "_MAX_ITER", 1000)
+    sol = solve(p)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.value == pytest.approx(1.25, abs=1e-12)
+    assert sol.y is not None
+    monkeypatch.setattr(lp, "_STALL", 10**9)  # no fallback
+    with pytest.raises(NumericalInstability, match="iteration cap exceeded"):
+        solve(p)
 
 
 def _pinned_problem(rng):
@@ -283,20 +317,27 @@ def _pinned_problem(rng):
     return LpProblem(draw(n), A[:m], tuple(rels[:m]), b[:m], bounds)
 
 
-#: sha256 of the kernel's outputs on the pinned corpus, recorded with the scalar
-#: Bland loop.  Any change to a pivot choice or to the arithmetic order of a
-#: step changes it.  ``value`` is np.dot(objective, x), whose summation order
-#: belongs to the BLAS build, so another BLAS may also change it.
-PINNED_CORPUS_SHA256 = "476d6d43086b811eaabc03bb1cdbe5551dfe6c1139ba26418fd7d11ca61d6c64"
-
-
-def test_pinned_corpus_outputs_are_bit_identical():
+def _pinned_corpus():
     rng = np.random.default_rng(2024)
+    return [_pinned_problem(rng) for _ in range(300)]
+
+
+#: sha256 of the kernel's outputs on the pinned corpus, recorded under Dantzig
+#: pricing with the Bland fallback.  Any change to a pivot choice or to the
+#: arithmetic order of a step changes it.  ``value`` is np.dot(objective, x),
+#: whose summation order belongs to the BLAS build, so another BLAS may also
+#: change it.  BLAND_CORPUS_SHA256 is the same digest of the reference kernel,
+#: recorded when it was the package's kernel.
+PINNED_CORPUS_SHA256 = "41dea3ce0607a0bea4615a79f137f90e1fff1d972e9283b636a56577c6e415f9"
+BLAND_CORPUS_SHA256 = "476d6d43086b811eaabc03bb1cdbe5551dfe6c1139ba26418fd7d11ca61d6c64"
+
+
+def _corpus_digest(solve_fn):
     h = hashlib.sha256()
     seen = set()
-    for _ in range(300):
+    for p in _pinned_corpus():
         try:
-            sol = solve(_pinned_problem(rng))
+            sol = solve_fn(p)
         except NumericalInstability as exc:  # part of the kernel's pinned behaviour
             h.update(b"error:" + str(exc).splitlines()[0].encode())
             seen.add("error")
@@ -309,7 +350,34 @@ def test_pinned_corpus_outputs_are_bit_identical():
         if sol.value is not None:
             h.update(np.float64(sol.value).tobytes())
     assert set(LpStatus) <= seen
-    assert h.hexdigest() == PINNED_CORPUS_SHA256
+    return h.hexdigest()
+
+
+def test_pinned_corpus_outputs_are_bit_identical():
+    assert _corpus_digest(solve) == PINNED_CORPUS_SHA256
+
+
+def test_reference_kernel_reproduces_its_recorded_corpus_digest():
+    assert _corpus_digest(bland_solve) == BLAND_CORPUS_SHA256
+
+
+def _assert_agrees_with_reference(p):
+    """Same status as the reference Bland kernel and an optimum within the scaled
+    tolerance, with duals on every optimum and a checked certificate on every
+    infeasible problem (x may be another optimal vertex)."""
+    sol, ref = solve(p), bland_solve(p)
+    assert sol.status is ref.status
+    if sol.status is LpStatus.OPTIMAL:
+        size = max(1.0, float(np.abs(p.objective).max()))
+        assert abs(sol.value - ref.value) <= 1e-7 * size * (1.0 + abs(ref.value))
+        assert sol.y is not None
+    if sol.status is LpStatus.INFEASIBLE:
+        assert check_infeasibility_certificate(p, sol.certificate)
+
+
+def test_kernel_agrees_with_reference_on_pinned_corpus():
+    for p in _pinned_corpus():
+        _assert_agrees_with_reference(p)
 
 
 def _highs(p):
@@ -395,10 +463,16 @@ def test_differential_against_highs(p):
         assert sol.value == pytest.approx(value, abs=1e-7 * size * (1.0 + abs(value)))
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalInstability, reason="known kernel defect")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_highs_sized_problems())
+def test_kernel_agrees_with_reference_on_highs_sized_problems(p):
+    _assert_agrees_with_reference(p)
+
+
 def test_conflict_search_lp_reaches_verified_optimum():
     # Captured at full precision from a fit_functional conflict search, where
-    # the kernel's optimum misses a <= row by 6.2e-6 and the recheck raises.
+    # the reference kernel's optimum misses a <= row by 6.2e-6 and the recheck
+    # raises.
     data = json.loads((Path(__file__).parent / "data" / "lp_violates_le_row.json").read_text())
     p = P(
         data["objective"],
