@@ -185,7 +185,6 @@ class _Tableau:
 
         self.T = T
         self.n_struct = n_struct
-        self.row_alive = np.ones(m, dtype=bool)
 
     def _pivot(self, row: int, col: int) -> None:
         T = self.T
@@ -213,7 +212,7 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
     # Reduced-cost row: cost minus the basis-weighted tableau rows.
     obj = np.zeros(T.shape[1])
     obj[:ncols] = cost
-    for i in np.nonzero(tab.row_alive)[0]:
+    for i in range(len(tab.basis)):
         cb = cost[tab.basis[i]]
         if cb != 0.0:
             obj -= cb * T[i, :]
@@ -227,7 +226,7 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
         else:  # Bland: lowest index, until a pivot makes progress
             entering = int(np.argmax(improving))
         # Min-ratio test; ties at the minimum ratio go to the smallest basis index.
-        rows = np.flatnonzero(tab.row_alive & (T[:, entering] > _TOL))
+        rows = np.flatnonzero(T[:, entering] > _TOL)
         if rows.size == 0:
             return "unbounded", obj
         ratio = T[rows, -1] / T[rows, entering]
@@ -254,7 +253,7 @@ def solve(p: LpProblem) -> LpSolution:
         if status != "optimal":  # phase 1 is bounded below by 0
             raise NumericalInstability("phase 1 unbounded", p)
         value1 = float(
-            sum(T[i, -1] for i in np.nonzero(tab.row_alive)[0] if art[tab.basis[i]])
+            sum(T[i, -1] for i in range(len(tab.basis)) if art[tab.basis[i]])
         )
         if value1 > _TOL:
             y = _certificate(tab, art)
@@ -269,7 +268,7 @@ def solve(p: LpProblem) -> LpSolution:
         return LpSolution(LpStatus.UNBOUNDED)
 
     x_std = np.zeros(total)
-    x_std[tab.basis[tab.row_alive]] = T[tab.row_alive, -1]
+    x_std[tab.basis] = T[:, -1]
     # add.at sums unbuffered in column order: 0.0 + x_plus (+ -x_minus), as a loop would.
     x = np.zeros(len(p.objective))
     np.add.at(x, tab.var, tab.sign * x_std[: tab.n_struct])
@@ -288,15 +287,12 @@ def solve(p: LpProblem) -> LpSolution:
 def _drive_out_artificials(tab: _Tableau, art: np.ndarray) -> None:
     """Pivot basic artificials (at level 0) out of the basis; drop redundant rows."""
     T = tab.T
-    for i in np.nonzero(tab.row_alive)[0]:
-        if not art[tab.basis[i]]:
-            continue
+    for i in np.flatnonzero(art[tab.basis]):
         eligible = ~art & (np.abs(T[i, :-1]) > _TOL)
         pivot_col = int(np.argmax(eligible))
         if eligible[pivot_col]:
             tab._pivot(int(i), pivot_col)
-        else:
-            tab.row_alive[i] = False
+        else:  # a zero row: no ratio test, pivot or basis read can pick it again
             T[i, :] = 0.0
 
 
@@ -305,7 +301,7 @@ def _certificate(tab: _Tableau, art: np.ndarray) -> np.ndarray:
     T = tab.T
     m = len(tab.problem.constraints)
     y_std = np.zeros(m)
-    basic_art_rows = [i for i in np.nonzero(tab.row_alive)[0] if art[tab.basis[i]]]
+    basic_art_rows = [i for i in range(m) if art[tab.basis[i]]]
     for i in range(m):
         col = tab.identity_col[i]
         y_std[i] = sum(T[r, col] for r in basic_art_rows)

@@ -78,6 +78,25 @@ def test_margin_maximization_on_simplex():
     assert sol.x[:2] == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
+def test_redundant_row_is_dropped_as_a_zero_row_with_a_zero_dual(monkeypatch):
+    # maximize x1 + 2 x2 s.t. x1 + x2 = 1 (stated twice), x1 <= 0.7.  The kernel
+    # keeps no list of dropped rows: a dropped row is a zero row of the tableau.
+    twice = P((1.0, 2.0), [((1.0, 1.0), "=", 1.0), ((1.0, 1.0), "=", 1.0), ((1.0, 0.0), "<=", 0.7)])
+    once = P((1.0, 2.0), [((1.0, 1.0), "=", 1.0), ((1.0, 0.0), "<=", 0.7)])
+    real, zero_rows = lp._drive_out_artificials, []
+
+    def drive_out(tab, art):
+        real(tab, art)
+        zero_rows.extend(np.flatnonzero(~tab.T.any(axis=1)).tolist())
+
+    monkeypatch.setattr(lp, "_drive_out_artificials", drive_out)
+    sol = solve(twice)
+    assert zero_rows == [1]
+    assert sol.status is LpStatus.OPTIMAL and sol.y[1] == 0.0
+    ref = solve(once)
+    assert sol.x.tolist() == ref.x.tolist() and sol.value == ref.value
+
+
 # Regression corpus: tiny problems spanning optimal/infeasible/unbounded,
 # free variables, equalities, and negative right-hand sides.
 CORPUS = [
