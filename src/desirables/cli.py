@@ -73,15 +73,18 @@ def cmd_scan(args) -> int:
     if scenario.scan_shifts is None or scenario.scan_pair is None:
         return _usage_error("no scan block")
     name_a, name_b = scenario.scan_pair
-    result = reversal_scan(
-        scenario.utility,
-        scenario.discount,
-        scenario.schedules[name_a],
-        scenario.schedules[name_b],
-        scenario.scan_shifts,
-        tol=args.tol,
-        round_factors=args.paper_rounding,
-    )
+    try:
+        result = reversal_scan(
+            scenario.utility,
+            scenario.discount,
+            scenario.schedules[name_a],
+            scenario.schedules[name_b],
+            scenario.scan_shifts,
+            tol=args.tol,
+            round_factors=args.paper_rounding,
+        )
+    except ValueError as exc:
+        return _usage_error(str(exc))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["delta", "value_a", "value_b", "preference"])
     for (delta, pref), va, vb in zip(result.trace, result.value_a, result.value_b):

@@ -105,8 +105,8 @@ class Functional:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty vector")
+        if w.ndim != 1 or w.size == 0 or not np.isfinite(w).all():
+            raise ValueError(f"weights must be a nonempty finite vector, got {w!r}")
         if w.min() < 0:
             raise ValueError(f"weights must be nonnegative, got {w!r}")
         total = w.sum()
@@ -297,7 +297,7 @@ def _fit_lp(m, UA, UR, active, eps):
 
     ``droppable`` holds the active constraints with a zero entry in the evidence:
     the kernel-checked Farkas certificate, or the kernel-checked duals when their
-    bound b . y on the margin lies below -_TOL by the kernel's 1e-7 tolerance.
+    bound b . y on the margin lies below -_TOL by the kernel's ``lp._CHECK_TOL``.
     """
     acc = [i for kind, i in active if kind == "accepted"]
     rej = [j for kind, j in active if kind == "rejected"]
@@ -317,7 +317,7 @@ def _fit_lp(m, UA, UR, active, eps):
     if sol.status is lp.LpStatus.OPTIMAL and sol.value >= -_TOL:
         return Functional(np.maximum(sol.x[:m], 0.0)), set()
     evidence = sol.certificate
-    if sol.y is not None and sol.y @ rhs < -_TOL - 1e-7:  # weak duality: margin <= b . y
+    if sol.y is not None and sol.y @ rhs < -_TOL - lp._CHECK_TOL:  # weak duality: margin <= b . y
         evidence = sol.y
     # Rows follow ``active``: accepted constraints, then rejected ones.
     return None, set() if evidence is None else {c for c, v in zip(active, evidence) if v == 0.0}

@@ -62,8 +62,8 @@ class Gamble:
         if w is None:
             w = max(1.0, float(-rewards.min()))
         w = float(w)
-        if not w > 0:
-            raise ValueError(f"wealth floor must be positive, got {w!r}")
+        if not 0 < w < np.inf:
+            raise ValueError(f"wealth floor must be positive and finite, got {w!r}")
         if rewards.min() < -w:
             raise ValueError(
                 f"rewards must stay above -wealth_floor = {-w}, got min {rewards.min()}"

@@ -127,7 +127,9 @@ def compare(
     tol: float = 1e-9,
     round_factors: bool = False,
 ) -> Preference:
-    """Preference between two schedules; Indifferent within absolute ``tol``."""
+    """Preference between two schedules; Indifferent within absolute ``tol`` (0 <= tol < inf)."""
+    if not 0.0 <= tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     va = schedule_value(u, d, a, round_factors=round_factors)
     vb = schedule_value(u, d, b, round_factors=round_factors)
     if va > vb + tol:
@@ -186,7 +188,8 @@ def reversal_scan(
     """Compare the two schedules under every common shift, in increasing order.
 
     Shifts must be >= 0 (NaN is rejected).  Values are computed on a grid
-    (see the module docstring); ``tol`` is the absolute indifference band.
+    (see the module docstring); ``tol`` is the absolute indifference band, as
+    in :func:`compare`, which rejects a negative or non-finite one.
     """
     deltas = [float(s) for s in shifts]
     if not deltas:

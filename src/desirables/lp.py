@@ -14,22 +14,26 @@ enters instead (Bland's rule) until a pivot makes progress, so the simplex
 cannot cycle.  Ratio-test ties go to the smallest basis index.  ">=" rows with
 a zero right-hand side are negated into "<=" rows and start on a slack, not
 an artificial.  Pivoting is deterministic and every step (entering column,
-ratio test, rank-1 pivot update) is a fixed sequence of numpy operations, so
-identical inputs produce bit-identical solutions.
+ratio test, rank-1 pivot update) is a fixed sequence of elementwise numpy
+operations, with no BLAS product, so identical inputs produce bit-identical
+solutions.
 
-Optimal problems carry the dual values ``y`` over the rows, read from the
-phase-2 reduced costs:
+Both evidence vectors come from one rule: the row prices are the final
+reduced costs of their phase at each row's initial identity column (its slack
+or artificial), less that column's cost, unflipped for negated rows.
+Optimal problems carry the phase-2 prices as the duals ``y``:
 
     y[k] >= 0 for "<=" rows, y[k] <= 0 for ">=" rows, free for "=" rows,
     y @ constraints >= objective on bounded variables (= on free ones),
     y @ rhs = value.
 
-Infeasible problems carry a Farkas certificate ``y``: -y satisfies the first
-two lines for a zero objective and y @ rhs > 0, which contradicts feasibility
-directly.  Both are checked before they are returned, as ``x`` is: the duals
-within 1e-7 * max(1, |objective|_inf) * (1 + |value|), the certificate by
-:func:`check_infeasibility_certificate`.  A vector that fails its check is
-returned as ``None``; the status and ``x`` are unchanged.
+Infeasible problems carry the negated phase-1 prices as a Farkas certificate
+``y``: -y satisfies the first two lines for a zero objective and y @ rhs > 0,
+which contradicts feasibility directly.  Both are checked before they are
+returned, as ``x`` is, against one tolerance ``_CHECK_TOL = 1e-7``: ``x``
+row by row, the duals scaled by max(1, |objective|_inf) * (1 + |value|), the
+certificate by :func:`check_infeasibility_certificate`.  A vector that fails
+its check is returned as ``None``; the status and ``x`` are unchanged.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ _TOL = 1e-9
 _PIVOT_MIN = 1e-12
 _MAX_ITER = 100_000
 _STALL = 50  # consecutive degenerate pivots before Bland's rule takes over
+_CHECK_TOL = 1e-7  # absolute tolerance of the checks on x, y and certificates
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -205,22 +210,21 @@ class _Tableau:
 def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
     """Minimize cost @ x_std (Dantzig's rule; Bland's after _STALL degenerate pivots).
 
-    Mutates tab; returns the status and the final reduced-cost row.
+    Mutates tab; returns "optimal" with the row prices -c_B B^-1 over the
+    original rows (the duals of maximizing -cost @ x_std), or "unbounded".
+    A row's identity column starts as e_k, so its final reduced cost is
+    cost - (c_B B^-1)_k (Chvátal 1983, *Linear Programming*); tau unflips the row.
     """
     T = tab.T
     ncols = T.shape[1] - 1
-    # Reduced-cost row: cost minus the basis-weighted tableau rows.
-    obj = np.zeros(T.shape[1])
-    obj[:ncols] = cost
-    for i in range(len(tab.basis)):
-        cb = cost[tab.basis[i]]
-        if cb != 0.0:
-            obj -= cb * T[i, :]
+    # Reduced-cost row: cost minus the basis-weighted tableau rows (summed row
+    # by row, not by a BLAS product, so pivots do not depend on the BLAS build).
+    obj = np.append(cost, 0.0) - (cost[tab.basis][:, None] * T).sum(axis=0)
     degenerate = 0  # consecutive pivots on a row with rhs 0
     for _ in range(_MAX_ITER):
         improving = allowed & (obj[:ncols] < -_TOL)
         if not improving.any():
-            return "optimal", obj
+            return "optimal", tab.tau * (obj[:ncols] - cost)[tab.identity_col]
         if degenerate < _STALL:  # Dantzig: most negative reduced cost
             entering = int(np.argmin(np.where(improving, obj[:ncols], 0.0)))
         else:  # Bland: lowest index, until a pivot makes progress
@@ -228,7 +232,7 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
         # Min-ratio test; ties at the minimum ratio go to the smallest basis index.
         rows = np.flatnonzero(T[:, entering] > _TOL)
         if rows.size == 0:
-            return "unbounded", obj
+            return "unbounded", None
         ratio = T[rows, -1] / T[rows, entering]
         tied = rows[ratio == ratio.min()]
         row = int(tied[np.argmin(tab.basis[tied])])
@@ -249,21 +253,21 @@ def solve(p: LpProblem) -> LpSolution:
     art = tab.art
 
     if art.any():
-        status, _ = _simplex_min(tab, art.astype(float), allowed=np.ones(total, dtype=bool))
+        status, prices = _simplex_min(tab, art.astype(float), np.ones(total, dtype=bool))
         if status != "optimal":  # phase 1 is bounded below by 0
             raise NumericalInstability("phase 1 unbounded", p)
-        value1 = float(
-            sum(T[i, -1] for i in range(len(tab.basis)) if art[tab.basis[i]])
-        )
-        if value1 > _TOL:
-            y = _certificate(tab, art)
+        if float(T[art[tab.basis], -1].sum()) > _TOL:  # phase 1's optimum stays above 0
+            y = -prices  # Farkas: -y prices a zero objective
+            y.flags.writeable = False
             y = y if check_infeasibility_certificate(p, y) else None
             return LpSolution(LpStatus.INFEASIBLE, certificate=y)
         _drive_out_artificials(tab, art)
 
     cost2 = np.zeros(total)
     cost2[: tab.n_struct] = -p.objective[tab.var] * tab.sign
-    status, reduced = _simplex_min(tab, cost2, allowed=~art)
+    # y: the phase-2 row prices.  A dropped redundant row leaves its basic
+    # artificial a zero column, hence a zero dual.
+    status, y = _simplex_min(tab, cost2, allowed=~art)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
@@ -274,11 +278,8 @@ def solve(p: LpProblem) -> LpSolution:
     np.add.at(x, tab.var, tab.sign * x_std[: tab.n_struct])
     _recheck(p, x)
     value = float(np.dot(p.objective, x))
-    # Duals: reduced costs at the identity columns, unflipped by tau.  A dropped
-    # redundant row leaves its basic artificial a zero column, hence a zero dual.
-    y = tab.tau * reduced[tab.identity_col]
     x.flags.writeable = y.flags.writeable = False
-    tol = 1e-7 * max(1.0, float(np.abs(p.objective).max())) * (1.0 + abs(value))
+    tol = _CHECK_TOL * max(1.0, float(np.abs(p.objective).max())) * (1.0 + abs(value))
     if not (_dual_feasible(p, y, p.objective, tol) and abs(float(y @ p.rhs) - value) <= tol):
         y = None
     return LpSolution(LpStatus.OPTIMAL, x=x, value=value, y=y)
@@ -296,23 +297,9 @@ def _drive_out_artificials(tab: _Tableau, art: np.ndarray) -> None:
             T[i, :] = 0.0
 
 
-def _certificate(tab: _Tableau, art: np.ndarray) -> np.ndarray:
-    """Farkas certificate over the original rows, from the phase-1 dual values."""
-    T = tab.T
-    m = len(tab.problem.constraints)
-    y_std = np.zeros(m)
-    basic_art_rows = [i for i in range(m) if art[tab.basis[i]]]
-    for i in range(m):
-        col = tab.identity_col[i]
-        y_std[i] = sum(T[r, col] for r in basic_art_rows)
-    y = tab.tau * y_std
-    y.flags.writeable = False
-    return y
-
-
-def _recheck(p: LpProblem, x: np.ndarray, tol: float = 1e-7) -> None:
+def _recheck(p: LpProblem, x: np.ndarray) -> None:
     """Raise on the first row (in row order), then variable, that ``x`` violates."""
-    lhs, rhs = p.constraints @ x, p.rhs
+    lhs, rhs, tol = p.constraints @ x, p.rhs, _CHECK_TOL
     rel = np.array(p.relations, dtype=str)
     ok = np.where(
         rel == LE, lhs <= rhs + tol, np.where(rel == GE, lhs >= rhs - tol, np.abs(lhs - rhs) <= tol)
@@ -337,7 +324,7 @@ def _dual_feasible(p: LpProblem, y: np.ndarray, c, tol: float) -> bool:
     return bool(signs and (gap[~free] >= -tol).all() and (np.abs(gap[free]) <= tol).all())
 
 
-def check_infeasibility_certificate(p: LpProblem, y: np.ndarray, tol: float = 1e-7) -> bool:
+def check_infeasibility_certificate(p: LpProblem, y: np.ndarray) -> bool:
     """Verify a Farkas certificate: -y is dual feasible for a zero objective, and y @ rhs > tol."""
-    y = np.asarray(y, dtype=float)
+    y, tol = np.asarray(y, dtype=float), _CHECK_TOL
     return y.shape == p.rhs.shape and _dual_feasible(p, -y, 0.0, tol) and float(y @ p.rhs) > tol

@@ -370,6 +370,8 @@ def audit_admissibility(
         lo = u.domain_lo + 0.01 if math.isfinite(u.domain_lo) else -100.0
     if hi is None:
         hi = max(100.0, lo + 1.0)
+    if not lo < hi:  # a backwards grid would read every increase as a drop
+        raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
     grid = np.linspace(lo, hi, grid_n)
     steps = np.diff(u.eval(grid))
     increasing = bool(np.all(steps > 0))

@@ -367,6 +367,16 @@ def test_tol_is_a_scan_flag_only(capsys, command):
     assert "unrecognized arguments: --tol 1" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_scan_rejects_a_negative_or_non_finite_tol(capsys, tol):
+    config = str(DATA / "hyperbolic_projects.conf")
+    rc, out, err = run(capsys, "scan", "--config", config, f"--tol={tol}")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: tol must be finite and nonnegative")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["check", "fit"])
 def test_assessment_domain_error_exits_3_with_one_line(capsys, tmp_path, command):
     cfg = tmp_path / "breach.conf"

@@ -317,17 +317,18 @@ def test_fit_evidence_matches_cut_check_on_random_sets():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_conflicting_sets())
 def test_conflict_search_without_certificates_matches_greedy_deletion(aset):
-    # A wrong Farkas certificate is withheld by the kernel; the search then
-    # solves every infeasible trial and must still find the plain greedy conflict.
+    # A Farkas certificate that fails its check (here judged negated) is withheld
+    # by the kernel; the search then solves every infeasible trial and must
+    # still find the plain greedy conflict.
     expected = greedy_conflict(aset)
-    real, wrong = lp._certificate, []
+    real, wrong = lp.check_infeasibility_certificate, []
 
-    def certificate(tab, art):
+    def check_negated(p, y):
         wrong.append(True)
-        return -real(tab, art)
+        return real(p, -y)
 
     with _recorded_solves() as log, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_certificate", certificate)
+        mp.setattr(lp, "check_infeasibility_certificate", check_negated)
         result = fit_functional(aset)
     infeasible = [sol for _, sol, _ in log if sol.status is lp.LpStatus.INFEASIBLE]
     assert len(infeasible) == len(wrong)
@@ -447,6 +448,12 @@ def test_functional_normalizes_and_validates():
         Functional(np.array([-1.0, 2.0]))
     with pytest.raises(ValueError):
         Functional(np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_functional_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="weights must be a nonempty finite vector"):
+        Functional([bad, 1.0])
 
 
 def test_ordering_invariance():

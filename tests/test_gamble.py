@@ -56,6 +56,12 @@ def test_gamble_validation():
         Gamble(S2, [1.0, float("nan")])
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+def test_gamble_rejects_a_non_finite_wealth_floor(bad):
+    with pytest.raises(ValueError, match="wealth floor must be positive and finite"):
+        Gamble(S2, [1.0, -1.0], wealth_floor=bad)
+
+
 def test_gamble_rewards_are_frozen():
     g = G(1.0, 2.0)
     with pytest.raises(ValueError):

@@ -101,6 +101,15 @@ def test_compare_near_term_and_distant_projects():
     assert compare(u, d, sched((1000, 0)), sched((1000, 0))) is Preference.INDIFFERENT
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_compare_and_scan_reject_a_negative_or_non_finite_tol(tol):
+    u, d, a, b = LogShift(), Hyperbolic(0.5), sched((1000, 0)), sched((1200, 1))
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        compare(u, d, a, b, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        reversal_scan(u, d, a, b, [0, 5], tol=tol)
+
+
 def test_reversal_scan_hyperbolic_projects():
     u, d = LogShift(), Hyperbolic(0.5)
     res = reversal_scan(u, d, sched((1000, 0)), sched((1200, 1)), [0, 5])

@@ -43,8 +43,9 @@ def test_contradictory_bounds_infeasible():
 
 
 def test_wrong_certificate_is_withheld(monkeypatch):
-    real = lp._certificate
-    monkeypatch.setattr(lp, "_certificate", lambda tab, art: -real(tab, art))
+    # The check judges the negated vector, as it would a certificate of the wrong sign.
+    real = lp.check_infeasibility_certificate
+    monkeypatch.setattr(lp, "check_infeasibility_certificate", lambda p, y: real(p, -y))
     sol = solve(P((0.0,), [((1.0,), ">=", 1.0), ((1.0,), "<=", 0.0)]))
     assert sol.status is LpStatus.INFEASIBLE
     assert sol.certificate is None and sol.x is None
@@ -342,12 +343,13 @@ def _pinned_corpus():
 
 
 #: sha256 of the kernel's outputs on the pinned corpus, recorded under Dantzig
-#: pricing with the Bland fallback.  Any change to a pivot choice or to the
-#: arithmetic order of a step changes it.  ``value`` is np.dot(objective, x),
+#: pricing with the Bland fallback and certificates read from the phase-1
+#: reduced costs.  Any change to a pivot choice or to the arithmetic order of a
+#: step changes it.  ``value`` is np.dot(objective, x),
 #: whose summation order belongs to the BLAS build, so another BLAS may also
 #: change it.  BLAND_CORPUS_SHA256 is the same digest of the reference kernel,
 #: recorded when it was the package's kernel.
-PINNED_CORPUS_SHA256 = "41dea3ce0607a0bea4615a79f137f90e1fff1d972e9283b636a56577c6e415f9"
+PINNED_CORPUS_SHA256 = "f69c0a9b19130fc5c387ef3c230b204560848feb8a1bd6b86762c48e524ef222"
 BLAND_CORPUS_SHA256 = "476d6d43086b811eaabc03bb1cdbe5551dfe6c1139ba26418fd7d11ca61d6c64"
 
 

@@ -125,6 +125,12 @@ def test_audit_grid_count_validated():
         audit_admissibility(Linear(), grid_n=2)
 
 
+@pytest.mark.parametrize("lo, hi", [(10.0, 0.0), (1.0, 1.0), (math.nan, 1.0)])
+def test_audit_window_must_run_upwards(lo, hi):
+    with pytest.raises(ValueError, match="need lo < hi"):
+        audit_admissibility(Linear(), 5, lo=lo, hi=hi)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         LogShift().eval(-1.0)
