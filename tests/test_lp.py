@@ -345,9 +345,8 @@ def _pinned_corpus():
 #: sha256 of the kernel's outputs on the pinned corpus, recorded under Dantzig
 #: pricing with the Bland fallback and certificates read from the phase-1
 #: reduced costs.  Any change to a pivot choice or to the arithmetic order of a
-#: step changes it.  ``value`` is np.dot(objective, x),
-#: whose summation order belongs to the BLAS build, so another BLAS may also
-#: change it.  BLAND_CORPUS_SHA256 is the same digest of the reference kernel,
+#: step changes it.  ``value`` is np.dot(objective, x), whose summation order
+#: belongs to the BLAS build, so another BLAS may also change it.  BLAND_CORPUS_SHA256 is the same digest of the reference kernel,
 #: recorded when it was the package's kernel.
 PINNED_CORPUS_SHA256 = "f69c0a9b19130fc5c387ef3c230b204560848feb8a1bd6b86762c48e524ef222"
 BLAND_CORPUS_SHA256 = "476d6d43086b811eaabc03bb1cdbe5551dfe6c1139ba26418fd7d11ca61d6c64"
