@@ -109,10 +109,13 @@ class Functional:
             raise ValueError(f"weights must be a nonempty finite vector, got {w!r}")
         if w.min() < 0:
             raise ValueError(f"weights must be nonnegative, got {w!r}")
-        total = w.sum()
+        with np.errstate(over="ignore"):
+            total = w.sum()
         if total <= 0:
             raise ValueError("weights must not all be zero")
-        w /= total
+        if total == math.inf:  # finite weights whose sum overflows: scale them first
+            w /= w.max()
+        w /= w.sum()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

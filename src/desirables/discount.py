@@ -392,7 +392,9 @@ def check_scale_monotonicity(d: ScaleDependent, t_grid, x_grid) -> ConstraintRep
         d.eta._check(x)
     violations = []
     for t in ts:
-        log_base_factor = math.log(d.base.factor(t))
+        # Underflow to 0 is the limit ln D -> -inf: -inf where eta'(x) x > 0, else no violation.
+        factor = d.base.factor(t)
+        log_base_factor = math.log(factor) if factor > 0 else -math.inf
         for x in xs:
             value = 1.0 + d.eta.derivative(x) * x * log_base_factor
             if value <= 0:

@@ -13,10 +13,10 @@ after 50 consecutive degenerate pivots the lowest-index improving column
 enters instead (Bland's rule) until a pivot makes progress, so the simplex
 cannot cycle.  Ratio-test ties go to the smallest basis index.  ">=" rows with
 a zero right-hand side are negated into "<=" rows and start on a slack, not
-an artificial.  Pivoting is deterministic and every step (entering column,
-ratio test, rank-1 pivot update) is a fixed sequence of elementwise numpy
-operations, with no BLAS product, so identical inputs produce bit-identical
-solutions.
+an artificial.  Tableau row m is the phase's reduced-cost row, so a pivot is
+one rank-1 update of the whole matrix, with no signed-zero guard.  Every step
+is a fixed sequence of elementwise numpy operations, with no BLAS product, so
+identical inputs produce bit-identical solutions.
 
 Both evidence vectors come from one rule: the row prices are the final
 reduced costs of their phase at each row's initial identity column (its slack
@@ -146,7 +146,7 @@ def format_problem(p: LpProblem) -> str:
 
 
 class _Tableau:
-    """Dense simplex tableau over the standardized system D x = b, x >= 0, b >= 0."""
+    """Dense simplex tableau over D x = b, x >= 0, b >= 0, with the reduced-cost row last."""
 
     def __init__(self, p: LpProblem):
         self.problem = p
@@ -172,39 +172,39 @@ class _Tableau:
 
         n_extra, n_art = int(extra.sum()), int(art.sum())
         total = n_struct + n_extra + n_art
-        T = np.zeros((m, total + 1))
-        T[:, :n_struct] = rows
-        T[:, -1] = rhs
+        T = np.zeros((m + 1, total + 1))  # row m is set by each phase
+        D = T[:m]
+        D[:, :n_struct] = rows
+        D[:, -1] = rhs
 
         # Slack (+1) or surplus (-1) columns, then artificial columns, each in
         # row order.  Identity column per row: the slack for <=, the artificial
         # otherwise; it starts in the basis.
         extra_col = n_struct + np.cumsum(extra) - 1
         art_col = n_struct + n_extra + np.cumsum(art) - 1
-        T[extra, extra_col[extra]] = np.where(le, 1.0, -1.0)[extra]
-        T[art, art_col[art]] = 1.0
+        D[extra, extra_col[extra]] = np.where(le, 1.0, -1.0)[extra]
+        D[art, art_col[art]] = 1.0
         self.identity_col = np.where(le, extra_col, art_col)
         self.basis = self.identity_col.copy()
-        self.art = np.zeros(total, dtype=bool)
-        self.art[art_col[art]] = True
+        self.art = np.arange(total) >= n_struct + n_extra
 
         self.T = T
         self.n_struct = n_struct
 
-    def _pivot(self, row: int, col: int) -> None:
-        T = self.T
-        piv = T[row, col]
-        if abs(piv) < _PIVOT_MIN:
-            raise NumericalInstability(
-                f"pivot magnitude {abs(piv):.3e} below {_PIVOT_MIN}", self.problem
-            )
-        T[row, :] /= piv
-        # Rows with a zero (or -0.0) pivot-column entry are left untouched, as
-        # x - 0*y would turn a stored -0.0 into +0.0.
-        rows = np.flatnonzero(T[:, col])
-        rows = rows[rows != row]
-        T[rows] -= T[rows, col][:, None] * T[row]
-        self.basis[row] = col
+
+def _pivot(tab: _Tableau, row: int, col: int) -> None:
+    """Make ``col`` basic in ``row``: one rank-1 update of every row, row m included."""
+    T = tab.T
+    piv = T[row, col]
+    if abs(piv) < _PIVOT_MIN:
+        raise NumericalInstability(
+            f"pivot magnitude {abs(piv):.3e} below {_PIVOT_MIN}", tab.problem
+        )
+    T[row] /= piv
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= f[:, None] * T[row]
+    tab.basis[row] = col
 
 
 def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
@@ -215,33 +215,27 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
     A row's identity column starts as e_k, so its final reduced cost is
     cost - (c_B B^-1)_k (Chvátal 1983, *Linear Programming*); tau unflips the row.
     """
-    T = tab.T
-    ncols = T.shape[1] - 1
+    T, m = tab.T, tab.basis.size
     # Reduced-cost row: cost minus the basis-weighted tableau rows (summed row
     # by row, not by a BLAS product, so pivots do not depend on the BLAS build).
-    obj = np.append(cost, 0.0) - (cost[tab.basis][:, None] * T).sum(axis=0)
+    T[m] = np.append(cost, 0.0) - (cost[tab.basis][:, None] * T[:m]).sum(axis=0)
     degenerate = 0  # consecutive pivots on a row with rhs 0
     for _ in range(_MAX_ITER):
-        improving = allowed & (obj[:ncols] < -_TOL)
-        if not improving.any():
-            return "optimal", tab.tau * (obj[:ncols] - cost)[tab.identity_col]
-        if degenerate < _STALL:  # Dantzig: most negative reduced cost
-            entering = int(np.argmin(np.where(improving, obj[:ncols], 0.0)))
-        else:  # Bland: lowest index, until a pivot makes progress
-            entering = int(np.argmax(improving))
+        priced = np.where(allowed, T[m, :-1], np.inf)
+        entering = int(np.argmin(priced))  # Dantzig: most negative reduced cost
+        if not priced[entering] < -_TOL:
+            return "optimal", tab.tau * (T[m, :-1] - cost)[tab.identity_col]
+        if degenerate >= _STALL:  # Bland: lowest index, until a pivot makes progress
+            entering = int(np.argmax(priced < -_TOL))
         # Min-ratio test; ties at the minimum ratio go to the smallest basis index.
-        rows = np.flatnonzero(T[:, entering] > _TOL)
-        if rows.size == 0:
+        col = T[:m, entering]
+        positive = col > _TOL
+        if not positive.any():
             return "unbounded", None
-        ratio = T[rows, -1] / T[rows, entering]
-        tied = rows[ratio == ratio.min()]
-        row = int(tied[np.argmin(tab.basis[tied])])
+        ratio = np.divide(T[:m, -1], col, out=np.full(m, np.inf), where=positive)
+        row = int(np.argmin(np.where(ratio == ratio.min(), tab.basis, T.shape[1])))
         degenerate = degenerate + 1 if T[row, -1] == 0.0 else 0
-        tab._pivot(row, entering)
-        # Re-reduce the cost row against the new basic row.
-        coef = obj[entering]
-        if coef != 0.0:
-            obj -= coef * T[row, :]
+        _pivot(tab, row, entering)
     raise NumericalInstability("iteration cap exceeded", tab.problem)
 
 
@@ -256,7 +250,7 @@ def solve(p: LpProblem) -> LpSolution:
         status, prices = _simplex_min(tab, art.astype(float), np.ones(total, dtype=bool))
         if status != "optimal":  # phase 1 is bounded below by 0
             raise NumericalInstability("phase 1 unbounded", p)
-        if float(T[art[tab.basis], -1].sum()) > _TOL:  # phase 1's optimum stays above 0
+        if -T[-1, -1] > _TOL:  # phase 1's optimum (row m's rhs, negated) stays above 0
             y = -prices  # Farkas: -y prices a zero objective
             y.flags.writeable = False
             y = y if check_infeasibility_certificate(p, y) else None
@@ -272,7 +266,7 @@ def solve(p: LpProblem) -> LpSolution:
         return LpSolution(LpStatus.UNBOUNDED)
 
     x_std = np.zeros(total)
-    x_std[tab.basis] = T[:, -1]
+    x_std[tab.basis] = T[:-1, -1]
     # add.at sums unbuffered in column order: 0.0 + x_plus (+ -x_minus), as a loop would.
     x = np.zeros(len(p.objective))
     np.add.at(x, tab.var, tab.sign * x_std[: tab.n_struct])
@@ -292,7 +286,7 @@ def _drive_out_artificials(tab: _Tableau, art: np.ndarray) -> None:
         eligible = ~art & (np.abs(T[i, :-1]) > _TOL)
         pivot_col = int(np.argmax(eligible))
         if eligible[pivot_col]:
-            tab._pivot(int(i), pivot_col)
+            _pivot(tab, int(i), pivot_col)
         else:  # a zero row: no ratio test, pivot or basis read can pick it again
             T[i, :] = 0.0
 

@@ -450,6 +450,11 @@ def test_functional_normalizes_and_validates():
         Functional(np.array([0.0, 0.0]))
 
 
+def test_functional_normalizes_weights_whose_sum_overflows():
+    # 1e308 + 1e308 overflows; the weights are scaled before they are summed.
+    assert Functional([1e308, 1e308]).weights.tolist() == [0.5, 0.5]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_functional_rejects_non_finite_weights(bad):
     with pytest.raises(ValueError, match="weights must be a nonempty finite vector"):

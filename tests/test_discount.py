@@ -242,6 +242,23 @@ def test_scale_monotonicity_detects_violations():
     assert not report.passed
 
 
+@pytest.mark.parametrize(
+    "eta, violations",
+    [
+        (InverseLog(), []),  # eta' < 0: the criterion tends to +inf
+        (TabulatedEta((1.0,), (0.6,)), []),  # eta' = 0: the criterion stays 1
+        (TabulatedEta((1.0, 100.0), (0.1, 10.0)), [(1.0, 10.0, -math.inf)]),
+    ],
+)
+def test_scale_monotonicity_when_the_base_factor_underflows(eta, violations):
+    # exp(-800) underflows to 0.0, so ln D(t) is taken in its limit, -inf.
+    d = ScaleDependent(Exponential(800.0), eta)
+    assert d.base.factor(1.0) == 0.0
+    report = check_scale_monotonicity(d, [1.0], [10.0])
+    assert list(report.violations) == violations
+    assert report.passed == (not violations)
+
+
 def test_scale_monotonicity_rejects_out_of_domain_grid():
     d = ScaleDependent(Exponential(1.0), InverseLog())
     with pytest.raises(DomainError):

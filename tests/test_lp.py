@@ -400,6 +400,36 @@ def test_kernel_agrees_with_reference_on_pinned_corpus():
         _assert_agrees_with_reference(p)
 
 
+def test_carried_reduced_cost_row_matches_the_final_basis(monkeypatch):
+    # Row m of the tableau is the reduced-cost row, updated by every pivot.  At
+    # each optimal phase it must equal cost - c_B B^-1 [D | b], recomputed from
+    # the original standardized system and the final basis.  The bound is
+    # relative to the largest reduced cost, which reaches 3.6e4 on the corpus.
+    real, finals = lp._simplex_min, []
+
+    def simplex_min(tab, cost, allowed):
+        status, prices = real(tab, cost, allowed)
+        if status == "optimal":
+            finals.append((tab.T[-1].copy(), tab.basis.copy(), cost))
+        return status, prices
+
+    monkeypatch.setattr(lp, "_simplex_min", simplex_min)
+    phases = 0
+    for p in _pinned_corpus():
+        finals.clear()
+        try:
+            solve(p)
+        except NumericalInstability:
+            continue
+        system = lp._Tableau(p).T[:-1]
+        for row, basis, cost in finals:
+            prices = np.linalg.solve(system[:, basis].T, cost[basis])
+            reduced = np.append(cost, 0.0) - prices @ system
+            assert np.abs(row - reduced).max() <= 1e-9 * max(1.0, np.abs(reduced).max())
+            phases += 1
+    assert phases > 300
+
+
 def _highs(p):
     """Re-solve p with scipy's HiGHS: (status, optimal value or None), or None if it gives up."""
     linprog = pytest.importorskip("scipy.optimize").linprog
