@@ -401,3 +401,47 @@ def test_module_run_matches_main(capsys):
     )
     assert (proc.returncode, proc.stdout) == (rc, out)
     assert out.count("\n") == 4
+
+
+_ASSESSMENT_SET_ERRORS = {
+    "sure-loss": (
+        'states { labels = ["s1", "s2"] }\nassessments { accepted = [{rewards = [-1, -2]}] }\n',
+        "accepted[0] is everywhere strictly negative: Gamble(s1=-1, s2=-2; w=2)",
+    ),
+    "space-mismatch": (
+        'assessments { accepted = [{states = ["a", "b"], rewards = [1, 1]}, '
+        '{states = ["c", "d"], rewards = [1, 1]}] }\n',
+        "gamble on ('c', 'd') does not live on ('a', 'b')",
+    ),
+    "no-states": (
+        "assessments { accepted = [] }\n",
+        "assessments need a states block or inline gamble states",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "fit"])
+@pytest.mark.parametrize("case", sorted(_ASSESSMENT_SET_ERRORS))
+def test_assessment_set_error_exits_2_with_one_line(capsys, tmp_path, command, case):
+    text, message = _ASSESSMENT_SET_ERRORS[case]
+    cfg = tmp_path / "assessments.conf"
+    cfg.write_text(text)
+    assert run(capsys, command, "--config", str(cfg)) == (2, "", f"error: {message}\n")
+
+
+def test_fit_strict_margin_out_of_range_exits_2(capsys):
+    argv = ("fit", "--config", str(DATA / "check_coherent.conf"), "--strict-margin", "0.5")
+    err = "error: strict margin must lie in (0, 1e-2], got 0.5\n"
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_eval_without_discount_block_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "no_discount.conf"
+    cfg.write_text('schedule "A" { pay = [{amount = 1, t = 0}] }\n')
+    assert run(capsys, "eval", "--config", str(cfg)) == (2, "", "error: no discount block\n")
+
+
+def test_curves_backwards_range_exits_2(capsys):
+    argv = ("curves", "--regime", "hyperbolic", "--k", "1", "--t", "2:1:1")
+    err = "error: malformed range '2:1:1'; need step > 0 and hi >= lo\n"
+    assert run(capsys, *argv) == (2, "", err)

@@ -1,9 +1,11 @@
 """CLI stdout and exit codes replayed against a recorded golden set.
 
-``tests/data/cli_golden.json`` holds the argv, exit code and exact stdout of
-every ``tests/data/*.conf`` under ``eval``, ``scan``, ``check`` and ``fit``
-(each with and without ``--paper-rounding``) and of the ``curves`` sweeps in
-``bench/cli_cases/cases.json``. A refactor must leave every one of them
+``tests/data/cli_golden.json`` holds the argv, exit code, exact stdout and
+error line of every ``tests/data/*.conf`` under ``eval``, ``scan``, ``check``
+and ``fit`` (each with and without ``--paper-rounding``) and of the ``curves``
+sweeps in ``bench/cli_cases/cases.json``. The error line is the stderr line
+that starts with ``error:`` or ``parse error:``, or empty; warnings are left
+out, because they name source paths. A refactor must leave every one of them
 byte-identical. Config paths are stored relative to the repository root.
 
 Regenerate only when an output change is intended, and say so in CHANGES.md::
@@ -23,6 +25,7 @@ from desirables.cli import main
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
+_ERROR_PREFIXES = ("error: ", "parse error: ")
 
 
 def _resolve(argv):
@@ -30,10 +33,11 @@ def _resolve(argv):
 
 
 def _run(argv):
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         rc = main(_resolve(argv))
-    return rc, out.getvalue()
+    lines = err.getvalue().splitlines(keepends=True)
+    return rc, out.getvalue(), "".join(ln for ln in lines if ln.startswith(_ERROR_PREFIXES))
 
 
 def _golden_argvs():
@@ -54,8 +58,7 @@ def _cases():
 
 @pytest.mark.parametrize("case", _cases(), ids=lambda c: " ".join(c["argv"]))
 def test_cli_output_matches_golden(case):
-    rc, out = _run(case["argv"])
-    assert (rc, out) == (case["exit"], case["stdout"])
+    assert _run(case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
 def test_golden_set_covers_every_fixture():
@@ -66,7 +69,7 @@ def test_golden_set_covers_every_fixture():
 if __name__ == "__main__":
     records = []
     for argv in _golden_argvs():
-        rc, out = _run(argv)
-        records.append({"argv": argv, "exit": rc, "stdout": out})
+        rc, out, err = _run(argv)
+        records.append({"argv": argv, "exit": rc, "stdout": out, "stderr": err})
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} cases to {GOLDEN}", file=sys.stderr)

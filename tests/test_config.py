@@ -222,6 +222,32 @@ ETA = (
         ("wealth = 1" + "0" * 400, "wealth must be a finite number"),
         ('discount { kind = "exponential", r = 1e999 }', "r must be a finite number, got inf"),
         ('discount { kind = "hyperbolic", k = 1 }\nscan { shifts = [-1e999] }', "got -inf"),
+        ("states = 3", "states must be a block"),
+        ("assessments = 3", "assessments must be a block"),
+        ('schedule "A" { pay = [1] }', "each payment is a block {amount = ..., t = ...}"),
+        ('schedule "A" { pay = [] }', "pay must show a nonempty list of payments"),
+        (
+            'schedule "A" { pay = [{amount = 1, t = 0, state = 1}] }',
+            "state must be a label string",
+        ),
+        (
+            'states { labels = ["s1", "s2"] }\ngamble { states = ["a", "b"], rewards = [1, 1] }',
+            "gamble states differ from the states block",
+        ),
+        ("gamble { rewards = [1] }", "gamble needs states (inline or via a states block)"),
+        (
+            'discount { kind = "state_dependent", rates = {} }',
+            "rates must be a nonempty block of state = rate",
+        ),
+        ("wealth = 1\nwealth = 2", "duplicate key 'wealth'"),
+        ('utility { kind = "linear" }\nutility { kind = "sqrt" }', "duplicate key 'utility'"),
+        ('utility { kind = "linear", kind = "sqrt" }', "duplicate key 'kind'"),
+        (
+            'schedule = 1\nschedule "A" { pay = [{amount = 1, t = 0}] }',
+            "key 'schedule' mixes labeled and plain forms",
+        ),
+        ("wealth = }", "expected a value, got '}'"),
+        ("scan { shifts = [1 2] }", "expected ',' or ']' in list, got 2"),
     ],
     ids=[
         "phi-table-scalar-x",
@@ -239,6 +265,20 @@ ETA = (
         "int-overflow",
         "float-overflow",
         "shift-overflow",
+        "states-scalar",
+        "assessments-scalar",
+        "payment-scalar",
+        "pay-empty",
+        "payment-state-number",
+        "gamble-states-differ",
+        "gamble-no-states",
+        "rates-empty",
+        "duplicate-assignment",
+        "duplicate-block",
+        "duplicate-block-key",
+        "labeled-and-plain",
+        "missing-value",
+        "list-missing-comma",
     ],
 )
 def test_malformed_values_raise_config_errors_with_position(text, message):
