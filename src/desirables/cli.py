@@ -1,8 +1,9 @@
 """Command-line front end: eval, scan, check, fit, and curves.
 
 Exit codes: 0 ok/coherent, 1 incoherent findings or infeasible fit,
-2 usage/parse/validation errors, 3 domain or runtime errors.  All output is
-UTF-8 with LF line endings; CSV fields containing commas are quoted.
+2 usage/parse/validation errors, 3 domain or runtime errors.  Commands raise;
+``main`` alone turns an exception into an error line and an exit code.  All
+output is UTF-8 with LF line endings; CSV fields containing commas are quoted.
 """
 
 from __future__ import annotations
@@ -35,22 +36,12 @@ def _load_scenario(path: str) -> configmod.Scenario:
     return configmod.build_scenario(configmod.parse(text))
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return _EXIT_USAGE
-
-
-def _runtime_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return _EXIT_RUNTIME
-
-
 def cmd_eval(args) -> int:
     scenario = _load_scenario(args.config)
     if not scenario.schedules:
-        return _usage_error("no schedules")
+        raise ValueError("no schedules")
     if scenario.discount is None:
-        return _usage_error("no discount block")
+        raise ValueError("no discount block")
     rows = []
     for name, sch in scenario.schedules.items():
         try:
@@ -58,7 +49,7 @@ def cmd_eval(args) -> int:
                 scenario.utility, scenario.discount, sch, round_factors=args.paper_rounding
             )
         except DesirablesError as exc:
-            return _runtime_error(f'schedule "{name}" {exc}')
+            raise type(exc)(f'schedule "{name}" {exc}') from None
         rows.append((name, value))
     print("schedule\tvalue")
     for name, value in rows:
@@ -69,22 +60,19 @@ def cmd_eval(args) -> int:
 def cmd_scan(args) -> int:
     scenario = _load_scenario(args.config)
     if scenario.discount is None:
-        return _usage_error("no discount block")
+        raise ValueError("no discount block")
     if scenario.scan_shifts is None or scenario.scan_pair is None:
-        return _usage_error("no scan block")
+        raise ValueError("no scan block")
     name_a, name_b = scenario.scan_pair
-    try:
-        result = reversal_scan(
-            scenario.utility,
-            scenario.discount,
-            scenario.schedules[name_a],
-            scenario.schedules[name_b],
-            scenario.scan_shifts,
-            tol=args.tol,
-            round_factors=args.paper_rounding,
-        )
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    result = reversal_scan(
+        scenario.utility,
+        scenario.discount,
+        scenario.schedules[name_a],
+        scenario.schedules[name_b],
+        scenario.scan_shifts,
+        tol=args.tol,
+        round_factors=args.paper_rounding,
+    )
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["delta", "value_a", "value_b", "preference"])
     for (delta, pref), va, vb in zip(result.trace, result.value_a, result.value_b):
@@ -96,12 +84,15 @@ def cmd_scan(args) -> int:
     return _EXIT_OK
 
 
-def _assessment_set(scenario) -> AssessmentSet:
+def _assessment_set(args) -> AssessmentSet:
+    scenario = _load_scenario(args.config)
+    if not scenario.has_assessments:
+        raise ValueError("no assessments block")
     space = scenario.states
     if space is None and scenario.assessments_accepted:
         space = scenario.assessments_accepted[0].space
     if space is None:
-        raise ConfigError("assessments need a states block or inline gamble states")
+        raise ValueError("assessments need a states block or inline gamble states")
     return AssessmentSet(
         space=space,
         utility=scenario.utility,
@@ -111,14 +102,7 @@ def _assessment_set(scenario) -> AssessmentSet:
 
 
 def cmd_check(args) -> int:
-    scenario = _load_scenario(args.config)
-    if not scenario.has_assessments:
-        return _usage_error("no assessments block")
-    try:
-        aset = _assessment_set(scenario)
-    except (ValueError, SpaceMismatch, ConfigError) as exc:
-        return _usage_error(str(exc))
-    findings = audit(aset)
+    findings = audit(_assessment_set(args))
     if not findings:
         print("coherent")
         return _EXIT_OK
@@ -128,17 +112,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    scenario = _load_scenario(args.config)
-    if not scenario.has_assessments:
-        return _usage_error("no assessments block")
-    try:
-        aset = _assessment_set(scenario)
-    except (ValueError, SpaceMismatch, ConfigError) as exc:
-        return _usage_error(str(exc))
-    try:
-        result = fit_functional(aset, strict_margin=args.strict_margin)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    aset = _assessment_set(args)
+    result = fit_functional(aset, strict_margin=args.strict_margin)
     if isinstance(result, Functional):
         print("state\tweight")
         for label, w in zip(aset.space.labels, result.weights):
@@ -235,20 +210,17 @@ def _fill(block: dict, params: dict) -> dict:
 def cmd_curves(args) -> int:
     regime = args.regime
     wanted, block = _CURVE_PARAMS[regime]
-    try:
-        times = _parse_range(args.t)
-        supplied = {
-            name: None if getattr(args, name) is None else _parse_range(getattr(args, name))
-            for name in _SWEPT
-        }
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    times = _parse_range(args.t)
+    supplied = {
+        name: None if getattr(args, name) is None else _parse_range(getattr(args, name))
+        for name in _SWEPT
+    }
     for name in wanted:
         if supplied[name] is None:
-            return _usage_error(f"regime {regime!r} needs --{name}")
+            raise ValueError(f"regime {regime!r} needs --{name}")
     for name, value in supplied.items():
         if value is not None and name not in wanted:
-            return _usage_error(f"regime {regime!r} does not use --{name}")
+            raise ValueError(f"regime {regime!r} does not use --{name}")
 
     grids = [supplied[name] for name in wanted]
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -263,8 +235,8 @@ def cmd_curves(args) -> int:
             factors = spec.factor(delays, params.get("x")).tolist()
             for t, factor in zip(times, factors):
                 writer.writerow([regime, label, f"{t:g}", f"{factor:.10g}"])
-    except ConfigError as exc:
-        return _usage_error(str(exc))
+    except ConfigError as exc:  # the user wrote no config here: not a parse error
+        raise ValueError(str(exc)) from None
     return _EXIT_OK
 
 
@@ -331,10 +303,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        message, code = f"parse error: {exc}", _EXIT_USAGE
+    except (ValueError, SpaceMismatch) as exc:  # bad arguments or assessments
+        message, code = f"error: {exc}", _EXIT_USAGE
     except DesirablesError as exc:
-        return _runtime_error(str(exc))
+        message, code = f"error: {exc}", _EXIT_RUNTIME
+    print(message, file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:
