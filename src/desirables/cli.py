@@ -31,7 +31,7 @@ def _load_scenario(path: str) -> configmod.Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     return configmod.build_scenario(configmod.parse(text))
 

@@ -328,6 +328,16 @@ def test_missing_config_file(capsys):
     assert "cannot read config" in err
 
 
+@pytest.mark.parametrize("command", ["eval", "scan", "check", "fit"])
+def test_config_that_is_not_utf8_is_a_read_error(capsys, tmp_path, command):
+    cfg = tmp_path / "latin.conf"
+    cfg.write_bytes(b'# \xff\xfe\ndiscount { kind = "exponential", r = 0.1 }\n')
+    rc, out, err = run(capsys, command, "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err.startswith("parse error: cannot read config: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_without_command(capsys):
     assert main([]) == 2
 
