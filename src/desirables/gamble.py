@@ -109,14 +109,18 @@ def transform(u: Utility, f: Gamble) -> np.ndarray:
     wealth-shifted rewards, u(w + f(s)) - u(w), which restores u(0) = 0 and
     preserves monotonicity while keeping losses within the wealth bank.  The
     array ``eval`` may differ from per-state scalar ``eval`` by a few ulps (see
-    :mod:`desirables._backend`).  A DomainError names the first failing state.
+    :mod:`desirables._backend`).  A DomainError (a reward outside u's domain,
+    or a utility that is not finite) names the first failing state.
     """
     try:
         return _utility(u, f.rewards, f.wealth_floor)
-    except DomainError as exc:
-        x = f.rewards + (f.wealth_floor if u.needs_wealth_shift else 0.0)
-        label = f.space.labels[int(np.argmin(x > u.domain_lo))]
-        raise DomainError(f"state {label!r}: {exc}") from None
+    except DomainError:
+        for label, reward in zip(f.space.labels, f.rewards.tolist()):
+            try:
+                _utility(u, reward, f.wealth_floor)
+            except DomainError as exc:
+                raise DomainError(f"state {label!r}: {exc}") from None
+        raise
 
 
 def u_convex_combine(u: Utility, f: Gamble, g: Gamble, lam: float, mu: float) -> Gamble:

@@ -32,8 +32,7 @@ __all__ = [
     "audit_admissibility",
 ]
 
-# Bisection fallback: absolute tolerance on the utility value and iteration cap.
-_BISECT_TOL = 1e-12
+# Iteration cap of the bisection fallback.
 _BISECT_MAX_ITER = 200
 
 
@@ -52,15 +51,24 @@ class Utility:
     def eval(self, x):
         """Utility of reward ``x``, elementwise when ``x`` is a numpy array.
 
-        Raises DomainError when x <= domain_lo, naming the first such reward
-        (row-major) of an array.
+        Raises DomainError when x <= domain_lo or when u(x) overflows or is
+        not finite, naming the first such reward (row-major) of an array.
         """
         if type(x) is not float and isinstance(x, np.ndarray):
             x = x.astype(float, copy=False)
             check_each(self._check_domain, x, x > self.domain_lo)
-            return self._eval(x, GRID)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = self._eval(x, GRID)
+            check_each(self._not_finite, x, np.isfinite(v))
+            return v
         self._check_domain(x)
-        return self._eval(x)
+        try:
+            v = self._eval(x)
+        except OverflowError:
+            self._not_finite(x)
+        if not math.isfinite(v):
+            self._not_finite(x)
+        return v
 
     def inverse(self, v: float) -> float:
         """Reward whose utility equals ``v``.  Raises ImageError when v is not attained."""
@@ -72,6 +80,9 @@ class Utility:
             raise DomainError(
                 f"{self.kind}: reward {x!r} outside domain x > {self.domain_lo!r}"
             )
+
+    def _not_finite(self, x: float) -> None:
+        raise DomainError(f"{self.kind}: utility of reward {x!r} is not finite")
 
     def _check_image(self, v: float) -> None:
         if not v > self.image_lo:
@@ -275,8 +286,9 @@ class Composed(Utility):
     """Composition phi(base(x)) of an increasing phi with phi(0) = 0 over a base utility.
 
     ``inverse`` solves phi(w) = v for w by bracketed bisection (bracket
-    expansion, 1e-12 absolute tolerance, 200 iterations) and then applies the
-    base's closed-form inverse.
+    expansion, then halving until the bracket is at most 1e-14 * max(1, |w|)
+    wide, at most 200 halvings) and then applies the base's closed-form
+    inverse.
     """
 
     base: Utility
@@ -362,7 +374,8 @@ def audit_admissibility(
     """Audit strict monotonicity, zero normalization, and image convexity on a grid.
 
     The default window is (domain_lo + 0.01, 100), or [-100, 100] when the
-    domain is unbounded below.  Failures are reported, never raised.
+    domain is unbounded below.  Failures are reported, never raised; a
+    utility that is not finite on the grid raises DomainError, as ``eval`` does.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")

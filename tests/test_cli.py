@@ -455,3 +455,44 @@ def test_curves_backwards_range_exits_2(capsys):
     argv = ("curves", "--regime", "hyperbolic", "--k", "1", "--t", "2:1:1")
     err = "error: malformed range '2:1:1'; need step > 0 and hi >= lo\n"
     assert run(capsys, *argv) == (2, "", err)
+
+
+_OVERFLOW = (
+    'utility { kind = "composed", base = {kind = "linear"}, phi = {form = "power", p = 400} }\n'
+    'discount { kind = "exponential", r = 0.1 }\n'
+    'states { labels = ["s1", "s2"] }\n'
+    'schedule "A" { pay = [{amount = 1, t = 0}, {amount = 10, t = 0}] }\n'
+    'schedule "B" { pay = [{amount = 1, t = 1}] }\n'
+    "scan { shifts = [0, 1] }\n"
+    "assessments { accepted = [{rewards = [1, 10]}] }\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        ("eval", 'schedule "A" payment 1 (amount=10, t=0)'),
+        ("scan", "payment 1 (amount=10, t=0)"),
+        ("check", "state 's2'"),
+        ("fit", "state 's2'"),
+    ],
+)
+def test_utility_overflow_exits_3_naming_where(capsys, tmp_path, command, where):
+    cfg = tmp_path / "overflow.conf"
+    cfg.write_text(_OVERFLOW)
+    err = f"error: {where}: composed: utility of reward 10.0 is not finite\n"
+    assert run(capsys, command, "--config", str(cfg)) == (3, "", err)
+
+
+def test_eval_rejects_an_infinite_value(capsys, tmp_path):
+    cfg = tmp_path / "poly.conf"
+    cfg.write_text(
+        'utility { kind = "composed", base = {kind = "linear"}, '
+        "phi = {form = \"poly\", coeffs = [0, 1e300, 1e300]} }\n"
+        'discount { kind = "exponential", r = 0.1 }\n'
+        'schedule "A" { pay = [{amount = 1e10, t = 0}] }\n'
+    )
+    rc, out, err = run(capsys, "eval", "--config", str(cfg))
+    assert (rc, out) == (3, "")
+    assert err.startswith('error: schedule "A" payment 0') and err.endswith("is not finite\n")
+    assert err.count("\n") == 1

@@ -13,6 +13,7 @@ from desirables import (
     Linear,
     LogShift,
     PhiPoly,
+    PhiPower,
     PhiScale,
     PhiTable,
     PowerDiscounted,
@@ -91,6 +92,13 @@ def test_transform_examples():
 def test_transform_names_offending_state():
     with pytest.raises(DomainError, match="s2"):
         transform(LogShift(), G(5.0, -2.0, w=3.0))
+
+
+@pytest.mark.parametrize("base", [Linear(), PowerDiscounted(0.0)], ids=["plain", "wealth-shift"])
+def test_transform_names_the_state_whose_utility_overflows(base):
+    u = Composed(base, PhiPower(400.0))
+    with pytest.raises(DomainError, match=r"^state 's2': composed: utility of reward 1\d\.0 is"):
+        transform(u, G(1.0, 10.0))
 
 
 def test_transform_wealth_shift_for_positive_domain_kinds():

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -213,3 +215,22 @@ def test_array_eval_names_first_reward_outside_domain():
         Sqrt().eval(x)
     with pytest.raises(DomainError, match=r"reward nan outside"):
         LogShift().eval(np.array([1.0, math.nan, -2.0]))
+
+
+@pytest.mark.parametrize(
+    "u, x",
+    [
+        (Composed(Linear(), PhiPower(400.0)), 10.0),  # the float power raises OverflowError
+        (Composed(Linear(), PhiPoly((0.0, 1e300, 1e300))), 1e10),  # the sum reaches inf
+    ],
+    ids=["power", "poly"],
+)
+def test_eval_rejects_a_utility_that_is_not_finite(u, x):
+    message = f"composed: utility of reward {x!r} is not finite"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        u.eval(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        with pytest.raises(DomainError, match=re.escape(message)):
+            u.eval(np.array([[1.0, 2.0], [x, 1.0]]))
+    assert u.eval(np.array([1.0, 2.0])).tolist() == [u.eval(1.0), u.eval(2.0)]
