@@ -97,7 +97,7 @@ class AssessmentSet:
         return U
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Functional:
     """A nonnegative, not-all-zero weight vector, stored normalized to unit l1 norm."""
 
@@ -125,7 +125,7 @@ class Functional:
         return bool(np.array_equal(self.weights, other.weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AcceptanceDecision:
     """Outcome of a natural-extension query.
 
@@ -186,7 +186,7 @@ def accepts(a: AssessmentSet, g: Gamble) -> bool:
     return accept_decision(a, g).accepted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialLossReport:
     """Result of the sure-loss search; ``witness`` combines generators into a loss."""
 

@@ -608,3 +608,19 @@ def test_power_discounted_acceptance_uses_wealth_shift():
     aset = AssessmentSet(S2, u, (Gamble(S2, [1.0, -0.5], wealth_floor=2.0),))
     assert accepts(aset, Gamble(S2, [0.0, 0.0], wealth_floor=2.0))
     assert accepts(aset, Gamble(S2, [2.0, -1.0], wealth_floor=2.0)) in (True, False)
+
+
+def test_result_records_compare_by_identity_and_functional_by_value():
+    # Generated == on records that hold arrays would raise; these compare by identity.
+    records = [
+        coherence.AcceptanceDecision(True, 1.0, witness=np.array([1.0, 2.0])),
+        coherence.PartialLossReport(False, 0.5, witness=np.array([1.0, 2.0])),
+        lp.LpSolution(lp.LpStatus.OPTIMAL, x=np.array([1.0, 2.0]), value=1.0),
+    ]
+    for record in records:
+        twin = type(record)(**vars(record))
+        assert record == record and record != twin
+        assert len({record, twin}) == 2  # hashed by identity
+    assert Functional([1.0, 1.0]) == Functional([2.0, 2.0])
+    with pytest.raises(TypeError, match="unhashable type: 'Functional'"):
+        hash(Functional([1.0, 1.0]))
