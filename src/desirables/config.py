@@ -7,7 +7,7 @@ Grammar (informal)::
                | IDENT '=' value          # top-level assignment, e.g. wealth = 10000
     block     := '{' item* '}'
     item      := IDENT '=' value [',']
-               | IDENT STRING? block [',']
+               | IDENT block [',']        # no label inside a block
     value     := NUMBER | STRING | 'true' | 'false' | list | block
     list      := '[' [value (',' value)* [',']] ']'
 
