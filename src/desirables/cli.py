@@ -44,12 +44,9 @@ def cmd_eval(args) -> int:
         raise ValueError("no discount block")
     rows = []
     for name, sch in scenario.schedules.items():
-        try:
-            value = schedule_value(
-                scenario.utility, scenario.discount, sch, round_factors=args.paper_rounding
-            )
-        except DesirablesError as exc:
-            raise type(exc)(f'schedule "{name}" {exc}') from None
+        value = schedule_value(
+            scenario.utility, scenario.discount, sch, round_factors=args.paper_rounding
+        )
         rows.append((name, value))
     print("schedule\tvalue")
     for name, value in rows:

@@ -4,8 +4,9 @@ Two acceptance semantics are exposed and cross-checked rather than collapsed:
 
 * :func:`accepts` decides the natural extension of finitely many accepted
   generators: g is accepted iff u(g) componentwise dominates some conic
-  combination of the transformed generators (decided by an LP with a
-  margin-maximizing objective, tolerance 1e-9).
+  combination of the transformed generators (decided by a margin-maximizing
+  LP, shifted so that it starts feasible on its slack basis and the simplex
+  runs no phase 1; tolerance 1e-9).
 * :func:`rho` evaluates the representation semantics: a nonnegative weight
   vector ell with acceptance iff rho = ell . u(g) >= 0.
 
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .errors import SpaceMismatch
-from .gamble import Gamble, StateSpace, dominates, transform
+from .errors import NumericalInstability, SpaceMismatch
+from .gamble import Gamble, StateSpace, transform
 from .utility import Utility
 
 __all__ = [
@@ -150,20 +151,34 @@ def _check_query(a: AssessmentSet, g: Gamble) -> None:
 
 
 def accept_decision(a: AssessmentSet, g: Gamble) -> AcceptanceDecision:
-    """Decide acceptance of ``g`` by LP over the transformed cone, with evidence."""
-    _check_query(a, g)
-    U = a.transformed_generators()
-    c = transform(a.utility, g)
-    m, n = U.shape
+    """Decide acceptance of ``g`` by LP over the transformed cone, with evidence.
 
-    # maximize s subject to U lam + s <= c, lam >= 0, s <= 1 (cap keeps it bounded).
+    The margin LP, maximize s s.t. U lam + s <= c, s <= 1, lam >= 0 with
+    c = u(g), is solved shifted by s0 = min(min(c), 1): maximize d s.t.
+    U lam + d <= c - s0, d <= 1 - s0, lam, d >= 0, and s = s0 + d.  Every rhs
+    is >= 0, so the kernel starts on its slack basis with no phase 1 (d = 0
+    is feasible, so d >= 0 cuts off nothing); matrix and objective are
+    unshifted, so the duals are those of the unshifted LP.
+    """
+    _check_query(a, g)
+    return _margin_lp(a.transformed_generators(), transform(a.utility, g))
+
+
+def _margin_lp(U: np.ndarray, c: np.ndarray) -> AcceptanceDecision:
+    """accept_decision's shifted margin LP for the query column c over the generator columns U."""
+    m, n = U.shape
+    s0 = min(float(c.min()), 1.0)
+    try:
+        with np.errstate(over="raise"):
+            rhs = np.append(c - s0, 1.0 - s0)
+    except FloatingPointError:
+        raise NumericalInstability(f"margin LP rhs u(g) - {s0:g} overflows") from None
     objective = np.append(np.zeros(n), 1.0)  # also the cap row
     rows = np.vstack([np.column_stack([U, np.ones(m)]), objective])
-    bounds = np.append(np.zeros(n), -math.inf)
-    sol = lp.solve(lp.LpProblem(objective, rows, (lp.LE,) * (m + 1), np.append(c, 1.0), bounds))
+    sol = lp.solve(lp.LpProblem(objective, rows, (lp.LE,) * (m + 1), rhs))
     if sol.status is not lp.LpStatus.OPTIMAL:
         raise AssertionError(f"margin LP cannot be {sol.status}")
-    margin = float(sol.value)
+    margin = s0 + float(sol.value)
     if margin >= -_TOL:
         witness = np.array(sol.x[:n])
         witness.flags.writeable = False
@@ -171,7 +186,7 @@ def accept_decision(a: AssessmentSet, g: Gamble) -> AcceptanceDecision:
 
     # Rejected: the duals of the state rows, l1-normalized, are the certificate
     # (the cap row is slack, so its dual is 0).  The kernel checked their signs
-    # and b . y = margin within its tolerance, which does not imply c . y < 0.
+    # and b . y = value within its tolerance, which does not imply c . y < 0.
     if sol.y is None:
         return AcceptanceDecision(False, margin)
     y = sol.y[:m]
@@ -391,18 +406,15 @@ def audit(a: AssessmentSet) -> tuple[Finding, ...]:
                 f"combination={_fmt_vec(loss.combination)}",
             )
         )
-    flagged: set[int] = set()
-    for j, g in enumerate(a.rejected):
-        for i, f in enumerate(a.accepted):
-            if dominates(g, f):
-                flagged.add(j)
-                findings.append(
-                    Finding("F2", f"rejected[{j}] dominates accepted[{i}]")
-                )
-    for j, g in enumerate(a.rejected):
-        if j in flagged:
-            continue
-        decision = accept_decision(a, g)
+    # F2, weak dominance of rejected[j] over accepted[i], as one r x n x m comparison.
+    R = np.array([g.rewards for g in a.rejected]).reshape(-1, a.space.m)
+    A = np.array([g.rewards for g in a.accepted]).reshape(-1, a.space.m)
+    dominated = (R[:, None, :] >= A[None, :, :]).all(axis=2)
+    for j, i in np.argwhere(dominated).tolist():
+        findings.append(Finding("F2", f"rejected[{j}] dominates accepted[{i}]"))
+    U, UR = a.transformed_generators(), a.transformed_rejected()
+    for j in np.flatnonzero(~dominated.any(axis=1)).tolist():
+        decision = _margin_lp(U, UR[:, j])
         if decision.accepted:
             findings.append(
                 Finding(

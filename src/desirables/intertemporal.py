@@ -99,7 +99,8 @@ def schedule_value(
     """Sum of per-payment effective utilities, invariant to payment order.
 
     An error in a payment is re-raised as the same type, its message prefixed
-    with ``payment {i} (amount=..., t=...)``.
+    with ``payment {i} (amount=..., t=...)``, and before that with
+    ``schedule "{label}"`` when the schedule has a label.
     """
     if not uses_states(d) and any(p.state is not None for p in sch.payments):
         warnings.warn(
@@ -114,7 +115,10 @@ def schedule_value(
                 effective_utility(u, d, p.amount, p.time, p.state, round_factors=round_factors)
             )
         except DesirablesError as exc:
-            raise type(exc)(f"payment {i} (amount={p.amount:g}, t={p.time:g}): {exc}") from None
+            where = f'schedule "{sch.label}" ' if sch.label else ""
+            raise type(exc)(
+                f"{where}payment {i} (amount={p.amount:g}, t={p.time:g}): {exc}"
+            ) from None
     return sum(values)
 
 

@@ -240,7 +240,19 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray):
 
 
 def solve(p: LpProblem) -> LpSolution:
-    """Solve the LP; returns Optimal(x, value, y), Infeasible(certificate), or Unbounded."""
+    """Solve the LP; returns Optimal(x, value, y), Infeasible(certificate), or Unbounded.
+
+    Tableau arithmetic that overflows or turns invalid (inf - inf, 0 * inf)
+    raises NumericalInstability instead of solving on inf or NaN.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _solve(p)
+    except FloatingPointError as exc:
+        raise NumericalInstability(f"tableau arithmetic failed: {exc}", p) from None
+
+
+def _solve(p: LpProblem) -> LpSolution:
     tab = _Tableau(p)
     T = tab.T
     total = T.shape[1] - 1

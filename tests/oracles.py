@@ -13,7 +13,10 @@ duals and certificates before the kernel checked them itself; they build LP
 problems but solve none.  :func:`bland_solve` is the kernel's solve path as
 it was under Bland's entering rule (it shares the kernel's problem type and
 checks), kept as the reference that the current pricing rule is compared
-against.
+against.  :func:`unshifted_margin_lp` is the natural extension's margin LP as
+it was posed before it was shifted to start feasible (a free margin, solved
+through phase 1 by the kernel), and :func:`audit_by_dominates` the audit with
+F2 decided by one ``dominates`` call per pair and F3 by ``accept_decision``.
 """
 
 import itertools
@@ -23,6 +26,7 @@ import numpy as np
 
 from desirables import (
     AssessmentSet,
+    Finding,
     DomainError,
     Functional,
     Gamble,
@@ -35,6 +39,9 @@ from desirables import (
     schedule_value,
     shift_schedule,
     Utility,
+    accept_decision,
+    check_partial_loss,
+    dominates,
 )
 from desirables import lp
 from desirables.gamble import _check_same_space
@@ -338,6 +345,46 @@ def cut_problem_check(problem, y):
     cut_rows = np.vstack([rows, objective])
     cut = lp.LpProblem(objective, cut_rows, relations + (lp.GE,), np.append(rhs, -_TOL), bounds)
     return farkas_check(cut, np.append(-y, 1.0))
+
+
+def unshifted_margin_lp(U, c):
+    """(margin, witness, state-row duals) of max s : U lam + s <= c, s <= 1, lam >= 0, s free.
+
+    The witness and duals are None when the kernel returns none.
+    """
+    m, n = U.shape
+    objective = np.append(np.zeros(n), 1.0)
+    rows = np.vstack([np.column_stack([U, np.ones(m)]), objective])
+    bounds = np.append(np.zeros(n), -math.inf)
+    sol = lp.solve(lp.LpProblem(objective, rows, (lp.LE,) * (m + 1), np.append(c, 1.0), bounds))
+    assert sol.status is lp.LpStatus.OPTIMAL, sol.status
+    return float(sol.value), sol.x[:n], None if sol.y is None else sol.y[:m]
+
+
+def audit_by_dominates(a):
+    """The F1-F3 findings, with F2 as a loop of ``dominates`` over (rejected, accepted) pairs."""
+    findings = []
+    loss = check_partial_loss(a)
+    if not loss.avoids:
+        findings.append(
+            Finding("F1", f"witness lambda={_fmt(loss.witness)} combination={_fmt(loss.combination)}")
+        )
+    flagged = set()
+    for j, g in enumerate(a.rejected):
+        for i, f in enumerate(a.accepted):
+            if dominates(g, f):
+                flagged.add(j)
+                findings.append(Finding("F2", f"rejected[{j}] dominates accepted[{i}]"))
+    for j, g in enumerate(a.rejected):
+        decision = None if j in flagged else accept_decision(a, g)
+        if decision is not None and decision.accepted:
+            detail = f"rejected[{j}] lies in the accepted cone, witness lambda={_fmt(decision.witness)}"
+            findings.append(Finding("F3", detail))
+    return tuple(findings)
+
+
+def _fmt(v):
+    return "[" + ", ".join(f"{x:.6g}" for x in np.asarray(v)) + "]"
 
 
 # -- Reference Bland kernel -------------------------------------------------

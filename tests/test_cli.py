@@ -169,6 +169,12 @@ def test_check_coherent_fixture(capsys):
     assert "coherent" in out
 
 
+def test_check_overflowing_tableau_exits_3(capsys):
+    rc, out, err = run(capsys, "check", "--config", str(DATA / "check_overflow.conf"))
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: tableau arithmetic failed: overflow") and err.count("\n") == 1
+
+
 def test_check_incoherent_fixture_reports_f1(capsys):
     rc, out, _ = run(capsys, "check", "--config", str(DATA / "check_incoherent.conf"))
     assert rc == 1
@@ -472,7 +478,7 @@ _OVERFLOW = (
     "command, where",
     [
         ("eval", 'schedule "A" payment 1 (amount=10, t=0)'),
-        ("scan", "payment 1 (amount=10, t=0)"),
+        ("scan", 'schedule "A" payment 1 (amount=10, t=0)'),
         ("check", "state 's2'"),
         ("fit", "state 's2'"),
     ],

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from desirables import (
     AssessmentSet,
@@ -15,6 +15,7 @@ from desirables import (
     Infeasible,
     Linear,
     LogShift,
+    NumericalInstability,
     PowerDiscounted,
     SpaceMismatch,
     Sqrt,
@@ -38,6 +39,7 @@ from desirables import coherence, lp
 
 from helpers import random_assessment, random_gamble, random_query, utility_zoo
 from oracles import (
+    audit_by_dominates,
     cut_problem_check,
     farkas_check,
     farkas_verdict,
@@ -45,6 +47,7 @@ from oracles import (
     greedy_conflict,
     grid_witness,
     inline_accept_check,
+    unshifted_margin_lp,
 )
 
 S2 = StateSpace(("s1", "s2"))
@@ -624,3 +627,99 @@ def test_result_records_compare_by_identity_and_functional_by_value():
     assert Functional([1.0, 1.0]) == Functional([2.0, 2.0])
     with pytest.raises(TypeError, match="unhashable type: 'Functional'"):
         hash(Functional([1.0, 1.0]))
+
+
+def _linear_query(accepted, query):
+    """(assessment set, query gamble) under linear utility, from reward lists."""
+    aset = assessment_on(len(query), Linear(), accepted, [])
+    return aset, Gamble(aset.space, query)
+
+
+@st.composite
+def _margin_queries(draw):
+    """Linear sets of up to 6 generators, queried above the cap, below 0, mixed, or in the cone."""
+    m = draw(st.integers(1, 5))
+    tenths = st.integers(-20, 20).map(lambda k: k / 10)
+    vec = st.lists(tenths, min_size=m, max_size=m)
+    accepted = [f for f in draw(st.lists(vec, max_size=6)) if max(f) >= 0]
+    kind = draw(st.sampled_from(("above_cap", "negative", "mixed", "cone")))
+    if kind == "cone" and accepted:  # a multiple of a generator: in the cone, often on its boundary
+        f = draw(st.sampled_from(accepted))
+        query = [draw(st.sampled_from((1, 2, 3))) * x for x in f]
+    else:
+        entries = {"above_cap": st.integers(11, 30), "negative": st.integers(-20, -1)}
+        query = draw(st.lists(entries.get(kind, st.integers(-20, 20)), min_size=m, max_size=m))
+        query = [k / 10 for k in query]
+    return _linear_query(accepted, query)
+
+
+def _highs_margin(U, c):
+    """HiGHS: max s s.t. U lam + s <= c, s <= 1, lam >= 0, s free."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = U.shape
+    cap = np.append(np.zeros(n), 1.0)
+    res = linprog(
+        -cap,
+        A_ub=np.vstack([np.column_stack([U, np.ones(m)]), cap]),
+        b_ub=np.append(c, 1.0),
+        bounds=[(0, None)] * n + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_margin_queries())
+@example(_linear_query([[1, -1]], [2, -2]))  # g = 2f on the cone's boundary: margin 0
+@example(_linear_query([[1, -1], [0, 1]], [1.5, 2.5]))  # every entry above 1: the cap binds
+@example(_linear_query([[1, -1]], [-1, -0.5]))  # every entry negative
+@example(_linear_query([[1, -1], [-1, 2]], [-1, 0.5]))  # mixed signs
+@example(_linear_query([], [0.5, -0.5]))  # no generators
+@example(_linear_query([], [0.0, 3.0]))  # no generators, margin 0
+def test_shifted_margin_lp_matches_the_unshifted_lp_and_highs(case):
+    aset, g = case
+    decision = accept_decision(aset, g)
+    U, c = aset.transformed_generators(), transform(aset.utility, g)
+    margin, _, _ = unshifted_margin_lp(U, c)
+    highs, tol = _highs_margin(U, c), lp._CHECK_TOL
+    assert abs(decision.margin - margin) <= tol and abs(decision.margin - highs) <= tol
+    assert decision.accepted == (margin >= -1e-9) == (highs >= -1e-9)
+    if decision.accepted:
+        assert np.all(U @ decision.witness + decision.margin <= c + tol)
+    else:
+        y = decision.certificate
+        assert y is not None
+        assert y.min() >= -tol and (U.T @ y).min(initial=0.0) >= -tol and c @ y < 0
+
+
+def test_margin_lp_rhs_overflow_is_a_numerical_instability():
+    # c - min(c) overflows for u(g) = (1e308, -1e308); it must not reach LpProblem's ValueError.
+    aset, g = _linear_query([[1, 0]], [1e308, -1e308])
+    with pytest.raises(NumericalInstability, match="overflows"):
+        accept_decision(aset, g)
+
+
+def test_audit_of_an_overflowing_tableau_is_a_numerical_instability():
+    aset = assessment_on(2, Linear(), [[1e308, -1e308], [-1e308, 1e308]], [[1e308, 1e308]])
+    with pytest.raises(NumericalInstability, match="^tableau arithmetic failed: overflow"):
+        audit(aset)
+
+
+@st.composite
+def _audit_sets(draw):
+    """Linear sets over the rewards -1, 0, 1, 2, so equal rewards (weak dominance) are common."""
+    m = draw(st.integers(1, 4))
+    vec = st.lists(st.sampled_from((-1.0, 0.0, 1.0, 2.0)), min_size=m, max_size=m)
+    accepted = [f for f in draw(st.lists(vec, max_size=5)) if max(f) >= 0]
+    return assessment_on(m, Linear(), accepted, draw(st.lists(vec, max_size=4)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_audit_sets())
+@example(assessment_on(2, Linear(), [[1, 0], [0, 1]], []))  # no rejected gambles
+@example(assessment_on(2, Linear(), [], [[1, 0], [-1, 0]]))  # no accepted gambles
+@example(assessment_on(2, Linear(), [[1, 0], [1, 0], [2, -2]], [[1, 0], [1, -1], [-1, 2]]))
+def test_audit_matches_the_dominates_loop(aset):
+    # F2 findings in (rejected, accepted) order; F3 skips every F2-flagged gamble.
+    assert audit(aset) == audit_by_dominates(aset)

@@ -244,6 +244,15 @@ def test_kernel_error_is_one_line_and_carries_the_problem():
     assert "row 0:" in format_problem(info.value.problem)
 
 
+def test_overflowing_tableau_raises_numerical_instability():
+    # The partial-loss LP of generators (1e308, -1e308) and (-1e308, 1e308).
+    rows = [((1e308, -1e308, 1.0), "<=", 0.0), ((-1e308, 1e308, 1.0), "<=", 0.0)]
+    p = P((0.0, 0.0, 1.0), rows + [((1.0, 1.0, 0.0), "<=", 1.0)])
+    with pytest.raises(NumericalInstability, match="^tableau arithmetic failed: overflow") as info:
+        solve(p)
+    assert info.value.problem is p
+
+
 def test_ratio_tie_goes_to_smallest_basis_index():
     # Reference kernel.  Phase 1 enters x1; rows 1 and 2 tie at ratio 3.  Row
     # 1's basic column is its artificial (index 5), row 2's is its slack
