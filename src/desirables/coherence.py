@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -246,9 +247,9 @@ class Infeasible:
 
     Entries are ("accepted", i) or ("rejected", j) indices into the assessment
     set, found by greedy single-constraint deletion in input order; constraints
-    with a zero entry in the last evidence (a Farkas certificate, or duals that
-    bound the margin below zero, both checked by the LP kernel) are dropped
-    without a solve.
+    with a zero entry in the last evidence (a Farkas certificate of the
+    eliminated fit LP, or duals y whose shifted bound L + b . y puts the margin
+    below zero, both checked by the LP kernel) are dropped without a solve.
     """
 
     conflict: tuple[tuple[str, int], ...]
@@ -259,21 +260,24 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
 
     Searches w >= 0, sum w = 1 with w . u(f_i) >= 0 on every accepted f_i and
     w . u(g_j) <= -strict_margin on every rejected g_j, maximizing the minimum
-    accepted margin.  With finitely many assessments the compatible weights
-    form a polytope; the returned element is the margin maximizer, with no
-    uniqueness claim.
+    accepted margin t (capped at 1 when no accepted gamble is active).  With
+    finitely many assessments the compatible weights form a polytope; the
+    returned element is the margin maximizer, with no uniqueness claim.
+
+    The LP is solved with w_k = 1 - sum of the other weights eliminated and
+    t = L + d shifted by L = min(min u(f_i), 0), so it has no equality row and
+    no free variable, and every accepted row starts on a slack (see
+    :func:`_fit_rows`); k and L are fixed once per call, so the conflict
+    search's trials take subsets of one row block.
     """
     if not 0 < strict_margin <= 1e-2:
         raise ValueError(f"strict margin must lie in (0, 1e-2], got {strict_margin!r}")
-    UA, UR = a.transformed_generators(), a.transformed_rejected()
-    labels = [("accepted", i) for i in range(UA.shape[1])]
-    labels += [("rejected", j) for j in range(UR.shape[1])]
-
-    def attempt(active: list[tuple[str, int]]):
-        return _fit_lp(a.space.m, UA, UR, active, strict_margin)
+    fit = _fit_rows(a.transformed_generators(), a.transformed_rejected(), strict_margin)
+    labels = [("accepted", i) for i in range(len(a.accepted))]
+    labels += [("rejected", j) for j in range(len(a.rejected))]
 
     active = list(labels)
-    result, droppable = attempt(active)
+    result, droppable = _fit_lp(fit, active)
     if result is not None:
         return result
 
@@ -284,7 +288,7 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
         if constraint in droppable:
             active = trial
             continue
-        result, evidence = attempt(trial)
+        result, evidence = _fit_lp(fit, trial)
         if result is None:
             active, droppable = trial, evidence
     return Infeasible(conflict=tuple(active))
@@ -310,32 +314,69 @@ def fit_constraints(
     return tuple(zip(coeffs, relations, rhs))
 
 
-def _fit_lp(m, UA, UR, active, eps):
+class _FitRows(NamedTuple):
+    """One row per assessment of the fit LP over (w without w_k, h); accepted rows first."""
+
+    k: int
+    shift: float  # L
+    n: int  # accepted rows
+    rows: np.ndarray
+    rhs: np.ndarray
+
+
+def _fit_rows(UA: np.ndarray, UR: np.ndarray, eps: float) -> _FitRows:
+    """The fit LP's assessment rows, with w_k eliminated and the margin shifted by L.
+
+    Substituting w_k = 1 - sum_{s != k} w_s and t = L + d, with
+    L = min(min UA, 0) and d = 2h >= 0, and halving every row (an exact
+    power-of-two scaling, under which differences of values up to the float
+    limit cannot overflow) gives
+
+        (UA_k - UA_s)/2 . w_{-k} + h <= (UA_k - L)/2    per accepted column,
+        (UR_s - UR_k)/2 . w_{-k}     <= (-eps - UR_k)/2  per rejected column,
+
+    where s runs over the states other than k.  Every accepted rhs is >= 0,
+    so those rows start on a slack; k minimizes the largest rejected utility,
+    so as many rejected rows as possible hold at w = e_k and need no phase 1.
+    Since t >= L at every w on the simplex, the shift cuts off nothing.
+    """
+    m, n = UA.shape
+    k = int(np.argmin(UR.max(axis=1, initial=-math.inf)))
+    shift = float(UA.min(initial=0.0))
+    A, R = UA / 2, UR / 2
+    others = np.arange(m) != k
+    rows = np.vstack([
+        np.column_stack([(A[k] - A[others]).T, np.ones(n)]),
+        np.column_stack([(R[others] - R[k]).T, np.zeros(R.shape[1])]),
+    ])
+    rhs = np.concatenate([A[k] - shift / 2, -eps / 2 - R[k]])
+    return _FitRows(k, shift, n, rows, rhs)
+
+
+def _fit_lp(fit: _FitRows, active):
     """Margin LP over a constraint subset: (Functional, set()), or (None, droppable).
 
-    ``droppable`` holds the active constraints with a zero entry in the evidence:
-    the kernel-checked Farkas certificate, or the kernel-checked duals when their
-    bound b . y on the margin lies below -_TOL by the kernel's ``lp._CHECK_TOL``.
+    Solves maximize 2h = d over the active rows of ``fit``, the row
+    sum w_{-k} <= 1 (that is, w_k >= 0) and, when no accepted row is active,
+    the cap h <= (1 - L)/2; all rows are "<=", and every variable is >= 0.
+    The margin is t = L + d: a functional is returned when t >= -_TOL.
+    ``droppable`` holds the active constraints with a zero entry in the
+    evidence: the kernel-checked Farkas certificate, or the kernel-checked
+    duals y when their bound L + b . y on the margin lies below -_TOL by the
+    kernel's ``lp._CHECK_TOL``.
     """
-    acc = [i for kind, i in active if kind == "accepted"]
-    rej = [j for kind, j in active if kind == "rejected"]
-    # Variables: w_1..w_m, margin (free).
-    objective = np.append(np.zeros(m), 1.0)
-    cap = [] if acc else [objective]  # margin otherwise unbounded
-    rows = np.vstack([
-        np.column_stack([UA[:, acc].T, np.full(len(acc), -1.0)]),
-        np.column_stack([UR[:, rej].T, np.zeros(len(rej))]),
-        np.append(np.ones(m), 0.0),
-        *cap,
-    ])
-    relations = (lp.GE,) * len(acc) + (lp.LE,) * len(rej) + (lp.EQ,) + (lp.LE,) * len(cap)
-    rhs = np.concatenate([np.zeros(len(acc)), np.full(len(rej), -eps), [1.0] * (1 + len(cap))])
-    bounds = np.append(np.zeros(m), -math.inf)
-    sol = lp.solve(lp.LpProblem(objective, rows, relations, rhs, bounds))
-    if sol.status is lp.LpStatus.OPTIMAL and sol.value >= -_TOL:
-        return Functional(np.maximum(sol.x[:m], 0.0)), set()
+    sel = [i if kind == "accepted" else fit.n + i for kind, i in active]
+    nw = fit.rows.shape[1] - 1  # weights left after the elimination
+    objective = np.append(np.zeros(nw), 2.0)
+    cap = [] if any(kind == "accepted" for kind, _ in active) else [np.append(np.zeros(nw), 1.0)]
+    rows = np.vstack([fit.rows[sel], np.append(np.ones(nw), 0.0), *cap])
+    rhs = np.concatenate([fit.rhs[sel], [1.0], [0.5 - fit.shift / 2] * len(cap)])
+    sol = lp.solve(lp.LpProblem(objective, rows, (lp.LE,) * len(rhs), rhs))
+    if sol.status is lp.LpStatus.OPTIMAL and fit.shift + sol.value >= -_TOL:
+        x = sol.x[:nw]
+        return Functional(np.maximum(np.insert(x, fit.k, 1.0 - x.sum()), 0.0)), set()
     evidence = sol.certificate
-    if sol.y is not None and sol.y @ rhs < -_TOL - lp._CHECK_TOL:  # weak duality: margin <= b . y
+    if sol.y is not None and fit.shift + sol.y @ rhs < -_TOL - lp._CHECK_TOL:  # weak duality: d <= b . y
         evidence = sol.y
     # Rows follow ``active``: accepted constraints, then rejected ones.
     return None, set() if evidence is None else {c for c, v in zip(active, evidence) if v == 0.0}

@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the LP-backed decision paths and the scan.
 
-Apart from :func:`greedy_conflict` and :func:`bland_solve`, nothing here
+Apart from :func:`bland_solve` and the two unshifted LPs below, nothing here
 touches the package's simplex kernel: feasibility is decided by exhaustive
 lambda-grid search and by vertex enumeration of the Farkas dual polytope, and
 tiny LPs are re-solved by enumerating candidate vertices.  :func:`scan_by_compare` is the reversal scan
@@ -17,6 +17,11 @@ against.  :func:`unshifted_margin_lp` is the natural extension's margin LP as
 it was posed before it was shifted to start feasible (a free margin, solved
 through phase 1 by the kernel), and :func:`audit_by_dominates` the audit with
 F2 decided by one ``dominates`` call per pair and F3 by ``accept_decision``.
+:func:`unshifted_fit_lp` is the representation-fitting LP as it was posed
+before one weight was eliminated and its margin shifted (a free margin and
+the equality sum w = 1, solved through phase 1 by the kernel), and
+:func:`greedy_conflict` the conflict search that decides every trial subset
+with it.
 """
 
 import itertools
@@ -25,17 +30,14 @@ import math
 import numpy as np
 
 from desirables import (
-    AssessmentSet,
     Finding,
     DomainError,
-    Functional,
     Gamble,
     ImageError,
     NumericalInstability,
     Preference,
     ScanResult,
     compare,
-    fit_functional,
     schedule_value,
     shift_schedule,
     Utility,
@@ -214,24 +216,47 @@ def fit_feasible_w1(UA, UR, eps, step=1e-4, tol=1e-12):
     return w1[ok]
 
 
+def unshifted_fit_lp(UA, UR, eps):
+    """(feasible, margin) of the fit LP with a free margin and the row sum w = 1.
+
+    Solves max t : UA_i . w - t >= 0, UR_j . w <= -eps, sum w = 1, w >= 0, t free,
+    with the cap t <= 1 when UA has no column.  ``feasible`` is the fit
+    verdict, t >= -_TOL; the margin is None when the LP is infeasible.
+    """
+    m, n, r = UA.shape[0], UA.shape[1], UR.shape[1]
+    objective = np.append(np.zeros(m), 1.0)
+    cap = [] if n else [objective]
+    rows = np.vstack([
+        np.column_stack([UA.T, np.full(n, -1.0)]),
+        np.column_stack([UR.T, np.zeros(r)]),
+        np.append(np.ones(m), 0.0),
+        *cap,
+    ])
+    relations = (lp.GE,) * n + (lp.LE,) * r + (lp.EQ,) + (lp.LE,) * len(cap)
+    rhs = np.concatenate([np.zeros(n), np.full(r, -eps), [1.0] * (1 + len(cap))])
+    bounds = np.append(np.zeros(m), -math.inf)
+    sol = lp.solve(lp.LpProblem(objective, rows, relations, rhs, bounds))
+    if sol.status is lp.LpStatus.INFEASIBLE:
+        return False, None
+    assert sol.status is lp.LpStatus.OPTIMAL, sol.status
+    return sol.value >= -_TOL, float(sol.value)
+
+
 def greedy_conflict(a, strict_margin=1e-6):
     """Reference conflict search: greedy single-constraint deletion in input order.
 
     Every trial subset is decided on its own, by the verdict of
-    ``fit_functional`` on the sub-assessment-set (its first LP), with no
-    evidence carried between trials.
+    :func:`unshifted_fit_lp` on its columns, with no evidence carried between
+    trials.
     """
-    labels = [("accepted", i) for i in range(len(a.accepted))]
-    labels += [("rejected", j) for j in range(len(a.rejected))]
+    UA, UR = a.transformed_generators(), a.transformed_rejected()
+    labels = [("accepted", i) for i in range(UA.shape[1])]
+    labels += [("rejected", j) for j in range(UR.shape[1])]
 
     def fits(active):
-        sub = AssessmentSet(
-            a.space,
-            a.utility,
-            tuple(a.accepted[i] for kind, i in active if kind == "accepted"),
-            tuple(a.rejected[j] for kind, j in active if kind == "rejected"),
-        )
-        return isinstance(fit_functional(sub, strict_margin), Functional)
+        acc = [i for kind, i in active if kind == "accepted"]
+        rej = [j for kind, j in active if kind == "rejected"]
+        return unshifted_fit_lp(UA[:, acc], UR[:, rej], strict_margin)[0]
 
     active = list(labels)
     for constraint in labels:
@@ -334,16 +359,18 @@ def inline_accept_check(U, c, y):
     return proven, y
 
 
-def cut_problem_check(problem, y):
+def cut_problem_check(problem, y, shift):
     """Whether the raw duals ``y`` of the fit LP ``problem`` prove its margin below -_TOL.
 
-    By weak duality (-y, 1) is then a Farkas certificate for ``problem`` with
-    the extra row ``margin >= -_TOL``.
+    The margin is ``shift`` plus the LP's objective.  By weak duality (-y, 1)
+    is then a Farkas certificate for ``problem`` with the extra row
+    ``objective >= -_TOL - shift``.
     """
     objective, rows, relations = problem.objective, problem.constraints, problem.relations
     rhs, bounds = problem.rhs, problem.lower_bounds
     cut_rows = np.vstack([rows, objective])
-    cut = lp.LpProblem(objective, cut_rows, relations + (lp.GE,), np.append(rhs, -_TOL), bounds)
+    cut_rhs = np.append(rhs, -_TOL - shift)
+    cut = lp.LpProblem(objective, cut_rows, relations + (lp.GE,), cut_rhs, bounds)
     return farkas_check(cut, np.append(-y, 1.0))
 
 

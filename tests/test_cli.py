@@ -175,6 +175,12 @@ def test_check_overflowing_tableau_exits_3(capsys):
     assert err.startswith("error: tableau arithmetic failed: overflow") and err.count("\n") == 1
 
 
+def test_fit_on_the_overflowing_fixture_reports_its_conflict(capsys):
+    # `check` overflows on this set; `fit` must not.
+    rc, out, err = run(capsys, "fit", "--config", str(DATA / "check_overflow.conf"))
+    assert (rc, out, err) == (1, "infeasible\nconflict: rejected[0]\n", "")
+
+
 def test_check_incoherent_fixture_reports_f1(capsys):
     rc, out, _ = run(capsys, "check", "--config", str(DATA / "check_incoherent.conf"))
     assert rc == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from oracles import (
     greedy_conflict,
     grid_witness,
     inline_accept_check,
+    unshifted_fit_lp,
     unshifted_margin_lp,
 )
 
@@ -278,12 +280,13 @@ def test_accept_evidence_is_returned_exactly_when_the_inline_check_passes():
 def _assert_fit_evidence_matches_cut_check(aset, eps=1e-6):
     """Solve the full fit LP and each single-deletion subset; compare evidence both ways."""
     UA, UR = aset.transformed_generators(), aset.transformed_rejected()
+    fit = coherence._fit_rows(UA, UR, eps)
     labels = [("accepted", i) for i in range(UA.shape[1])]
     labels += [("rejected", j) for j in range(UR.shape[1])]
     statuses = []
     with _recorded_solves() as log:
         for active in [labels] + [[c for c in labels if c != d] for d in labels]:
-            result, droppable = coherence._fit_lp(aset.space.m, UA, UR, active, eps)
+            result, droppable = coherence._fit_lp(fit, active)
             problem, sol, raw = log[-1]
             if result is not None:
                 continue
@@ -292,8 +295,9 @@ def _assert_fit_evidence_matches_cut_check(aset, eps=1e-6):
                 proven = farkas_check(problem, raw)
                 assert (sol.certificate is not None) == proven
             else:
-                proven = cut_problem_check(problem, raw)
-                bound = None if sol.y is None else sol.y @ problem.rhs
+                # The margin is the shift L plus the LP's value, so L + b . y bounds it.
+                proven = cut_problem_check(problem, raw, fit.shift)
+                bound = None if sol.y is None else fit.shift + sol.y @ problem.rhs
                 assert (bound is not None and bound < -1e-9 - 1e-7) == proven
             assert droppable == ({c for c, v in zip(active, raw) if v == 0.0} if proven else set())
     return statuses
@@ -422,17 +426,86 @@ def _feasible_sets(draw):
     return assessment_on(m, Linear(), accepted, rejected)
 
 
+def _assert_fit_constraints_hold(aset, w, eps=1e-6):
+    for coeffs, rel, rhs in fit_constraints(aset, eps):
+        lhs = float(np.dot(coeffs, w))
+        assert {">=": lhs >= rhs - 1e-9, "<=": lhs <= rhs + 1e-9, "=": abs(lhs - rhs) <= 1e-9}[rel]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_feasible_sets())
 def test_fit_constraints_rows_hold_at_the_fitted_weights(aset):
-    rows = fit_constraints(aset)
     m, n, r = aset.space.m, len(aset.accepted), len(aset.rejected)
-    assert len(rows) == n + r + 1 + m
+    assert len(fit_constraints(aset)) == n + r + 1 + m
     result = fit_functional(aset)
     assert isinstance(result, Functional)
-    for coeffs, rel, rhs in rows:
-        lhs = float(np.dot(coeffs, result.weights))
-        assert {">=": lhs >= rhs - 1e-9, "<=": lhs <= rhs + 1e-9, "=": abs(lhs - rhs) <= 1e-9}[rel]
+    _assert_fit_constraints_hold(aset, result.weights)
+
+
+@st.composite
+def _fit_sets(draw):
+    """Linear sets on 1-6 states, with or without accepted and rejected gambles."""
+    m = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-20, 20).map(lambda k: k / 10), min_size=m, max_size=m)
+    accepted = draw(st.lists(vec.filter(lambda v: max(v) >= 0), max_size=5))
+    return assessment_on(m, Linear(), accepted, draw(st.lists(vec, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fit_sets())
+@example(assessment_on(1, Linear(), [[2.0]], [[-1.0]]))  # m = 1: no weight left
+@example(assessment_on(1, Linear(), [[2.0]], [[0.5]]))
+@example(assessment_on(3, Linear(), [], [[-1.0, 0.5, 0.2]]))  # no accepted: the cap row
+@example(assessment_on(3, Linear(), [[1.0, -1.0, 0.0]], []))  # no rejected
+@example(assessment_on(2, Linear(), [], []))
+def test_fit_lp_matches_the_unshifted_oracle(aset):
+    # The eliminated, shifted LP against the free-margin LP with sum w = 1 it replaces:
+    # same verdict, same LP status, the same max-min margin.
+    eps = 1e-6
+    UA, UR = aset.transformed_generators(), aset.transformed_rejected()
+    feasible, margin = unshifted_fit_lp(UA, UR, eps)
+    with _recorded_solves() as log:
+        result = fit_functional(aset, eps)
+    sol = log[0][1]
+    assert isinstance(result, Functional) == feasible
+    assert (sol.status is lp.LpStatus.OPTIMAL) == (margin is not None)
+    if margin is not None:
+        assert abs(coherence._fit_rows(UA, UR, eps).shift + sol.value - margin) <= 1e-9
+    if feasible:
+        scores = UA.T @ result.weights
+        assert abs((scores.min() if scores.size else 1.0) - margin) <= 1e-9
+        _assert_fit_constraints_hold(aset, result.weights, eps)
+
+
+@pytest.mark.parametrize(
+    "m, accepted, rejected, expected",
+    [
+        (1, [[2.0]], [[-1.0]], [1.0]),  # m = 1: no weight is left after the elimination
+        (1, [[2.0]], [[0.5]], (("rejected", 0),)),
+        (1, [[2.0]], [[0.0]], (("rejected", 0),)),
+        (2, [], [[-1.0, 0.5], [-2.0, 0.5]], None),  # no accepted: only the cap row bounds d
+        (2, [[1.0, -1.0], [-1.0, 3.0]], [], [2 / 3, 1 / 3]),  # no rejected: max-min at 2/3
+    ],
+)
+def test_fit_edge_shapes(m, accepted, rejected, expected):
+    aset = assessment_on(m, Linear(), accepted, rejected)
+    result = fit_functional(aset)
+    if isinstance(expected, tuple):
+        assert result == Infeasible(expected)
+        return
+    assert isinstance(result, Functional)
+    _assert_fit_constraints_hold(aset, result.weights)
+    if expected is not None:
+        assert result.weights == pytest.approx(expected, abs=1e-12)
+
+
+def test_fit_of_the_overflow_set_does_not_overflow():
+    # Utilities of +-1e308: the eliminated rows are formed from halved columns.
+    aset = assessment_on(2, Linear(), [[1e308, -1e308], [-1e308, 1e308]], [[1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = fit_functional(aset)
+    assert result == Infeasible((("rejected", 0),))
 
 
 def test_rho_examples():
