@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import config as configmod
-from .coherence import AssessmentSet, Functional, audit, fit_functional
 from .errors import ConfigError, DesirablesError, SpaceMismatch
 from .intertemporal import reversal_scan, schedule_value
 
@@ -81,7 +80,8 @@ def cmd_scan(args) -> int:
     return _EXIT_OK
 
 
-def _assessment_set(args) -> AssessmentSet:
+def _assessment_set(args):
+    from .coherence import AssessmentSet  # check and fit alone import coherence and lp
     scenario = _load_scenario(args.config)
     if not scenario.has_assessments:
         raise ValueError("no assessments block")
@@ -99,6 +99,7 @@ def _assessment_set(args) -> AssessmentSet:
 
 
 def cmd_check(args) -> int:
+    from .coherence import audit
     findings = audit(_assessment_set(args))
     if not findings:
         print("coherent")
@@ -109,6 +110,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .coherence import Functional, fit_functional
     aset = _assessment_set(args)
     result = fit_functional(aset, strict_margin=args.strict_margin)
     if isinstance(result, Functional):

@@ -23,11 +23,11 @@ numpy array of delays it uses numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._backend import GRID, SCALAR, check_each
+from ._record import Record
 from .errors import DomainError, MissingArgument, UnknownState
 
 __all__ = [
@@ -101,8 +101,7 @@ def _check_depth(spec: DiscountSpec) -> None:
         raise ValueError(f"discount nesting deeper than {_MAX_DEPTH} levels")
 
 
-@dataclass(frozen=True)
-class Exponential(DiscountSpec):
+class Exponential(DiscountSpec, Record):
     """Constant-rate decay exp(-r t); the unique time-translation-invariant regime."""
 
     r: float
@@ -117,8 +116,7 @@ class Exponential(DiscountSpec):
         return _rounded(xp.exp(-self.r * t), rounded, xp)
 
 
-@dataclass(frozen=True)
-class Hyperbolic(DiscountSpec):
+class Hyperbolic(DiscountSpec, Record):
     """1 / (1 + k t): declining discount rate k / (1 + k t), k > 0."""
 
     k: float
@@ -133,8 +131,7 @@ class Hyperbolic(DiscountSpec):
         return _rounded(1.0 / (1.0 + self.k * t), rounded, xp)
 
 
-@dataclass(frozen=True)
-class QuasiHyperbolic(DiscountSpec):
+class QuasiHyperbolic(DiscountSpec, Record):
     """Present bias beta in (0, 1] at any positive delay, then exponential decay delta^t.
 
     The indicator on t > 0 is an exact comparison: delay values are inputs,
@@ -156,8 +153,7 @@ class QuasiHyperbolic(DiscountSpec):
         return xp.where(t == 0, 1.0, _rounded(self.beta * self.delta**t, rounded, xp))
 
 
-@dataclass(frozen=True)
-class GeneralizedHyperbolic(DiscountSpec):
+class GeneralizedHyperbolic(DiscountSpec, Record):
     """(1 + k t)^(-p): p = 1 recovers the hyperbolic regime, larger p steepens decay."""
 
     k: float
@@ -195,8 +191,7 @@ class EtaSpec:
             )
 
 
-@dataclass(frozen=True)
-class InverseLog(EtaSpec):
+class InverseLog(EtaSpec, Record):
     """eta(x) = 1 / log_b(x) on x > 1; larger rewards get smaller effective rates."""
 
     log_base: float = 10.0
@@ -219,8 +214,7 @@ class InverseLog(EtaSpec):
         return -1.0 / (x * lb * math.log(x, self.log_base) ** 2)
 
 
-@dataclass(frozen=True)
-class TabulatedEta(EtaSpec):
+class TabulatedEta(EtaSpec, Record):
     """Tabulated eta: linear interpolation inside the table, constant beyond its ends."""
 
     xs: tuple[float, ...]
@@ -252,8 +246,7 @@ class TabulatedEta(EtaSpec):
         return (self.value(x + h) - self.value(x - h)) / (2 * h)
 
 
-@dataclass(frozen=True)
-class ScaleDependent(DiscountSpec):
+class ScaleDependent(DiscountSpec, Record):
     """Magnitude effect base(t)^eta(x): reward-dependent patience."""
 
     base: DiscountSpec
@@ -279,8 +272,7 @@ class ScaleDependent(DiscountSpec):
         return _rounded(base**exponent, rounded, xp)
 
 
-@dataclass(frozen=True)
-class StateDependent(DiscountSpec):
+class StateDependent(DiscountSpec, Record):
     """Per-state exponential decay exp(-r(s) t) from a label -> rate map."""
 
     rates: tuple[tuple[str, float], ...]
@@ -317,8 +309,7 @@ class StateDependent(DiscountSpec):
         return _rounded(xp.exp(-rate * t), rounded, xp)
 
 
-@dataclass(frozen=True)
-class Hybrid(DiscountSpec):
+class Hybrid(DiscountSpec, Record):
     """Convex mixture lambda d1(t) + (1 - lambda) d2(t), lambda in [0, 1]."""
 
     lam: float
@@ -364,8 +355,7 @@ def uses_states(d: DiscountSpec) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(Record):
     """Grid audit of the scale-dependent monotonicity constraint.
 
     Records every (t, x) grid point where 1 + eta'(x) * x * ln(base(t)) fails

@@ -10,11 +10,11 @@ Each kind (and each phi) writes its formula once against a backend ``xp``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._backend import GRID, SCALAR, check_each
+from ._record import Record
 from .errors import DomainError, ImageError
 
 __all__ = [
@@ -97,8 +97,7 @@ class Utility:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Linear(Utility):
+class Linear(Utility, Record):
     """Identity utility u(x) = x."""
 
     kind = "linear"
@@ -112,8 +111,7 @@ class Linear(Utility):
         return float(v)
 
 
-@dataclass(frozen=True)
-class LogShift(Utility):
+class LogShift(Utility, Record):
     """Shifted logarithm u(x) = log(1 + x) on x > -1."""
 
     kind = "log_shift"
@@ -127,8 +125,7 @@ class LogShift(Utility):
         return math.expm1(v)
 
 
-@dataclass(frozen=True)
-class Sqrt(Utility):
+class Sqrt(Utility, Record):
     """Square-root utility u(x) = sqrt(x) on x > 0."""
 
     kind = "sqrt"
@@ -142,8 +139,7 @@ class Sqrt(Utility):
         return v * v
 
 
-@dataclass(frozen=True)
-class PowerDiscounted(Utility):
+class PowerDiscounted(Utility, Record):
     """Power-family utility u(x) = (x^(1-alpha) - alpha) / (1 - alpha) on x > 0.
 
     ``alpha`` in [0, 1) sets the curvature: alpha = 0 is the identity, and as
@@ -186,8 +182,7 @@ class _PhiBase:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class PhiScale(_PhiBase):
+class PhiScale(_PhiBase, Record):
     """phi(w) = c * w with c > 0."""
 
     c: float
@@ -202,8 +197,7 @@ class PhiScale(_PhiBase):
         return self.c * w
 
 
-@dataclass(frozen=True)
-class PhiPower(_PhiBase):
+class PhiPower(_PhiBase, Record):
     """Sign-preserving power phi(w) = sign(w) * |w|^p with p > 0."""
 
     p: float
@@ -218,8 +212,7 @@ class PhiPower(_PhiBase):
         return xp.copysign(xp.abs(w) ** self.p, w)
 
 
-@dataclass(frozen=True)
-class PhiPoly(_PhiBase):
+class PhiPoly(_PhiBase, Record):
     """Polynomial phi(w) = sum_i coeffs[i] * w^i with coeffs[0] = 0.
 
     Monotonicity is not validated here; audits report non-monotone choices.
@@ -244,8 +237,7 @@ class PhiPoly(_PhiBase):
         return acc
 
 
-@dataclass(frozen=True)
-class PhiTable(_PhiBase):
+class PhiTable(_PhiBase, Record):
     """Tabulated monotone map, linear inside the table and linearly extrapolated outside.
 
     The table must bracket 0 and interpolate phi(0) = 0.
@@ -281,8 +273,7 @@ class PhiTable(_PhiBase):
         return y0 + slope * (w - x0)
 
 
-@dataclass(frozen=True)
-class Composed(Utility):
+class Composed(Utility, Record):
     """Composition phi(base(x)) of an increasing phi with phi(0) = 0 over a base utility.
 
     ``inverse`` solves phi(w) = v for w by bracketed bisection (bracket
@@ -349,8 +340,7 @@ class Composed(Utility):
         return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Record):
     """Numerical audit of a utility on an evaluation grid.
 
     ``zero_normalized`` is None when 0 lies outside the domain, in which case
@@ -365,7 +355,7 @@ class AdmissibilityReport:
     grid_lo: float
     grid_hi: float
     grid_n: int
-    violations: tuple[float, ...] = field(default=())
+    violations: tuple[float, ...] = ()
 
 
 def audit_admissibility(

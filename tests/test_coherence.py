@@ -386,6 +386,24 @@ def test_conflict_search_on_captured_set_returns_verified_conflict():
         assert feasible(result.conflict[:k] + result.conflict[k + 1 :])
 
 
+# The kernel's absolute tolerances do not scale with rewards near 1e9: the fit
+# LP's solution fails its own <= row check by 2.4e-7 (ROADMAP item 1).
+@pytest.mark.xfail(raises=NumericalInstability, strict=True)
+def test_fit_on_rewards_near_1e9_finds_the_planted_functional():
+    data = json.loads((Path(__file__).parent / "data" / "fit_scale_1e9.json").read_text())
+    m = len(data["accepted"][0])
+    aset = assessment_on(m, Linear(), data["accepted"], data["rejected"])
+    eps = data["strict_margin"]
+    UA = aset.transformed_generators()
+    UR = np.array(data["rejected"]).T
+    assert _highs_fit_feasible(UA, UR, eps)
+    result = fit_functional(aset, strict_margin=eps)
+    assert isinstance(result, Functional)
+    scale = np.abs(UA).max()
+    assert (result.weights @ UA >= -1e-9 * scale).all()
+    assert (result.weights @ UR <= -eps + 1e-9 * scale).all()
+
+
 def test_fit_functional_margin_bounds():
     with pytest.raises(ValueError):
         fit_functional(linear_set([G(1, 0)]), strict_margin=0.5)
