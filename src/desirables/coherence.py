@@ -176,7 +176,7 @@ def _margin_lp(U: np.ndarray, c: np.ndarray) -> AcceptanceDecision:
         raise NumericalInstability(f"margin LP rhs u(g) - {s0:g} overflows") from None
     objective = np.append(np.zeros(n), 1.0)  # also the cap row
     rows = np.vstack([np.column_stack([U, np.ones(m)]), objective])
-    sol = lp.solve(lp.LpProblem(objective, rows, (lp.LE,) * (m + 1), rhs))
+    sol = lp.solve(lp.LpProblem(objective, rows, rhs))
     if sol.status is not lp.LpStatus.OPTIMAL:
         raise AssertionError(f"margin LP cannot be {sol.status}")
     margin = s0 + float(sol.value)
@@ -223,7 +223,7 @@ def check_partial_loss(a: AssessmentSet) -> PartialLossReport:
     objective = np.append(np.zeros(n), 1.0)
     rows = np.vstack([np.column_stack([U, np.ones(m)]), np.append(np.ones(n), 0.0)])
     rhs = np.append(np.zeros(m), 1.0)
-    sol = lp.solve(lp.LpProblem(objective, rows, (lp.LE,) * (m + 1), rhs))
+    sol = lp.solve(lp.LpProblem(objective, rows, rhs))
     if sol.status is not lp.LpStatus.OPTIMAL:
         raise AssertionError(f"partial-loss LP cannot be {sol.status}")
     margin = float(sol.value)
@@ -309,7 +309,7 @@ def fit_constraints(
     UA, UR, m = a.transformed_generators(), a.transformed_rejected(), a.space.m
     n, r = UA.shape[1], UR.shape[1]
     coeffs = np.vstack([UA.T, UR.T, np.ones(m), np.eye(m)])
-    relations = (lp.GE,) * n + (lp.LE,) * r + (lp.EQ,) + (lp.GE,) * m
+    relations = (">=",) * n + ("<=",) * r + ("=",) + (">=",) * m
     rhs = [0.0] * n + [-float(strict_margin)] * r + [1.0] + [0.0] * m
     return tuple(zip(coeffs, relations, rhs))
 
@@ -371,7 +371,7 @@ def _fit_lp(fit: _FitRows, active):
     cap = [] if any(kind == "accepted" for kind, _ in active) else [np.append(np.zeros(nw), 1.0)]
     rows = np.vstack([fit.rows[sel], np.append(np.ones(nw), 0.0), *cap])
     rhs = np.concatenate([fit.rhs[sel], [1.0], [0.5 - fit.shift / 2] * len(cap)])
-    sol = lp.solve(lp.LpProblem(objective, rows, (lp.LE,) * len(rhs), rhs))
+    sol = lp.solve(lp.LpProblem(objective, rows, rhs))
     if sol.status is lp.LpStatus.OPTIMAL and fit.shift + sol.value >= -_TOL:
         x = sol.x[:nw]
         return Functional(np.maximum(np.insert(x, fit.k, 1.0 - x.sum()), 0.0)), set()

@@ -11,25 +11,36 @@ combination as one scalar ``eval`` (and ``inverse``) per state.
 :func:`farkas_check` are the evidence checks coherence made on unchecked LP
 duals and certificates before the kernel checked them itself; they build LP
 problems but solve none.  :func:`bland_solve` is the kernel's solve path as
-it was under Bland's entering rule (it shares the kernel's problem type and
-checks), kept as the reference that the current pricing rule is compared
-against.  :func:`unshifted_margin_lp` is the natural extension's margin LP as
-it was posed before it was shifted to start feasible (a free margin, solved
-through phase 1 by the kernel), and :func:`audit_by_dominates` the audit with
-F2 decided by one ``dominates`` call per pair and F3 by ``accept_decision``.
+it was under Bland's entering rule, on the general form (it shares the
+kernel's solution type and the general-form checks below), kept as the
+reference that the current pricing rule is compared against.
+:func:`unshifted_margin_lp` is the natural extension's margin LP as it was
+posed before it was shifted to start feasible (a free margin, solved through
+phase 1 by the kernel), and :func:`audit_by_dominates` the audit with F2
+decided by one ``dominates`` call per pair and F3 by ``accept_decision``.
 :func:`unshifted_fit_lp` is the representation-fitting LP as it was posed
 before one weight was eliminated and its margin shifted (a free margin and
 the equality sum w = 1, solved through phase 1 by the kernel), and
 :func:`greedy_conflict` the conflict search that decides every trial subset
 with it.
+
+The kernel takes one form, ``<=`` rows over x >= 0.  :class:`GeneralLp` is
+the general form the tests state their LPs in (``<=``, ``>=`` and ``=`` rows,
+free variables), :func:`to_canonical` writes one in the kernel's form and maps
+``x``, the duals and the certificate back, and :func:`solve_general` solves it
+that way.  :func:`recheck`, :func:`dual_feasible` and
+:func:`check_infeasibility_certificate` are the kernel's checks as they were
+in the general form; :func:`bland_solve` solves the general form itself.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from desirables import (
+    DimensionError,
     Finding,
     DomainError,
     Gamble,
@@ -232,10 +243,10 @@ def unshifted_fit_lp(UA, UR, eps):
         np.append(np.ones(m), 0.0),
         *cap,
     ])
-    relations = (lp.GE,) * n + (lp.LE,) * r + (lp.EQ,) + (lp.LE,) * len(cap)
+    relations = (">=",) * n + ("<=",) * r + ("=",) + ("<=",) * len(cap)
     rhs = np.concatenate([np.zeros(n), np.full(r, -eps), [1.0] * (1 + len(cap))])
     bounds = np.append(np.zeros(m), -math.inf)
-    sol = lp.solve(lp.LpProblem(objective, rows, relations, rhs, bounds))
+    sol = solve_general(GeneralLp(objective, rows, relations, rhs, bounds))
     if sol.status is lp.LpStatus.INFEASIBLE:
         return False, None
     assert sol.status is lp.LpStatus.OPTIMAL, sol.status
@@ -333,12 +344,17 @@ def u_convex_combine_by_state(u: Utility, f: Gamble, g: Gamble, lam: float, mu: 
 
 
 def farkas_check(p, y, tol=1e-7):
-    """Farkas certificate check with the sign convention spelled out row by row."""
+    """Farkas certificate check with the sign convention spelled out row by row.
+
+    ``p`` is a :class:`GeneralLp` or a kernel problem (all rows "<=", x >= 0).
+    """
+    if isinstance(p, lp.LpProblem):
+        p = GeneralLp(p.objective, p.constraints, ("<=",) * len(p.rhs), p.rhs)
     y = np.asarray(y, dtype=float)
     if y.shape != p.rhs.shape:
         return False
     rel = np.array(p.relations, dtype=str)
-    if (y[rel == lp.LE] > tol).any() or (y[rel == lp.GE] < -tol).any():
+    if (y[rel == "<="] > tol).any() or (y[rel == ">="] < -tol).any():
         return False
     combo = y @ p.constraints
     free = p.lower_bounds == -math.inf
@@ -366,11 +382,10 @@ def cut_problem_check(problem, y, shift):
     is then a Farkas certificate for ``problem`` with the extra row
     ``objective >= -_TOL - shift``.
     """
-    objective, rows, relations = problem.objective, problem.constraints, problem.relations
-    rhs, bounds = problem.rhs, problem.lower_bounds
+    objective, rows, rhs = problem.objective, problem.constraints, problem.rhs
     cut_rows = np.vstack([rows, objective])
     cut_rhs = np.append(rhs, -_TOL - shift)
-    cut = lp.LpProblem(objective, cut_rows, relations + (lp.GE,), cut_rhs, bounds)
+    cut = GeneralLp(objective, cut_rows, ("<=",) * len(rhs) + (">=",), cut_rhs)
     return farkas_check(cut, np.append(-y, 1.0))
 
 
@@ -383,7 +398,7 @@ def unshifted_margin_lp(U, c):
     objective = np.append(np.zeros(n), 1.0)
     rows = np.vstack([np.column_stack([U, np.ones(m)]), objective])
     bounds = np.append(np.zeros(n), -math.inf)
-    sol = lp.solve(lp.LpProblem(objective, rows, (lp.LE,) * (m + 1), np.append(c, 1.0), bounds))
+    sol = solve_general(GeneralLp(objective, rows, ("<=",) * (m + 1), np.append(c, 1.0), bounds))
     assert sol.status is lp.LpStatus.OPTIMAL, sol.status
     return float(sol.value), sol.x[:n], None if sol.y is None else sol.y[:m]
 
@@ -414,12 +429,144 @@ def _fmt(v):
     return "[" + ", ".join(f"{x:.6g}" for x in np.asarray(v)) + "]"
 
 
+# -- The general form -------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class GeneralLp:
+    """maximize objective @ x s.t. constraints @ x (relations) rhs, x >= lower_bounds.
+
+    ``relations`` holds one of "<=", ">=", "=" per row and ``lower_bounds``
+    0 or -inf per variable (all 0 when omitted).  Arrays are stored as float
+    copies; finiteness and the size limits are the kernel's to check, on the
+    problem :func:`to_canonical` builds.
+    """
+
+    objective: np.ndarray
+    constraints: np.ndarray
+    relations: tuple
+    rhs: np.ndarray
+    lower_bounds: np.ndarray = None
+
+    def __post_init__(self):
+        objective = np.array(self.objective, dtype=float)
+        n = objective.size
+        lb = np.zeros(n) if self.lower_bounds is None else np.array(self.lower_bounds, dtype=float)
+        if lb.shape != (n,) or not ((lb == 0.0) | (lb == -math.inf)).all():
+            raise ValueError("lower bounds must be 0 or -inf, one per variable")
+        relations = tuple(self.relations)
+        unknown = set(relations) - {"<=", ">=", "="}
+        if unknown:
+            raise ValueError(f"relation must be one of <=, >=, =, got {unknown.pop()!r}")
+        A, rhs = np.array(self.constraints, dtype=float), np.array(self.rhs, dtype=float)
+        m = len(relations)
+        if A.size == 0:
+            A = A.reshape(0, n)
+        if A.shape != (m, n) or rhs.shape != (m,):
+            raise DimensionError(f"constraint matrix {A.shape} and rhs {rhs.shape} do not fit {m} rows")
+        for name, value in dict(objective=objective, constraints=A, rhs=rhs, lower_bounds=lb).items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "relations", relations)
+
+
+class Canonical:
+    """A :class:`GeneralLp` in the kernel's form, and the map of its solutions back.
+
+    A ">=" row is negated in place and an "=" row becomes the two rows a x <= b
+    and -a x <= -b; a free variable becomes the column pair (x+, x-), with
+    x = x+ - x-.  Rows and columns keep their order, so a problem without "="
+    rows builds the same tableau the kernel built from the general form.
+    """
+
+    def __init__(self, p: GeneralLp):
+        self.general = p
+        m, n = p.constraints.shape
+        rel = np.array(p.relations, dtype=str).reshape(m)
+        free = p.lower_bounds == -math.inf
+        self.var = np.repeat(np.arange(n), np.where(free, 2, 1))
+        self.var_first = np.diff(self.var, prepend=-1) != 0  # x+ (or the bounded x)
+        col_sign = np.where(self.var_first, 1.0, -1.0)
+        self.row = np.repeat(np.arange(m), np.where(rel == "=", 2, 1))
+        self.row_first = np.diff(self.row, prepend=-1) != 0  # the "<=" copy of an "=" row
+        self.row_sign = np.where((rel[self.row] == ">=") | ~self.row_first, -1.0, 1.0)
+        self.problem = lp.LpProblem(
+            p.objective[self.var] * col_sign,
+            p.constraints[self.row][:, self.var] * col_sign * self.row_sign[:, None],
+            p.rhs[self.row] * self.row_sign,
+        )
+
+    def _x(self, x):
+        out = x[self.var_first]  # x+ - x-: the column pair's difference
+        out[self.var[~self.var_first]] -= x[~self.var_first]
+        return out
+
+    def _y(self, y):
+        if y is None:
+            return None
+        out = y[self.row_first] * self.row_sign[self.row_first]
+        out[self.row[~self.row_first]] -= y[~self.row_first]
+        out.flags.writeable = False
+        return out
+
+    def solution(self, sol: lp.LpSolution) -> lp.LpSolution:
+        """The kernel's solution of :attr:`problem` as a solution of the general problem."""
+        if sol.x is None:
+            return lp.LpSolution(sol.status, certificate=self._y(sol.certificate))
+        x = self._x(sol.x)
+        x.flags.writeable = False
+        value = float(np.dot(self.general.objective, x))
+        return lp.LpSolution(sol.status, x=x, value=value, y=self._y(sol.y))
+
+
+def to_canonical(p: GeneralLp) -> Canonical:
+    """The kernel's form of ``p``: ``.problem``, and ``.solution(sol)`` to map a solution back."""
+    return Canonical(p)
+
+
+def solve_general(p: GeneralLp) -> lp.LpSolution:
+    """Solve ``p`` with the kernel, through :func:`to_canonical`."""
+    canonical = to_canonical(p)
+    return canonical.solution(lp.solve(canonical.problem))
+
+
+def recheck(p: GeneralLp, x: np.ndarray) -> None:
+    """Raise on the first row (in row order), then variable, that ``x`` violates."""
+    lhs, rhs, tol = p.constraints @ x, p.rhs, lp._CHECK_TOL
+    rel = np.array(p.relations, dtype=str)
+    ok = np.where(
+        rel == "<=", lhs <= rhs + tol, np.where(rel == ">=", lhs >= rhs - tol, np.abs(lhs - rhs) <= tol)
+    )
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise NumericalInstability(
+            f"solution violates {rel[k]} row by {abs(lhs[k] - rhs[k]):.3e}", p
+        )
+    negative = (p.lower_bounds == 0.0) & (x < -tol)
+    if negative.any():
+        raise NumericalInstability(
+            f"solution violates nonnegativity: {x[np.argmax(negative)]:.3e}", p
+        )
+
+
+def dual_feasible(p: GeneralLp, y: np.ndarray, c, tol: float) -> bool:
+    """y >= 0 on "<=" rows, <= 0 on ">=" rows; y @ constraints >= c, with = c on free variables."""
+    rel, free = np.array(p.relations, dtype=str), p.lower_bounds == -math.inf
+    gap = y @ p.constraints - c
+    signs = (y[rel == "<="] >= -tol).all() and (y[rel == ">="] <= tol).all()
+    return bool(signs and (gap[~free] >= -tol).all() and (np.abs(gap[free]) <= tol).all())
+
+
+def check_infeasibility_certificate(p: GeneralLp, y: np.ndarray) -> bool:
+    """Verify a Farkas certificate: -y is dual feasible for a zero objective, and y @ rhs > tol."""
+    y, tol = np.asarray(y, dtype=float), lp._CHECK_TOL
+    return y.shape == p.rhs.shape and dual_feasible(p, -y, 0.0, tol) and float(y @ p.rhs) > tol
+
+
 # -- Reference Bland kernel -------------------------------------------------
 # The two-phase simplex as it was before the kernel moved to Dantzig pricing:
 # Bland's lowest-index entering rule throughout, and an artificial for every
 # ">=" row.  Copied unchanged apart from names, with the tolerances frozen at
-# their values then; it reuses only the kernel's problem and solution types
-# and its unchanged checks (_recheck, _dual_feasible and
+# their values then; it solves the general form, and reuses the kernel's
+# solution type and the general-form checks above (recheck, dual_feasible and
 # check_infeasibility_certificate).
 _BLAND_TOL = 1e-9
 _BLAND_PIVOT_MIN = 1e-12
@@ -429,7 +576,7 @@ _BLAND_MAX_ITER = 100_000
 class BlandTableau:
     """Dense simplex tableau over the standardized system D x = b, x >= 0, b >= 0."""
 
-    def __init__(self, p: lp.LpProblem):
+    def __init__(self, p: GeneralLp):
         self.problem = p
         m, n = p.constraints.shape
 
@@ -446,8 +593,8 @@ class BlandTableau:
         rows[flip], rhs[flip] = -rows[flip], -rhs[flip]
         self.tau = np.where(flip, -1.0, 1.0)
         rel = np.array(p.relations, dtype=str)
-        le = np.where(flip, rel == lp.GE, rel == lp.LE)  # relation after the flip
-        extra, art = rel != lp.EQ, ~le  # rows with a slack/surplus, with an artificial
+        le = np.where(flip, rel == ">=", rel == "<=")  # relation after the flip
+        extra, art = rel != "=", ~le  # rows with a slack/surplus, with an artificial
 
         n_extra, n_art = int(extra.sum()), int(art.sum())
         total = n_struct + n_extra + n_art
@@ -521,7 +668,7 @@ def _bland_simplex_min(tab: BlandTableau, cost: np.ndarray, allowed: np.ndarray)
     raise NumericalInstability("iteration cap exceeded", tab.problem)
 
 
-def bland_solve(p: lp.LpProblem) -> lp.LpSolution:
+def bland_solve(p: GeneralLp) -> lp.LpSolution:
     """Solve the LP; returns Optimal(x, value, y), Infeasible(certificate), or Unbounded."""
     tab = BlandTableau(p)
     T = tab.T
@@ -537,7 +684,7 @@ def bland_solve(p: lp.LpProblem) -> lp.LpSolution:
         )
         if value1 > _BLAND_TOL:
             y = _bland_certificate(tab, art)
-            y = y if lp.check_infeasibility_certificate(p, y) else None
+            y = y if check_infeasibility_certificate(p, y) else None
             return lp.LpSolution(lp.LpStatus.INFEASIBLE, certificate=y)
         _bland_drive_out_artificials(tab, art)
 
@@ -552,14 +699,14 @@ def bland_solve(p: lp.LpProblem) -> lp.LpSolution:
     # add.at sums unbuffered in column order: 0.0 + x_plus (+ -x_minus), as a loop would.
     x = np.zeros(len(p.objective))
     np.add.at(x, tab.var, tab.sign * x_std[: tab.n_struct])
-    lp._recheck(p, x)
+    recheck(p, x)
     value = float(np.dot(p.objective, x))
     # Duals: reduced costs at the identity columns, unflipped by tau.  A dropped
     # redundant row leaves its basic artificial a zero column, hence a zero dual.
     y = tab.tau * reduced[tab.identity_col]
     x.flags.writeable = y.flags.writeable = False
     tol = 1e-7 * max(1.0, float(np.abs(p.objective).max())) * (1.0 + abs(value))
-    if not (lp._dual_feasible(p, y, p.objective, tol) and abs(float(y @ p.rhs) - value) <= tol):
+    if not (dual_feasible(p, y, p.objective, tol) and abs(float(y @ p.rhs) - value) <= tol):
         y = None
     return lp.LpSolution(lp.LpStatus.OPTIMAL, x=x, value=value, y=y)
 

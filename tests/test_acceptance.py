@@ -46,10 +46,11 @@ from desirables import (
     u_convex_combine,
 )
 from desirables.cli import main as cli_main
-from desirables.lp import LpStatus, check_infeasibility_certificate, solve
+from desirables.lp import LpStatus
 
 from helpers import random_assessment, random_gamble, random_query
-from oracles import farkas_verdict, grid_witness, vertex_lp_optimum
+from oracles import check_infeasibility_certificate, farkas_verdict, grid_witness, vertex_lp_optimum
+from oracles import solve_general as solve
 from test_lp import CORPUS
 
 DATA = Path(__file__).parent / "data"

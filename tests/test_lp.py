@@ -8,24 +8,26 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from desirables import DimensionError, NumericalInstability, lp
-from desirables.lp import (
-    LpProblem,
-    LpStatus,
-    _recheck,
-    check_infeasibility_certificate,
-    format_problem,
-    solve,
-)
+from desirables.lp import LpProblem, LpStatus, _recheck, format_problem
 
-from oracles import bland_solve, farkas_check, vertex_lp_optimum
+from oracles import (
+    GeneralLp,
+    bland_solve,
+    check_infeasibility_certificate,
+    farkas_check,
+    recheck,
+    solve_general as solve,
+    to_canonical,
+    vertex_lp_optimum,
+)
 
 INF = float("-inf")
 
 
 def P(objective, rows, bounds=None):
-    """LpProblem from a list of (coefficients, relation, rhs) rows."""
+    """GeneralLp from a list of (coefficients, relation, rhs) rows; ``solve`` takes it to the kernel."""
     coeffs, relations, rhs = zip(*rows)
-    return LpProblem(objective, coeffs, relations, rhs, bounds)
+    return GeneralLp(objective, coeffs, relations, rhs, bounds)
 
 
 def test_single_variable_box():
@@ -33,6 +35,13 @@ def test_single_variable_box():
     assert sol.status is LpStatus.OPTIMAL
     assert sol.x == pytest.approx([3.0], abs=1e-12)
     assert sol.value == pytest.approx(3.0, abs=1e-12)
+
+
+def test_problem_without_rows():
+    # No row to enter the ratio test: an improving column is unbounded at once.
+    assert lp.solve(LpProblem([1.0, 0.0], (), ())).status is LpStatus.UNBOUNDED
+    sol = lp.solve(LpProblem([-1.0, 0.0], (), ()))
+    assert sol.status is LpStatus.OPTIMAL and sol.x.tolist() == [0.0, 0.0] and sol.y.size == 0
 
 
 def test_contradictory_bounds_infeasible():
@@ -52,17 +61,21 @@ def test_wrong_certificate_is_withheld(monkeypatch):
 
 
 def test_certificate_check_matches_the_row_by_row_convention():
-    # Random problems with sign patterns of y near the tolerance boundary.
+    # Random problems with sign patterns of y near the tolerance boundary: the
+    # kernel's check on the canonical problem, and the general-form check on
+    # the problem as stated.
     rng = np.random.default_rng(5)
     verdicts = set()
     for _ in range(400):
         p = _random_problem(rng)
-        sol = solve(p)
-        y = sol.certificate if sol.certificate is not None else rng.normal(size=len(p.rhs))
-        for cand in (y, -y, y + rng.choice((0.0, 2e-7, -2e-7), size=y.shape)):
-            verdict = check_infeasibility_certificate(p, cand)
-            assert verdict == farkas_check(p, cand)
-            verdicts.add(verdict)
+        q = to_canonical(p).problem
+        for problem, sol, check in ((q, lp.solve(q), lp.check_infeasibility_certificate),
+                                    (p, solve(p), check_infeasibility_certificate)):
+            y = sol.certificate if sol.certificate is not None else rng.normal(size=len(problem.rhs))
+            for cand in (y, -y, y + rng.choice((0.0, 2e-7, -2e-7), size=y.shape)):
+                verdict = check(problem, cand)
+                assert verdict == farkas_check(problem, cand)
+                verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
@@ -79,21 +92,31 @@ def test_margin_maximization_on_simplex():
     assert sol.x[:2] == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
-def test_redundant_row_is_dropped_as_a_zero_row_with_a_zero_dual(monkeypatch):
-    # maximize x1 + 2 x2 s.t. x1 + x2 = 1 (stated twice), x1 <= 0.7.  The kernel
-    # keeps no list of dropped rows: a dropped row is a zero row of the tableau.
+def test_repeated_equality_drives_its_artificials_out_on_slack_or_surplus_columns(monkeypatch):
+    # maximize x1 + 2 x2 s.t. x1 + x2 = 1 (stated twice), x1 <= 0.7.  The two
+    # "=" rows reach the kernel as four "<=" rows; phase 1 leaves artificials
+    # basic at level 0, and every row has its own slack or surplus column, so
+    # a pivot on one of those takes each one's place.
     twice = P((1.0, 2.0), [((1.0, 1.0), "=", 1.0), ((1.0, 1.0), "=", 1.0), ((1.0, 0.0), "<=", 0.7)])
     once = P((1.0, 2.0), [((1.0, 1.0), "=", 1.0), ((1.0, 0.0), "<=", 0.7)])
-    real, zero_rows = lp._drive_out_artificials, []
+    q = to_canonical(twice).problem
+    assert q.constraints.shape == (5, 2) and (q.rhs < 0).sum() == 2
+    real, driven = lp._drive_out_artificials, []
 
-    def drive_out(tab, art):
-        real(tab, art)
-        zero_rows.extend(np.flatnonzero(~tab.T.any(axis=1)).tolist())
+    def drive_out(tab, kept):
+        rows = np.flatnonzero(tab.basis >= kept)  # rows whose basic column is an artificial
+        levels = tab.T[rows, -1].tolist()
+        real(tab, kept)
+        driven.append((kept, levels, tab.basis[rows].tolist(), tab.T.shape[1]))
 
     monkeypatch.setattr(lp, "_drive_out_artificials", drive_out)
     sol = solve(twice)
-    assert zero_rows == [1]
-    assert sol.status is LpStatus.OPTIMAL and sol.y[1] == 0.0
+    # 2 structural columns, then 5 slack or surplus columns; the artificial columns are deleted.
+    (kept, levels, cols, width), = driven
+    assert (kept, width) == (7, 7 + 1) and levels and set(levels) == {0.0}
+    assert all(2 <= col < 7 for col in cols)
+    assert sol.status is LpStatus.OPTIMAL
+    _assert_duals_prove_optimum(twice, sol, 1e-7 * 2.0 * (1.0 + abs(sol.value)))
     ref = solve(once)
     assert sol.x.tolist() == ref.x.tolist() and sol.value == ref.value
 
@@ -163,14 +186,14 @@ def _random_problem(rng):
         relations.append(("<=", ">=", "=")[int(rng.integers(3))])
         rhs[k] = rng.uniform(-3, 3)
     bounds = [0.0 if rng.random() < 0.8 else INF for _ in range(n)]
-    return LpProblem(rng.uniform(-2, 2, n), A, tuple(relations), rhs, bounds)
+    return GeneralLp(rng.uniform(-2, 2, n), A, tuple(relations), rhs, bounds)
 
 
 def test_scale_invariance_of_verdicts():
     rng = np.random.default_rng(8)
     for _ in range(100):
         p = _random_problem(rng)
-        scaled = LpProblem(
+        scaled = GeneralLp(
             p.objective, 1e3 * p.constraints, p.relations, 1e3 * p.rhs, p.lower_bounds
         )
         s1, s2 = solve(p), solve(scaled)
@@ -180,17 +203,19 @@ def test_scale_invariance_of_verdicts():
 
 
 def test_dimension_limits():
-    LpProblem([1.0] * 64, np.ones((256, 64)), ("<=",) * 256, np.ones(256))  # at the limits
+    LpProblem([1.0] * 64, np.ones((256, 64)), np.ones(256))  # at the limits
     with pytest.raises(DimensionError):
-        LpProblem([1.0] * 65, (), (), ())
+        LpProblem([1.0] * 65, (), ())
     with pytest.raises(DimensionError):
-        LpProblem((1.0,), np.ones((257, 1)), ("<=",) * 257, np.ones(257))
+        LpProblem((1.0,), np.ones((257, 1)), np.ones(257))
     with pytest.raises(DimensionError):  # a row of the wrong length
-        LpProblem((1.0, 2.0), [[1.0]], ("<=",), (1.0,))
-    with pytest.raises(DimensionError):  # one relation per row
-        LpProblem((1.0,), [[1.0], [2.0]], ("<=",), (1.0, 2.0))
+        LpProblem((1.0, 2.0), [[1.0]], (1.0,))
+    with pytest.raises(DimensionError):  # more rows than rhs entries
+        LpProblem((1.0,), [[1.0], [2.0]], (1.0,))
     with pytest.raises(DimensionError):  # one rhs per row
-        LpProblem((1.0,), [[1.0]], ("<=",), (1.0, 2.0))
+        LpProblem((1.0,), [[1.0]], (1.0, 2.0))
+    with pytest.raises(DimensionError):  # the rhs is a vector
+        LpProblem((1.0,), [[1.0]], [[1.0]])
 
 
 @pytest.mark.parametrize(
@@ -208,17 +233,18 @@ def test_dimension_limits():
     ],
 )
 def test_problem_validation(objective, rows, relations, rhs, bounds):
+    # Relations and lower bounds belong to the general form; every other case
+    # reaches the kernel's LpProblem through to_canonical.
     with pytest.raises(ValueError):
-        LpProblem(objective, rows, relations, rhs, bounds)
+        to_canonical(GeneralLp(objective, rows, relations, rhs, bounds))
 
 
 def test_problem_stores_read_only_copies():
     A, b = np.ones((1, 2)), np.ones(1)
-    p = LpProblem([1.0, 1.0], A, ["<="], b, [0.0, INF])
+    p = LpProblem([1.0, 1.0], A, b)
     A[0, 0] = b[0] = 5.0
     assert p.constraints.tolist() == [[1.0, 1.0]] and p.rhs.tolist() == [1.0]
-    assert p.relations == ("<=",) and p.lower_bounds.tolist() == [0.0, INF]
-    for arr in (p.objective, p.constraints, p.rhs, p.lower_bounds):
+    for arr in (p.objective, p.constraints, p.rhs):
         assert arr.dtype == float and not arr.flags.writeable
 
 
@@ -230,13 +256,16 @@ def test_free_variable_reaches_negative_optimum():
 
 
 def test_format_problem_mentions_rows_and_bounds():
-    p = P((1.0, -1.0), [((1.0, 1.0), "<=", 4.0)], (0.0, INF))
-    text = format_problem(p)
-    assert "maximize" in text and "<=" in text and "free" in text
+    # The canonical form: one "<=" row per line, x >= 0 stated once, no bounds line.
+    p = to_canonical(P((1.0, -1.0), [((1.0, 1.0), "<=", 4.0), ((1.0, 0.0), "=", 1.0)], (0.0, INF))).problem
+    lines = format_problem(p).splitlines()
+    assert lines[0].startswith("maximize") and lines[0].endswith("over x >= 0")
+    assert len(lines) == 1 + 3 and all(line.endswith(("<=  4", "<=  1", "<=  -1")) for line in lines[1:])
+    assert "free" not in "\n".join(lines)
 
 
 def test_kernel_error_is_one_line_and_carries_the_problem():
-    p = P((1.0, 1.0), [((1.0, 1.0), "<=", 1.0), ((1.0, -1.0), ">=", 0.0)])
+    p = LpProblem((1.0, 1.0), [[1.0, 1.0], [-1.0, 1.0]], [1.0, 0.0])  # x1 - x2 >= 0, negated
     with pytest.raises(NumericalInstability) as info:
         _recheck(p, np.array([2.0, 0.0]))
     assert str(info.value) == "solution violates <= row by 1.000e+00"
@@ -246,10 +275,10 @@ def test_kernel_error_is_one_line_and_carries_the_problem():
 
 def test_overflowing_tableau_raises_numerical_instability():
     # The partial-loss LP of generators (1e308, -1e308) and (-1e308, 1e308).
-    rows = [((1e308, -1e308, 1.0), "<=", 0.0), ((-1e308, 1e308, 1.0), "<=", 0.0)]
-    p = P((0.0, 0.0, 1.0), rows + [((1.0, 1.0, 0.0), "<=", 1.0)])
+    rows = [[1e308, -1e308, 1.0], [-1e308, 1e308, 1.0], [1.0, 1.0, 0.0]]
+    p = LpProblem((0.0, 0.0, 1.0), rows, [0.0, 0.0, 1.0])
     with pytest.raises(NumericalInstability, match="^tableau arithmetic failed: overflow") as info:
-        solve(p)
+        lp.solve(p)
     assert info.value.problem is p
 
 
@@ -343,7 +372,7 @@ def _pinned_problem(rng):
         else:
             rhs = 0.0 if rng.random() < 0.3 else float(draw(1)[0])
         add(a, rel, rhs)
-    return LpProblem(draw(n), A[:m], tuple(rels[:m]), b[:m], bounds)
+    return GeneralLp(draw(n), A[:m], tuple(rels[:m]), b[:m], bounds)
 
 
 def _pinned_corpus():
@@ -351,13 +380,15 @@ def _pinned_corpus():
     return [_pinned_problem(rng) for _ in range(300)]
 
 
-#: sha256 of the kernel's outputs on the pinned corpus, recorded under Dantzig
-#: pricing with the Bland fallback and certificates read from the phase-1
-#: reduced costs.  Any change to a pivot choice or to the arithmetic order of a
-#: step changes it.  ``value`` is np.dot(objective, x), whose summation order
-#: belongs to the BLAS build, so another BLAS may also change it.  BLAND_CORPUS_SHA256 is the same digest of the reference kernel,
-#: recorded when it was the package's kernel.
-PINNED_CORPUS_SHA256 = "f69c0a9b19130fc5c387ef3c230b204560848feb8a1bd6b86762c48e524ef222"
+#: sha256 of the kernel's outputs on the pinned corpus, solved through
+#: to_canonical and mapped back, recorded under Dantzig pricing with the Bland
+#: fallback and certificates read from the phase-1 reduced costs.  Any change
+#: to a pivot choice, to the arithmetic order of a step or to the canonical
+#: form changes it.  ``value`` is np.dot(objective, x), whose summation order
+#: belongs to the BLAS build, so another BLAS may also change it.
+#: BLAND_CORPUS_SHA256 is the same digest of the reference kernel, recorded
+#: when it was the package's kernel; it solves the general form directly.
+PINNED_CORPUS_SHA256 = "9c2b231a82656fe7b0192c17bbb1630c297fd20c3eb08264926240a7b73f5217"
 BLAND_CORPUS_SHA256 = "476d6d43086b811eaabc03bb1cdbe5551dfe6c1139ba26418fd7d11ca61d6c64"
 
 
@@ -416,22 +447,25 @@ def test_carried_reduced_cost_row_matches_the_final_basis(monkeypatch):
     # relative to the largest reduced cost, which reaches 3.6e4 on the corpus.
     real, finals = lp._simplex_min, []
 
-    def simplex_min(tab, cost, allowed):
-        status, prices = real(tab, cost, allowed)
+    def simplex_min(tab, cost):
+        status = real(tab, cost)
         if status == "optimal":
             finals.append((tab.T[-1].copy(), tab.basis.copy(), cost))
-        return status, prices
+        return status
 
     monkeypatch.setattr(lp, "_simplex_min", simplex_min)
     phases = 0
     for p in _pinned_corpus():
         finals.clear()
+        q = to_canonical(p).problem
         try:
-            solve(p)
+            lp.solve(q)
         except NumericalInstability:
             continue
-        system = lp._Tableau(p).T[:-1]
+        full = lp._Tableau(q).T[:-1]
         for row, basis, cost in finals:
+            # Phase 2 prices the columns left after the artificial ones are deleted.
+            system = np.column_stack([full[:, : cost.size], full[:, -1]])
             prices = np.linalg.solve(system[:, basis].T, cost[basis])
             reduced = np.append(cost, 0.0) - prices @ system
             assert np.abs(row - reduced).max() <= 1e-9 * max(1.0, np.abs(reduced).max())
@@ -487,7 +521,7 @@ def _highs_sized_problems(draw):
         b = A @ x0 + sign * slack
     else:
         b = np.array(draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m)))
-    return LpProblem(c, scale * A, tuple(rels), scale * b, bounds)
+    return GeneralLp(c, scale * A, tuple(rels), scale * b, bounds)
 
 
 def _assert_duals_prove_optimum(p, sol, tol):
@@ -526,6 +560,30 @@ def test_differential_against_highs(p):
 @given(_highs_sized_problems())
 def test_kernel_agrees_with_reference_on_highs_sized_problems(p):
     _assert_agrees_with_reference(p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_highs_sized_problems())
+def test_to_canonical_maps_solutions_back_to_the_general_form(p):
+    # The vectors mapped back obey the general form's rules row by row and
+    # variable by variable, and the status is the general-form kernels' and HiGHS's.
+    canonical = to_canonical(p)
+    q = canonical.problem
+    eq, free = np.array(p.relations) == "=", p.lower_bounds == INF
+    assert q.constraints.shape == (len(p.rhs) + eq.sum(), len(p.objective) + free.sum())
+    sol = canonical.solution(lp.solve(q))
+    assert sol.status is bland_solve(p).status
+    verdict = _highs(p)
+    assert verdict is None or sol.status.value == verdict[0]
+    if sol.status is LpStatus.OPTIMAL:
+        assert sol.x.shape == p.objective.shape
+        recheck(p, sol.x)  # raises on a violated row or bound
+        assert sol.value == float(np.dot(p.objective, sol.x))
+        size = max(1.0, float(np.abs(p.objective).max()))
+        _assert_duals_prove_optimum(p, sol, 1e-7 * size * (1.0 + abs(sol.value)))
+    if sol.status is LpStatus.INFEASIBLE:
+        assert check_infeasibility_certificate(p, sol.certificate)
+        assert farkas_check(p, sol.certificate)
 
 
 def test_conflict_search_lp_reaches_verified_optimum():
