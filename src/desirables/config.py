@@ -63,15 +63,20 @@ from .utility import (
 
 __all__ = ["ConfigTree", "parse", "serialize", "Scenario", "build_scenario"]
 
+# Each match skips blanks, newlines and comments, then reads one token; the
+# last two alternatives end the text and catch any other character (a newline
+# is always skipped, so '.' reaches every character left).
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<number>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<punct>[{}\[\]=,])
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:
+      (?P<number>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<punct>[{}\[\]=,])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -81,51 +86,36 @@ _TOKEN_RE = re.compile(
 _MAX_NESTING = 64
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: object
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """Tokens as (kind, value, line, column); the last one is ("eof", None, ...)."""
     tokens = []
     line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ConfigError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        pos = m.start(kind)
+        breaks = text.count("\n", m.start(), pos)
+        if breaks:
+            line += breaks
+            line_start = text.rindex("\n", m.start(), pos) + 1
         col = pos - line_start + 1
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "number":
-            raw = m.group()
+        value = m.group(kind)
+        if kind == "number":
             try:
-                value = float(raw) if any(c in raw for c in ".eE") else int(raw)
+                value = float(value) if any(c in value for c in ".eE") else int(value)
             except ValueError:  # more digits than int() converts
-                raise ConfigError(f"number too long ({len(raw)} digits)", line, col) from None
-            tokens.append(_Token("number", value, line, col))
-        elif kind == "ident":
-            word = m.group()
-            if word in ("true", "false"):
-                tokens.append(_Token("bool", word == "true", line, col))
-            else:
-                tokens.append(_Token("ident", word, line, col))
+                raise ConfigError(f"number too long ({len(value)} digits)", line, col) from None
+        elif kind == "ident" and value in ("true", "false"):
+            kind, value = "bool", value == "true"
         elif kind == "string":
-            raw = m.group()[1:-1]
-            value = raw.replace('\\"', '"').replace("\\\\", "\\")
-            tokens.append(_Token("string", value, line, col))
+            value = value[1:-1].replace('\\"', '"').replace("\\\\", "\\")
         elif kind == "punct":
-            tokens.append(_Token(m.group(), m.group(), line, col))
-        pos = m.end()
-    tokens.append(_Token("eof", None, line, len(text) - line_start + 1))
-    return tokens
+            kind = value
+        elif kind == "bad":
+            raise ConfigError(f"unexpected character {value!r}", line, col)
+        elif kind == "eof":
+            tokens.append((kind, None, line, col))
+            return tokens
+        tokens.append((kind, value, line, col))
 
 
 @dataclass
@@ -145,127 +135,106 @@ class ConfigTree:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Recursive descent over (kind, value, line, column) tokens."""
+
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.i = 0
         self.positions: dict[tuple, tuple[int, int]] = {}
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ConfigError(f"expected {kind!r}, got {tok.value!r}", tok.line, tok.column)
-        return tok
+    @staticmethod
+    def fail(message: str, tok: tuple):
+        raise ConfigError(message, tok[2], tok[3])
 
-    def open(self, bracket: str, path: tuple) -> None:
-        tok = self.expect(bracket)
+    def expect(self, kind: str, path: tuple = ()) -> tuple:
+        """The next token, which must be ``kind``; a bracket opening ``path`` is depth-checked."""
+        tok = self.next()
+        if tok[0] != kind:
+            self.fail(f"expected {kind!r}, got {tok[1]!r}", tok)
         if len(path) > _MAX_NESTING:
-            message = f"values nested deeper than {_MAX_NESTING} levels"
-            raise ConfigError(message, tok.line, tok.column)
+            self.fail(f"values nested deeper than {_MAX_NESTING} levels", tok)
+        return tok
 
     def parse_config(self) -> ConfigTree:
         data: dict = {}
         labeled: set[str] = set()
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             tok = self.expect("ident")
-            key = tok.value
-            path = (key,)
-            if self.peek().kind == "=":
-                self.next()
-                if key in data:
-                    raise ConfigError(f"duplicate key {key!r}", tok.line, tok.column)
-                self.positions[path] = (tok.line, tok.column)
-                data[key] = self.parse_value(path)
-            elif self.peek().kind == "string":
-                label = self.next().value
+            key = tok[1]
+            if self.peek()[0] == "string":
+                label = self.next()[1]
                 if key in data and key not in labeled:
-                    raise ConfigError(
-                        f"key {key!r} mixes labeled and plain forms", tok.line, tok.column
-                    )
+                    self.fail(f"key {key!r} mixes labeled and plain forms", tok)
                 group = data.setdefault(key, {})
                 labeled.add(key)
-                self.positions.setdefault(path, (tok.line, tok.column))
+                self.positions.setdefault((key,), tok[2:])
                 if label in group:
-                    raise ConfigError(
-                        f"duplicate {key} label {label!r}", tok.line, tok.column
-                    )
-                self.positions[(key, label)] = (tok.line, tok.column)
+                    self.fail(f"duplicate {key} label {label!r}", tok)
+                self.positions[(key, label)] = tok[2:]
                 group[label] = self.parse_block((key, label))
-            elif self.peek().kind == "{":
-                if key in data:
-                    raise ConfigError(f"duplicate key {key!r}", tok.line, tok.column)
-                self.positions[path] = (tok.line, tok.column)
-                data[key] = self.parse_block(path)
+            # A repeated key is a duplicate only where a value follows it.
+            elif key in data and self.peek()[0] in ("=", "{"):
+                self.fail(f"duplicate key {key!r}", tok)
             else:
-                nxt = self.peek()
-                raise ConfigError(
-                    f"expected '=', label, or block after {key!r}", nxt.line, nxt.column
-                )
+                data[key] = self.parse_item((key,), tok, "'=', label, or block")
         return ConfigTree(data=data, labeled=labeled, positions=self.positions)
 
     def parse_block(self, path: tuple) -> dict:
-        self.open("{", path)
+        self.expect("{", path)
         block: dict = {}
-        while True:
-            tok = self.peek()
-            if tok.kind == "}":
-                self.next()
-                return block
-            if tok.kind == ",":
+        while self.peek()[0] != "}":
+            if self.peek()[0] == ",":
                 self.next()
                 continue
             tok = self.expect("ident")
-            key = tok.value
+            key = tok[1]
             if key in block:
-                raise ConfigError(f"duplicate key {key!r}", tok.line, tok.column)
-            sub = path + (key,)
-            self.positions[sub] = (tok.line, tok.column)
-            if self.peek().kind == "=":
-                self.next()
-                block[key] = self.parse_value(sub)
-            elif self.peek().kind == "{":
-                block[key] = self.parse_block(sub)
-            else:
-                nxt = self.peek()
-                raise ConfigError(
-                    f"expected '=' or block after {key!r}", nxt.line, nxt.column
-                )
+                self.fail(f"duplicate key {key!r}", tok)
+            block[key] = self.parse_item(path + (key,), tok, "'=' or block")
+        self.next()
+        return block
+
+    def parse_item(self, path: tuple, tok: tuple, forms: str):
+        """The ``= value`` or block after the key ``tok``, whose position is recorded;
+        ``forms`` names what may follow the key where the item stands."""
+        nxt = self.peek()
+        if nxt[0] not in ("=", "{"):
+            self.fail(f"expected {forms} after {tok[1]!r}", nxt)
+        self.positions[path] = tok[2:]
+        if nxt[0] == "=":
+            self.next()
+        return self.parse_value(path)
 
     def parse_value(self, path: tuple):
         tok = self.peek()
-        if tok.kind in ("number", "string", "bool"):
-            return self.next().value
-        if tok.kind == "[":
+        if tok[0] in ("number", "string", "bool"):
+            return self.next()[1]
+        if tok[0] == "[":
             return self.parse_list(path)
-        if tok.kind == "{":
+        if tok[0] == "{":
             return self.parse_block(path)
-        raise ConfigError(f"expected a value, got {tok.value!r}", tok.line, tok.column)
+        self.fail(f"expected a value, got {tok[1]!r}", tok)
 
     def parse_list(self, path: tuple) -> list:
-        self.open("[", path)
+        self.expect("[", path)
         items: list = []
-        if self.peek().kind == "]":
-            self.next()
-            return items
-        while True:
+        while self.peek()[0] != "]":
             items.append(self.parse_value(path + (len(items),)))
-            tok = self.next()
-            if tok.kind == "]":
-                return items
-            if tok.kind != ",":
-                raise ConfigError(
-                    f"expected ',' or ']' in list, got {tok.value!r}", tok.line, tok.column
-                )
-            if self.peek().kind == "]":
+            tok = self.peek()
+            if tok[0] == ",":
                 self.next()
-                return items
+            elif tok[0] != "]":
+                self.fail(f"expected ',' or ']' in list, got {tok[1]!r}", tok)
+        self.next()
+        return items
 
 
 def parse(text: str) -> ConfigTree:
@@ -336,6 +305,14 @@ def _check_keys(tree: ConfigTree, path: tuple, block: dict, allowed: set[str], w
     for key in block:
         if key not in allowed:
             _fail(tree, path + (key,), f"unknown key {key!r} in {what}")
+
+
+def _block(tree: ConfigTree, path: tuple, value, allowed: set[str], what: str) -> dict:
+    """``value`` as a block whose keys are all in ``allowed``."""
+    if not isinstance(value, dict):
+        _fail(tree, path, f"{what} must be a block")
+    _check_keys(tree, path, value, allowed, what)
+    return value
 
 
 def _need(tree: ConfigTree, path: tuple, block: dict, key: str, what: str):
@@ -487,10 +464,7 @@ def build_scenario(tree: ConfigTree) -> Scenario:
 
     states = None
     if "states" in data:
-        block = data["states"]
-        if not isinstance(block, dict):
-            _fail(tree, ("states",), "states must be a block")
-        _check_keys(tree, ("states",), block, {"labels"}, "states")
+        block = _block(tree, ("states",), data["states"], {"labels"}, "states")
         labels = _need(tree, ("states",), block, "labels", "states")
         states = _states(tree, ("states", "labels"), labels, "labels")
 
@@ -537,10 +511,7 @@ def build_scenario(tree: ConfigTree) -> Scenario:
     scan_shifts = None
     scan_pair = None
     if "scan" in data:
-        block = data["scan"]
-        if not isinstance(block, dict):
-            _fail(tree, ("scan",), "scan must be a block")
-        _check_keys(tree, ("scan",), block, {"shifts", "a", "b"}, "scan")
+        block = _block(tree, ("scan",), data["scan"], {"shifts", "a", "b"}, "scan")
         shifts = _need(tree, ("scan",), block, "shifts", "scan")
         scan_shifts = _numbers(tree, ("scan", "shifts"), shifts, "shifts", nonempty=True)
         for i, shift in enumerate(scan_shifts):
@@ -558,10 +529,8 @@ def build_scenario(tree: ConfigTree) -> Scenario:
     rejected: list[Gamble] = []
     has_assessments = "assessments" in data
     if has_assessments:
-        block = data["assessments"]
-        if not isinstance(block, dict):
-            _fail(tree, ("assessments",), "assessments must be a block")
-        _check_keys(tree, ("assessments",), block, {"accepted", "rejected", "wealth"}, "assessments")
+        allowed = {"accepted", "rejected", "wealth"}
+        block = _block(tree, ("assessments",), data["assessments"], allowed, "assessments")
         aw = wealth
         if "wealth" in block:
             aw = _number(tree, ("assessments", "wealth"), block["wealth"], "wealth")

@@ -23,6 +23,7 @@ numpy array of delays it uses numpy.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -273,14 +274,15 @@ class ScaleDependent(DiscountSpec, Record):
 
 
 class StateDependent(DiscountSpec, Record):
-    """Per-state exponential decay exp(-r(s) t) from a label -> rate map."""
+    """Per-state exponential decay exp(-r(s) t) from a label -> rate map or (label, rate) pairs."""
 
     rates: tuple[tuple[str, float], ...]
 
     kind = "state_dependent"
 
     def __init__(self, rates):
-        items = tuple(sorted((str(k), float(v)) for k, v in dict(rates).items()))
+        pairs = rates.items() if isinstance(rates, Mapping) else rates  # dict() drops repeats
+        items = tuple(sorted((str(k), float(v)) for k, v in pairs))
         object.__setattr__(self, "rates", items)
         object.__setattr__(self, "_by_label", dict(items))
         if not items:

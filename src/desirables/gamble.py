@@ -25,6 +25,8 @@ class StateSpace:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.labels, str):  # tuple("up") would be the states 'u', 'p'
+            raise ValueError(f"state labels must be a sequence, not the string {self.labels!r}")
         labels = tuple(str(s) for s in self.labels)
         object.__setattr__(self, "labels", labels)
         if not labels:

@@ -315,3 +315,81 @@ def test_eta_log_base_defaults_to_ten():
         'eta = {form = "inverse_log"} }'
     )
     assert build_scenario(parse(text)).discount.eta.log_base == 10.0
+
+
+def _nested(depth: int, form: str) -> str:
+    """Key ``a`` holding ``depth`` nested values, innermost empty: lists for
+    ``"list"``, ``b { ... }`` items for ``"{ b"``, ``b = { ... }`` for ``"{ b ="``."""
+    if form == "list":
+        return "a = " + "[" * depth + "]" * depth
+    head = "a = " if form.endswith("=") else "a "
+    return head + (form + " ") * (depth - 1) + "{ }" + " }" * (depth - 1)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("# note\n  @", "unexpected character '@'", 2, 3),
+        ("a = 1  # c @\n  @", "unexpected character '@'", 2, 3),
+        ("a = 1\r\n  b = @", "unexpected character '@'", 2, 7),
+        ('a = "abc', "unexpected character '\"'", 1, 5),
+        ('a = "x\ny"', "unexpected character '\"'", 1, 5),
+        ("a = 1,\nb = 2", "expected 'ident', got ','", 1, 6),
+        ("a {\n  b = 1\n  ", "expected 'ident', got None", 3, 3),
+        ("a {", "expected 'ident', got None", 1, 4),
+        ("a b", "expected '=', label, or block after 'a'", 1, 3),
+        ("a", "expected '=', label, or block after 'a'", 1, 2),
+        ("a { b 1 }", "expected '=' or block after 'b'", 1, 7),
+        ("a { b }", "expected '=' or block after 'b'", 1, 7),
+        ('a "x" { }\na "x" { }', "duplicate a label 'x'", 2, 1),
+        ('a "x" { }\na "y" 5', "expected '{', got 5", 2, 7),
+        # At the top level a repeated key is a duplicate only before '=' or a
+        # block; inside a block the repeat is reported first.
+        ("a = 1\na 5", "expected '=', label, or block after 'a'", 2, 3),
+        ("a = 1\na", "expected '=', label, or block after 'a'", 2, 2),
+        ("a { b = 1 b }", "duplicate key 'b'", 1, 11),
+        (_nested(65, "list"), "values nested deeper than 64 levels", 1, 69),
+        (_nested(65, "{ b"), "values nested deeper than 64 levels", 1, 259),
+        (_nested(65, "{ b ="), "values nested deeper than 64 levels", 1, 389),
+    ],
+    ids=[
+        "bad-char-after-comment-line",
+        "bad-char-after-comment",
+        "bad-char-after-crlf",
+        "unterminated-string",
+        "string-across-lines",
+        "top-level-comma",
+        "eof-in-block",
+        "eof-after-brace",
+        "top-level-no-form",
+        "top-level-no-form-at-eof",
+        "block-no-form",
+        "block-key-then-brace",
+        "duplicate-label",
+        "label-without-block",
+        "duplicate-then-non-value",
+        "duplicate-then-eof",
+        "block-duplicate-then-non-value",
+        "list-depth-65",
+        "block-depth-65",
+        "value-block-depth-65",
+    ],
+)
+def test_parse_errors_pin_message_line_and_column(text, message, line, column):
+    with pytest.raises(ConfigError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.column) == (
+        f"line {line}, column {column}: {message}", line, column
+    )
+
+
+@pytest.mark.parametrize(
+    "text", [_nested(64, "list"), _nested(64, "{ b"), _nested(64, "{ b =")],
+    ids=["list-depth-64", "block-depth-64", "value-block-depth-64"],
+)
+def test_nesting_depth_64_is_accepted(text):
+    tree = parse(text)
+    depth, value = 0, tree.data["a"]
+    while value:
+        depth, value = depth + 1, value[0] if isinstance(value, list) else value["b"]
+    assert depth == 63

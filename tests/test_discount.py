@@ -192,7 +192,12 @@ def test_state_rate_lookup_and_messages():
 
 
 @pytest.mark.parametrize(
-    "rates, label", [({1: 0.1, "1": 0.2}, "1"), ({"s1": 0.1, 2.5: 0.3, "2.5": 0.3}, "2.5")]
+    "rates, label",
+    [
+        ({1: 0.1, "1": 0.2}, "1"),
+        ({"s1": 0.1, 2.5: 0.3, "2.5": 0.3}, "2.5"),
+        ([("a", 0.1), ("a", 0.2)], "a"),  # a repeat among the pairs themselves
+    ],
 )
 def test_state_labels_that_collide_after_str_are_rejected(rates, label):
     # Labels are stored as str(key); two keys with one label would leave

@@ -43,6 +43,14 @@ def test_state_space_validation():
     assert StateSpace(("a", "b", "c")).m == 3
 
 
+@pytest.mark.parametrize("labels", ["up", "a", ""])
+def test_state_space_rejects_a_bare_string(labels):
+    # tuple("up") would be the states 'u' and 'p'.
+    message = f"^state labels must be a sequence, not the string {labels!r}$"
+    with pytest.raises(ValueError, match=message):
+        StateSpace(labels)
+
+
 def test_gamble_validation():
     with pytest.raises(ValueError):
         G(1.0)  # wrong length
