@@ -18,12 +18,12 @@ user-chosen margin epsilon because an LP cannot express strict inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import lp
+from ._record import Record
 from .errors import NumericalInstability, SpaceMismatch
 from .gamble import Gamble, StateSpace, transform
 from .utility import Utility
@@ -51,8 +51,7 @@ __all__ = [
 _TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AssessmentSet:
+class AssessmentSet(Record):
     """Generator gambles marked accepted (and optionally rejected) under one utility."""
 
     space: StateSpace
@@ -99,8 +98,7 @@ class AssessmentSet:
         return U
 
 
-@dataclass(frozen=True, eq=False)
-class Functional:
+class Functional(Record, eq=False):
     """A nonnegative, not-all-zero weight vector, stored normalized to unit l1 norm."""
 
     weights: np.ndarray
@@ -127,8 +125,7 @@ class Functional:
         return bool(np.array_equal(self.weights, other.weights))
 
 
-@dataclass(frozen=True, eq=False)
-class AcceptanceDecision:
+class AcceptanceDecision(Record, eq=False):
     """Outcome of a natural-extension query.
 
     ``witness`` holds the conic coefficients when accepted; ``certificate``
@@ -202,8 +199,7 @@ def accepts(a: AssessmentSet, g: Gamble) -> bool:
     return accept_decision(a, g).accepted
 
 
-@dataclass(frozen=True, eq=False)
-class PartialLossReport:
+class PartialLossReport(Record, eq=False):
     """Result of the sure-loss search; ``witness`` combines generators into a loss."""
 
     avoids: bool
@@ -241,8 +237,7 @@ def avoids_partial_loss(a: AssessmentSet) -> bool:
     return check_partial_loss(a).avoids
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Record):
     """No compatible functional exists; ``conflict`` is an irreducible conflicting subset.
 
     Entries are ("accepted", i) or ("rejected", j) indices into the assessment
@@ -420,8 +415,7 @@ def check_transform_invariance(u: Utility, phi, fs) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     """One coherence violation, renderable as an audit report line."""
 
     axiom: str

@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Mapping, Set
+from types import MappingProxyType
 
+from ._record import Record
 from .discount import (
     DiscountSpec,
     Exponential,
@@ -118,13 +120,12 @@ def _tokenize(text: str) -> list[tuple]:
         tokens.append((kind, value, line, col))
 
 
-@dataclass
-class ConfigTree:
+class ConfigTree(Record):
     """Parsed configuration: data tree, which keys were label-style, key positions."""
 
     data: dict
-    labeled: set[str] = dc_field(default_factory=set)
-    positions: dict[tuple, tuple[int, int]] = dc_field(default_factory=dict)
+    labeled: Set[str] = frozenset()
+    positions: Mapping[tuple, tuple[int, int]] = MappingProxyType({})
 
     def where(self, path: tuple) -> tuple[int | None, int | None]:
         """Position of ``path``, else of its nearest ancestor that has one."""
@@ -248,7 +249,10 @@ def _emit_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return repr(value)
+        text = repr(value).replace("inf", "1e999")  # an overflowing literal parses to +-inf
+        if text == "nan":
+            raise ValueError("cannot serialize NaN: no config number parses to it")
+        return text
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, list):
@@ -277,8 +281,7 @@ def serialize(tree: ConfigTree) -> str:
     return "".join(lines)
 
 
-@dataclass
-class Scenario:
+class Scenario(Record):
     """Validated scenario: every component invariant checked at build time."""
 
     utility: Utility

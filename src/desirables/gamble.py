@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, ImageError, SpaceMismatch
 from .utility import Utility
 
@@ -18,8 +17,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Record):
     """An ordered set of distinct state labels."""
 
     labels: tuple[str, ...]
@@ -39,8 +37,7 @@ class StateSpace:
         return len(self.labels)
 
 
-@dataclass(frozen=True, eq=False)
-class Gamble:
+class Gamble(Record, eq=False):
     """State-contingent rewards bounded below by -wealth_floor.
 
     ``wealth_floor`` is the positive wealth bank w covering potential losses;

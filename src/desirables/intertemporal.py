@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .discount import DiscountSpec, uses_states
 from .errors import DesirablesError
 from .utility import Utility
@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DatedPayment:
+class DatedPayment(Record):
     """A reward paid at a nonnegative delay, optionally tagged with a state label."""
 
     amount: float
@@ -57,8 +56,7 @@ class DatedPayment:
             raise ValueError(f"payment time must be nonnegative, got {self.time!r}")
 
 
-@dataclass(frozen=True)
-class PaymentSchedule:
+class PaymentSchedule(Record):
     """A nonempty list of dated payments; evaluation order does not matter."""
 
     payments: tuple[DatedPayment, ...]
@@ -153,8 +151,7 @@ def shift_schedule(sch: PaymentSchedule, delta: float) -> PaymentSchedule:
     return PaymentSchedule(payments, sch.label)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     """Preference trace over common time shifts.
 
     ``baseline`` is the preference with no shift; ``first_flip`` is the

@@ -42,11 +42,11 @@ returned as ``None``; the status and ``x`` are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._record import Record
 from .errors import DimensionError, NumericalInstability
 
 __all__ = [
@@ -73,8 +73,7 @@ def _frozen(values) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class LpProblem:
+class LpProblem(Record, eq=False):
     """maximize objective @ x s.t. constraints @ x <= rhs, x >= 0.
 
     ``constraints`` is the m x n coefficient matrix and ``rhs`` holds one
@@ -105,8 +104,9 @@ class LpProblem:
             )
         if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
             raise ValueError("constraint coefficients must be finite")
-        # Frozen: store the validated copies past __setattr__.
-        self.__dict__.update(objective=objective, constraints=A, rhs=rhs)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "constraints", A)
+        object.__setattr__(self, "rhs", rhs)
 
 
 class LpStatus(Enum):
@@ -115,8 +115,7 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True, eq=False)
-class LpSolution:
+class LpSolution(Record, eq=False):
     status: LpStatus
     x: np.ndarray | None = None
     value: float | None = None

@@ -306,6 +306,11 @@ def test_curves_range_point_cap_exits_2(capsys, text):
     assert len(cli._parse_range("0:99999:1")) == 100000  # exactly at the cap
 
 
+def test_parse_range_drops_a_last_point_past_hi():
+    assert cli._parse_range("0:0.26:0.1") == [0.0, 0.1, 0.2]
+    assert cli._parse_range("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
+
+
 def test_curves_missing_and_extra_parameters(capsys):
     rc, _, err = run(capsys, "curves", "--regime", "hyperbolic", "--t", "0:1:1")
     assert rc == 2

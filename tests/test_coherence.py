@@ -635,6 +635,18 @@ def test_representation_consistency_recheck():
         assert cross_check_functional(full, result)
 
 
+def test_cross_check_functional_audits_the_accepted_candidates():
+    a = AssessmentSet(S2, Linear(), (G(1, -1),))
+    ell = Functional([1, 1])
+    assert not accepts(a, G(-1, 0.5)) and rho(ell, a.utility, G(-1, 0.5)) < 0
+    assert cross_check_functional(a, ell, [G(2, -1), G(-1, 0.5)])  # a rejected one is skipped
+    near = G(1 - 5e-10, -1 - 5e-10)  # accepted within the LP's 1e-9; rho = -5e-10
+    assert accepts(a, near) and rho(ell, a.utility, near) < 0
+    assert cross_check_functional(a, ell, [near])
+    assert not cross_check_functional(a, ell, [near], tol=1e-12)
+    assert not cross_check_functional(a, Functional([1, 3]), [G(2, -1)])  # a generator fails
+
+
 def test_closure_under_limits():
     # f_n = f + (1/n) 1 with rho(f_n) >= 0 throughout; the limit stays >= -1e-9.
     cases = [

@@ -1,10 +1,12 @@
+import dataclasses
+import math
 import re
 from pathlib import Path
 
 import pytest
 
 from desirables import ConfigError, Hybrid, PowerDiscounted, StateSpace
-from desirables.config import build_scenario, parse, serialize
+from desirables.config import ConfigTree, build_scenario, parse, serialize
 
 DATA = Path(__file__).parent / "data"
 
@@ -81,6 +83,27 @@ def test_string_escapes_round_trip():
     tree = parse('s = "he said \\"hi\\" \\\\ there"')
     assert tree.data["s"] == 'he said "hi" \\ there'
     assert parse(serialize(tree)).data == tree.data
+
+
+def test_overflowing_numbers_round_trip_and_nan_is_refused():
+    tree = parse("a = 1e999\nb = [-1e999, 0.5]\nc {\n  d = -1e999\n}")
+    assert tree.data == {"a": math.inf, "b": [-math.inf, 0.5], "c": {"d": -math.inf}}
+    text = serialize(tree)
+    assert "a = 1e999\n" in text and "b = [-1e999, 0.5]\n" in text
+    assert parse(text).data == tree.data
+    with pytest.raises(ValueError, match="NaN"):
+        serialize(ConfigTree({"a": [math.nan]}))
+
+
+def test_config_tree_defaults_are_immutable_and_not_shared_mutably():
+    a, b = ConfigTree({}), ConfigTree({})
+    assert a.labeled == frozenset() and isinstance(a.labeled, frozenset)
+    assert dict(a.positions) == {} and a.where(("x", "y")) == (None, None)
+    with pytest.raises(TypeError):
+        a.positions[("x",)] = (1, 1)
+    assert a.positions is b.positions and a.labeled is b.labeled  # shared, but read-only
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.data = {}
 
 
 def test_parse_errors_carry_line_and_column():

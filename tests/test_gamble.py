@@ -71,6 +71,18 @@ def test_gamble_rejects_a_non_finite_wealth_floor(bad):
         Gamble(S2, [1.0, -1.0], wealth_floor=bad)
 
 
+def test_gamble_equality_compares_space_floor_and_rewards():
+    space = StateSpace(("a", "b"))
+    f = Gamble(space, [1.0, -0.5])
+    assert f == Gamble(space, np.array([1, -0.5])) and not f != Gamble(space, [1.0, -0.5])
+    assert f != Gamble(space, [1.0, -0.5], wealth_floor=2.0)  # the default floor is 1
+    assert f != Gamble(StateSpace(("a", "c")), [1.0, -0.5])
+    assert f != Gamble(space, [1.0, -0.25])
+    assert f.__eq__((1.0, -0.5)) is NotImplemented and f != (1.0, -0.5)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(f)
+
+
 def test_gamble_rewards_are_frozen():
     g = G(1.0, 2.0)
     with pytest.raises(ValueError):

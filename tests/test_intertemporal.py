@@ -126,6 +126,16 @@ def test_reversal_scan_hyperbolic_projects():
     assert dense.first_flip == 4.0
 
 
+def test_scan_result_reversed_is_whether_a_flip_was_found():
+    a, b, shifts = sched((100, 0)), sched((110, 1)), [0, 5, 10]
+    hyperbolic = reversal_scan(Linear(), Hyperbolic(0.5), a, b, shifts)
+    assert [p for _, p in hyperbolic.trace] == [Preference.A, Preference.A, Preference.B]
+    assert hyperbolic.first_flip == 10.0 and hyperbolic.reversed is True
+    exponential = reversal_scan(Linear(), Exponential(0.01), a, b, shifts)
+    assert {p for _, p in exponential.trace} == {Preference.B}
+    assert exponential.first_flip is None and exponential.reversed is False
+
+
 def test_reversal_scan_quasi_hyperbolic_savings():
     u, d = Sqrt(), QuasiHyperbolic(0.7, 0.95)
     plan_a = sched((100, 0), label="A")

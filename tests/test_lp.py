@@ -273,6 +273,28 @@ def test_kernel_error_is_one_line_and_carries_the_problem():
     assert "row 0:" in format_problem(info.value.problem)
 
 
+def test_recheck_rejects_a_row_feasible_negative_x():
+    p = LpProblem((1.0, 1.0), [[1.0, 1.0]], [1.0])
+    with pytest.raises(NumericalInstability) as info:
+        _recheck(p, np.array([0.5, -1e-3]))  # the row holds: 0.499 <= 1
+    assert str(info.value) == "solution violates nonnegativity: -1.000e-03"
+    assert info.value.problem is p
+    _recheck(p, np.array([0.5, -0.5 * lp._CHECK_TOL]))  # within the tolerance
+
+
+def test_pivot_on_a_tiny_entry_raises_and_carries_the_problem():
+    p = LpProblem((1.0, 1.0), [[1e-13, 1.0], [1.0, 1.0]], [1.0, 2.0])
+    tab = lp._Tableau(p)
+    before = tab.T.copy()
+    with pytest.raises(NumericalInstability) as info:
+        lp._pivot(tab, 0, 0)
+    assert str(info.value) == f"pivot magnitude 1.000e-13 below {lp._PIVOT_MIN}"
+    assert info.value.problem is p
+    assert np.array_equal(tab.T, before) and list(tab.basis) == [2, 3]  # nothing was updated
+    lp._pivot(tab, 1, 0)
+    assert list(tab.basis) == [2, 0]
+
+
 def test_overflowing_tableau_raises_numerical_instability():
     # The partial-loss LP of generators (1e308, -1e308) and (-1e308, 1e308).
     rows = [[1e308, -1e308, 1.0], [-1e308, 1e308, 1.0], [1.0, 1.0, 0.0]]

@@ -83,3 +83,16 @@ def test_cli_loads_coherence_and_lp_for_check_and_fit_only(argv, heavy):
     )
     after = "['desirables.coherence', 'desirables.lp']" if heavy else "[]"
     assert loaded_after(code) == ["[]", after]
+
+
+def test_no_module_declares_a_dataclass():
+    code = (
+        "import importlib, pkgutil, desirables\n"
+        "for info in pkgutil.iter_modules(desirables.__path__):\n"
+        "    module = importlib.import_module('desirables.' + info.name)\n"
+        "    for name, obj in vars(module).items():\n"
+        "        if isinstance(obj, type) and hasattr(obj, '__dataclass_fields__'):\n"
+        "            print(module.__name__ + '.' + name)\n"
+        "report()\n"
+    )
+    assert loaded_after(code) == ["['desirables.coherence', 'desirables.lp']"]

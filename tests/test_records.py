@@ -1,39 +1,65 @@
-"""The utility, phi, discount and eta kinds and their reports behave as frozen dataclasses.
+"""Every frozen value type in the package behaves as a frozen dataclass.
 
 Each record is compared with a ``dataclasses.dataclass(frozen=True)`` twin
-built from the same field names, defaults and values: repr, equality,
+built from the same field names, defaults and values (``eq=False`` where the
+record compares by identity or by its own ``__eq__``): repr, equality,
 hashing, immutability, argument errors, ``__match_args__`` and deep copies.
+The utility, phi, discount and eta kinds and their reports are drawn by
+hypothesis; the gamble, LP, coherence, intertemporal and config records take
+two hand-built values each.  ``tests/record_parity.py`` checks the mechanism
+itself on shapes the package does not use.
 """
 
 import copy
 import dataclasses
+import importlib
+import pkgutil
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import desirables
 from desirables import (
+    AcceptanceDecision,
     AdmissibilityReport,
+    AssessmentSet,
     Composed,
     ConstraintReport,
+    DatedPayment,
     Exponential,
+    Finding,
+    Functional,
+    Gamble,
     GeneralizedHyperbolic,
     Hybrid,
     Hyperbolic,
+    Infeasible,
     InverseLog,
     Linear,
     LogShift,
+    PartialLossReport,
+    PaymentSchedule,
     PhiPoly,
     PhiPower,
     PhiScale,
     PhiTable,
     PowerDiscounted,
+    Preference,
     QuasiHyperbolic,
     ScaleDependent,
+    ScanResult,
     Sqrt,
     StateDependent,
+    StateSpace,
     TabulatedEta,
 )
-from desirables import discount, utility
+from desirables._record import Record
+from desirables.config import ConfigTree, Scenario
+from desirables.lp import LpProblem, LpSolution, LpStatus
+
+from record_parity import check, hashed
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
@@ -97,45 +123,109 @@ reports = st.one_of(
 )
 records = st.one_of(utilities, phis, etas, discounts, reports)
 
-RECORD_TYPES = (
+DRAWN_TYPES = (
     Linear, LogShift, Sqrt, PowerDiscounted, Composed, PhiScale, PhiPower, PhiPoly,
     PhiTable, AdmissibilityReport, Exponential, Hyperbolic, QuasiHyperbolic,
     GeneralizedHyperbolic, ScaleDependent, StateDependent, Hybrid, InverseLog,
     TabulatedEta, ConstraintReport,
 )  # fmt: skip
 
+_S = StateSpace(("a", "b"))
+_A0, _B1 = DatedPayment(100, 0), DatedPayment(110, 1, "a")
+#: Two distinct values of each record type that hypothesis does not draw.
+EXAMPLES = {
+    LpProblem: (LpProblem([1.0], [[1.0]], [1.0]), LpProblem([1.0, 2.0], [[1.0, 1.0]], [2.0])),
+    LpSolution: (
+        LpSolution(LpStatus.OPTIMAL, x=np.array([1.0]), value=1.0, y=np.array([1.0])),
+        LpSolution(LpStatus.INFEASIBLE, certificate=np.array([-1.0])),
+    ),
+    AssessmentSet: (
+        AssessmentSet(_S, Linear(), (Gamble(_S, [1, 0]),)),
+        AssessmentSet(_S, Sqrt(), (Gamble(_S, [1, 1]),), (Gamble(_S, [-1, -1]),)),
+    ),
+    Functional: (Functional([1, 1]), Functional([1, 3])),
+    AcceptanceDecision: (
+        AcceptanceDecision(True, 0.5, witness=np.array([1.0])),
+        AcceptanceDecision(False, -0.5, certificate=np.array([0.5, 0.5])),
+    ),
+    PartialLossReport: (
+        PartialLossReport(True, 0.0),
+        PartialLossReport(False, 0.5, witness=np.array([1.0]), combination=np.array([-1.0])),
+    ),
+    Infeasible: (Infeasible((("accepted", 0),)), Infeasible((("rejected", 1), ("accepted", 0)))),
+    Finding: (Finding("F1", "witness"), Finding("F2", "rejected[0] dominates accepted[0]")),
+    StateSpace: (_S, StateSpace(("up",))),
+    Gamble: (Gamble(_S, [1, 0]), Gamble(_S, [1, 0], wealth_floor=2.0)),
+    DatedPayment: (_A0, _B1),
+    PaymentSchedule: (PaymentSchedule((_A0,), "A"), PaymentSchedule((_A0, _B1))),
+    ScanResult: (
+        ScanResult(((0.0, Preference.A),), Preference.A, None, (1.0,), (0.5,)),
+        ScanResult(((0.0, Preference.A), (5.0, Preference.B)), Preference.A, 5.0, (2, 1), (1, 2)),
+    ),
+    ConfigTree: (
+        ConfigTree({"wealth": 1}),
+        ConfigTree({"schedule": {"A": {}}}, labeled={"schedule"}, positions={("schedule",): (1, 1)}),
+    ),
+    Scenario: (
+        Scenario(Linear(), None, None, {}, None, None, [], [], False, None),
+        Scenario(
+            Sqrt(), Exponential(0.1), _S, {"A": PaymentSchedule((_A0,), "A")}, [0.0, 1.0],
+            ("A", "A"), [Gamble(_S, [1, 0])], [], True, 2.0,
+        ),
+    ),
+}  # fmt: skip
+RECORD_TYPES = DRAWN_TYPES + tuple(EXAMPLES)
+
 _TWINS = {}
 
 
 def twin_type(cls):
-    """A plain frozen dataclass with ``cls``'s name, field names and defaults."""
+    """A plain frozen dataclass with ``cls``'s name, field names, defaults and eq."""
     if cls not in _TWINS:
         fields = []
         for name in cls.__match_args__:
             if name in vars(cls):
-                fields.append((name, object, dataclasses.field(default=vars(cls)[name])))
+                default = vars(cls)[name]  # dataclass refuses an unhashable default: a factory
+                fields.append((name, object, dataclasses.field(default_factory=lambda d=default: d)))
             else:
                 fields.append((name, object))
-        _TWINS[cls] = dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True)
+        eq = cls.__eq__ is Record.__eq__
+        _TWINS[cls] = dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True, eq=eq)
     return _TWINS[cls]
 
 
 def twin(record):
-    """The dataclass twin of ``record`` with the same field values, twins nested."""
+    """The dataclass twin of ``record`` with the same field values.
+
+    Field values that are records comparing by fields are twinned too; the
+    others (gambles, functionals) keep their own equality.
+    """
     cls = type(record)
-    if cls not in RECORD_TYPES:
-        return record
-    return twin_type(cls)(*(twin(getattr(record, name)) for name in cls.__match_args__))
+    return twin_type(cls)(*(_twin_field(getattr(record, name)) for name in cls.__match_args__))
+
+
+def _twin_field(value):
+    cls = type(value)
+    return twin(value) if cls in RECORD_TYPES and cls.__eq__ is Record.__eq__ else value
 
 
 def test_every_record_type_is_covered():
-    kinds = {
-        obj
-        for module in (utility, discount)
-        for obj in vars(module).values()
-        if isinstance(obj, type) and "__match_args__" in vars(obj)
-    }
-    assert kinds == set(RECORD_TYPES) and len(RECORD_TYPES) == 20
+    kinds = set()
+    for info in pkgutil.iter_modules(desirables.__path__):
+        module = importlib.import_module(f"desirables.{info.name}")
+        kinds |= {
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, Record)
+            and obj is not Record
+            and obj.__module__ == module.__name__
+        }
+    assert kinds == set(RECORD_TYPES) and len(RECORD_TYPES) == 35
+
+
+def test_the_record_mechanism_matches_dataclass_on_every_shape():
+    check()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -154,9 +244,31 @@ def test_repr_equality_and_hash_match_a_frozen_dataclass(a, b):
     assert (a == ta, a != ta) == (False, True)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(records)
-def test_records_are_frozen(record):
+EXAMPLE_VALUES = [value for pair in EXAMPLES.values() for value in pair]
+
+
+def _ids(value):
+    return type(value).__name__
+
+
+@pytest.mark.parametrize("cls", EXAMPLES, ids=lambda c: c.__name__)
+def test_repr_equality_and_hash_of_the_other_records_match_a_dataclass_twin(cls):
+    a, b = EXAMPLES[cls]
+    ta, tb = twin(a), twin(b)
+    same, t_same = copy.copy(a), copy.copy(ta)
+    if cls.__eq__ in (Record.__eq__, object.__eq__):
+        assert (repr(a), repr(b)) == (repr(ta), repr(tb))
+        assert hashed(a) == hashed(ta)
+        assert (a == same, a != same) == (ta == t_same, ta != t_same)
+        assert (a == b, a != b) == (ta == tb, ta != tb)
+    else:  # Gamble and Functional compare their values and are unhashable
+        assert (a == same, a != same, a == b, a != b) == (True, False, False, True)
+        assert hashed(a) == f"unhashable type: {cls.__name__!r}"
+    for other in (1, "x", None, ta):
+        assert (a == other, a != other) == (False, True)
+
+
+def check_frozen(record):
     t = twin(record)
     for name in (*type(record).__match_args__, "extra"):
         for target in (record, t):
@@ -170,13 +282,42 @@ def test_records_are_frozen(record):
                 assert messages == (str(set_error.value), str(del_error.value))
 
 
+def check_deepcopy(record):
+    if isinstance(getattr(record, "positions", None), MappingProxyType):
+        # A read-only mapping cannot be deep-copied, in a record as in its twin.
+        for target in (record, twin(record)):
+            with pytest.raises(TypeError, match="cannot pickle 'mappingproxy' object"):
+                copy.deepcopy(target)
+        return
+    clone = copy.deepcopy(record)
+    assert type(clone) is type(record)
+    assert repr(clone) == repr(record)
+    if type(record).__eq__ is object.__eq__:  # eq=False: identity, as the twin's
+        assert clone != record and hashed(clone) == hashed(record) == "identity"
+    else:
+        assert clone == record and hashed(clone) == hashed(record)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(records)
+def test_records_are_frozen(record):
+    check_frozen(record)
+
+
+@pytest.mark.parametrize("record", EXAMPLE_VALUES, ids=_ids)
+def test_the_other_records_are_frozen(record):
+    check_frozen(record)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(records)
 def test_deepcopy_round_trips(record):
-    clone = copy.deepcopy(record)
-    assert type(clone) is type(record)
-    assert clone == record and hash(clone) == hash(record)
-    assert repr(clone) == repr(record)
+    check_deepcopy(record)
+
+
+@pytest.mark.parametrize("record", EXAMPLE_VALUES, ids=_ids)
+def test_deepcopy_of_the_other_records_round_trips(record):
+    check_deepcopy(record)
 
 
 @pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda c: c.__name__)
@@ -191,10 +332,11 @@ def test_match_args_and_argument_errors_match_a_frozen_dataclass(cls):
     if required:
         calls.append(((), {}))
     for args, kwargs in calls:
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as error:
             cls(*args, **kwargs)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as twin_error:
             t(*args, **kwargs)
+        assert str(error.value) == str(twin_error.value)
 
 
 def test_keyword_construction_and_defaults():
