@@ -7,14 +7,16 @@ of the scalar entry points is that of plain ``math`` code), and :data:`GRID`
 evaluates it on a numpy array, e.g. a shifts x payments grid.  numpy's
 ``exp``/``log1p``/``pow`` may differ from libm's in the last bits, so a grid
 cell can differ from the scalar value of the same cell by a few ulps.
+:data:`SCALAR` needs only the standard library; :data:`GRID`, and numpy with
+it, is built on first use.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from types import ModuleType
-
-import numpy as np
 
 
 def _where(cond, a, b):
@@ -28,7 +30,13 @@ def _segment(xs, w):
         return 0
     if w >= xs[-2]:
         return len(xs) - 2
-    return int(np.searchsorted(xs, w, side="right")) - 1
+    return bisect.bisect_right(xs, w) - 1
+
+
+def is_array(x) -> bool:
+    """True when ``x`` is a numpy array; no array exists before numpy is imported."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(x, numpy.ndarray)
 
 
 def _segment_grid(xs, w):
@@ -84,24 +92,33 @@ SCALAR = _backend(
     take=lambda seq, i: seq[i],
 )
 
-#: Elementwise over numpy arrays.
-GRID = _backend(
-    "grid",
-    asfloat=lambda v: np.asarray(v, dtype=float),
-    exp=np.exp,
-    log1p=np.log1p,
-    sqrt=np.sqrt,
-    abs=np.abs,
-    copysign=np.copysign,
-    where=np.where,
-    round2=_round2_grid,
-    each=_each_grid,
-    segment=_segment_grid,
-    take=np.take,
-)
+
+def __getattr__(name):
+    # GRID (elementwise, numpy) and the ``np`` its _*_grid helpers read, bound on first read.
+    global GRID, np
+    if name != "GRID":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+    GRID = _backend(
+        "grid",
+        asfloat=lambda v: np.asarray(v, dtype=float),
+        exp=np.exp,
+        log1p=np.log1p,
+        sqrt=np.sqrt,
+        abs=np.abs,
+        copysign=np.copysign,
+        where=np.where,
+        round2=_round2_grid,
+        each=_each_grid,
+        segment=_segment_grid,
+        take=np.take,
+        isfinite=np.isfinite,
+        errstate=np.errstate,
+    )
+    return GRID
 
 
-def check_each(check, values: np.ndarray, ok: np.ndarray) -> None:
+def check_each(check, values, ok) -> None:
     """Run the scalar ``check`` on the first entry (row-major) of ``values`` failing ``ok``."""
     if not ok.all():
-        check(float(values.flat[np.argmin(ok)]))
+        check(float(values.flat[ok.argmin()]))

@@ -14,8 +14,6 @@ import itertools
 import math
 import sys
 
-import numpy as np
-
 from . import config as configmod
 from .errors import ConfigError, DesirablesError, SpaceMismatch
 from .intertemporal import reversal_scan, schedule_value
@@ -81,7 +79,6 @@ def cmd_scan(args) -> int:
 
 
 def _assessment_set(args):
-    from .coherence import AssessmentSet  # check and fit alone import coherence and lp
     scenario = _load_scenario(args.config)
     if not scenario.has_assessments:
         raise ValueError("no assessments block")
@@ -90,6 +87,7 @@ def _assessment_set(args):
         space = scenario.assessments_accepted[0].space
     if space is None:
         raise ValueError("assessments need a states block or inline gamble states")
+    from .coherence import AssessmentSet  # check and fit alone import coherence and lp
     return AssessmentSet(
         space=space,
         utility=scenario.utility,
@@ -99,8 +97,9 @@ def _assessment_set(args):
 
 
 def cmd_check(args) -> int:
+    aset = _assessment_set(args)
     from .coherence import audit
-    findings = audit(_assessment_set(args))
+    findings = audit(aset)
     if not findings:
         print("coherent")
         return _EXIT_OK
@@ -110,8 +109,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .coherence import Functional, fit_functional
     aset = _assessment_set(args)
+    from .coherence import Functional, fit_functional
     result = fit_functional(aset, strict_margin=args.strict_margin)
     if isinstance(result, Functional):
         print("state\tweight")
@@ -224,15 +223,14 @@ def cmd_curves(args) -> int:
     grids = [supplied[name] for name in wanted]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["regime", "param_set", "t", "factor"])
-    delays = np.array(times)
     try:
         for combo in itertools.product(*grids):
             params = dict(zip(wanted, combo), log_base=args.log_base)
             tree = configmod.ConfigTree(data={"discount": _fill(block, params)})
             spec = configmod.build_scenario(tree).discount
             label = ",".join(f"{name}={value:g}" for name, value in zip(wanted, combo))
-            factors = spec.factor(delays, params.get("x")).tolist()
-            for t, factor in zip(times, factors):
+            for t in times:  # the scalar formula, as eval evaluates it
+                factor = spec.factor(t, params.get("x"))
                 writer.writerow([regime, label, f"{t:g}", f"{factor:.10g}"])
     except ConfigError as exc:  # the user wrote no config here: not a parse error
         raise ValueError(str(exc)) from None

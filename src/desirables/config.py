@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Mapping, Set
-from types import MappingProxyType
 
 from ._record import Record
 from .discount import (
@@ -48,7 +47,6 @@ from .discount import (
     TabulatedEta,
 )
 from .errors import ConfigError
-from .gamble import Gamble, StateSpace
 from .intertemporal import DatedPayment, PaymentSchedule
 from .utility import (
     Composed,
@@ -120,12 +118,34 @@ def _tokenize(text: str) -> list[tuple]:
         tokens.append((kind, value, line, col))
 
 
+class _NoPositions(Mapping):
+    """The empty read-only mapping, one instance: it copies and unpickles as itself."""
+
+    def __getitem__(self, path):
+        raise KeyError(path)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self):
+        return 0
+
+    def __reduce__(self):
+        return "_NO_POSITIONS"
+
+    def __repr__(self):
+        return "{}"
+
+
+_NO_POSITIONS = _NoPositions()
+
+
 class ConfigTree(Record):
     """Parsed configuration: data tree, which keys were label-style, key positions."""
 
     data: dict
     labeled: Set[str] = frozenset()
-    positions: Mapping[tuple, tuple[int, int]] = MappingProxyType({})
+    positions: Mapping[tuple, tuple[int, int]] = _NO_POSITIONS
 
     def where(self, path: tuple) -> tuple[int | None, int | None]:
         """Position of ``path``, else of its nearest ancestor that has one."""
@@ -360,6 +380,7 @@ def _rates(tree: ConfigTree, path: tuple, value, key: str) -> dict[str, float]:
 def _states(tree: ConfigTree, path: tuple, value, key: str) -> StateSpace:
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         _fail(tree, path, f"{key} must be a list of strings")
+    from .gamble import StateSpace  # gamble imports numpy: only states and gambles load it
     return _make(tree, path, StateSpace, tuple(value))
 
 
@@ -449,6 +470,7 @@ def _build_gamble(
     wealth = default_wealth
     if "wealth" in block:
         wealth = _number(tree, path + ("wealth",), block["wealth"], "wealth")
+    from .gamble import Gamble
     return _make(tree, path, Gamble, space, rewards, wealth)
 
 

@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-import numpy as np
-
-from ._backend import GRID, SCALAR, check_each
+from . import _backend
+from ._backend import SCALAR, check_each, is_array
 from ._record import Record
 from .errors import DomainError, MissingArgument, UnknownState
 
@@ -73,10 +72,10 @@ class DiscountSpec:
         A delay that is not >= 0 (NaN included) raises DomainError naming it.
         """
         if type(t) is not float:
-            if isinstance(t, np.ndarray):
+            if is_array(t):
                 t = t.astype(float, copy=False)
                 check_each(_reject_delay, t, t >= 0)
-                return self._factor(t, x, s, round_factors, GRID)
+                return self._factor(t, x, s, round_factors, _backend.GRID)
             t = float(t)
         if not t >= 0:
             _reject_delay(t)
@@ -239,6 +238,7 @@ class TabulatedEta(EtaSpec, Record):
             raise ValueError("eta values must be positive")
 
     def value(self, x: float) -> float:
+        import numpy as np
         return float(np.interp(x, self.xs, self.ys))
 
     def derivative(self, x: float) -> float:

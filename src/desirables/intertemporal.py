@@ -20,9 +20,8 @@ a block is raised as the shift-by-shift loop raises it, naming the payment
 from __future__ import annotations
 
 import enum
+import math
 import warnings
-
-import numpy as np
 
 from ._record import Record
 from .discount import DiscountSpec, uses_states
@@ -130,7 +129,7 @@ def compare(
     round_factors: bool = False,
 ) -> Preference:
     """Preference between two schedules; Indifferent within absolute ``tol`` (0 <= tol < inf)."""
-    if not 0.0 <= tol < np.inf:  # NaN fails too
+    if not 0.0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     va = schedule_value(u, d, a, round_factors=round_factors)
     vb = schedule_value(u, d, b, round_factors=round_factors)
@@ -200,6 +199,7 @@ def reversal_scan(
             raise ValueError(f"shifts must be nonnegative, got {delta!r}")
     deltas.sort()
     baseline = compare(u, d, a0, b0, tol=tol, round_factors=round_factors)
+    import numpy as np
     payments = a0.payments + b0.payments
     x = np.array([p.amount for p in payments])
     times = np.array([p.time for p in payments])
@@ -234,10 +234,10 @@ def reversal_scan(
     )
 
 
-def _sum_columns(cells: np.ndarray) -> np.ndarray:
-    # Column after column, as ``sum`` adds payments: pairwise summation
-    # (``cells.sum(axis=1)``) would round differently.
-    total = np.zeros(cells.shape[0])
+def _sum_columns(cells):
+    # Column after column from 0.0, as ``sum`` adds payments: pairwise
+    # summation (``cells.sum(axis=1)``) would round differently.
+    total = 0.0
     for column in cells.T:
         total += column
     return total

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ._backend import GRID, SCALAR, check_each
+from . import _backend
+from ._backend import SCALAR, check_each, is_array
 from ._record import Record
 from .errors import DomainError, ImageError
 
@@ -54,12 +53,13 @@ class Utility:
         Raises DomainError when x <= domain_lo or when u(x) overflows or is
         not finite, naming the first such reward (row-major) of an array.
         """
-        if type(x) is not float and isinstance(x, np.ndarray):
+        if type(x) is not float and is_array(x):
+            xp = _backend.GRID
             x = x.astype(float, copy=False)
             check_each(self._check_domain, x, x > self.domain_lo)
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = self._eval(x, GRID)
-            check_each(self._not_finite, x, np.isfinite(v))
+            with xp.errstate(over="ignore", invalid="ignore"):
+                v = self._eval(x, xp)
+            check_each(self._not_finite, x, xp.isfinite(v))
             return v
         self._check_domain(x)
         try:
@@ -375,6 +375,7 @@ def audit_admissibility(
         hi = max(100.0, lo + 1.0)
     if not lo < hi:  # a backwards grid would read every increase as a drop
         raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
+    import numpy as np
     grid = np.linspace(lo, hi, grid_n)
     steps = np.diff(u.eval(grid))
     increasing = bool(np.all(steps > 0))

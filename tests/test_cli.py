@@ -1,3 +1,6 @@
+import csv
+import io
+import itertools
 import math
 import os
 import subprocess
@@ -6,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from desirables import cli
+from desirables import (
+    Exponential,
+    GeneralizedHyperbolic,
+    Hybrid,
+    Hyperbolic,
+    InverseLog,
+    QuasiHyperbolic,
+    ScaleDependent,
+    cli,
+)
 from desirables.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -249,6 +261,45 @@ def test_curves_hybrid_lambda_zero_matches_pure_component(capsys):
     rc, out, _ = run(capsys, "curves", "--regime", "hyperbolic", "--k", "1.0", "--t", "0:4:1")
     pure = [float(ln.rsplit(",", 1)[1]) for ln in out.splitlines()[1:]]
     assert hybrid == pure
+
+
+# One sweep per regime: its flags and the regime built from the swept values.
+# quasi's holds beta=0.4, delta=0.885, t=4: numpy's pow is one ulp below libm's
+# correctly rounded delta^4 there, so a grid printed 0.2453765602, not ...603.
+SCALAR_SWEEPS = {
+    "exponential": (["--r", "0.05:0.3:0.05"], lambda p: Exponential(p["r"])),
+    "hyperbolic": (["--k", "0.1:1:0.3"], lambda p: Hyperbolic(p["k"])),
+    "quasi": (
+        ["--beta", "0.4:0.6:0.1", "--delta", "0.885"],
+        lambda p: QuasiHyperbolic(p["beta"], p["delta"]),
+    ),
+    "generalized": (["--k", "0.5", "--p", "0.5:2:0.5"], lambda p: GeneralizedHyperbolic(p["k"], p["p"])),
+    "scale": (
+        ["--r", "0.1", "--x", "10:1000:330"],
+        lambda p: ScaleDependent(Exponential(p["r"]), InverseLog(10.0)),
+    ),
+    "state": (["--r", "0.2"], lambda p: Exponential(p["r"])),
+    "hybrid": (
+        ["--lambda", "0:1:0.25", "--r", "0.1", "--k", "0.5"],
+        lambda p: Hybrid(p["lambda"], Exponential(p["r"]), Hyperbolic(p["k"])),
+    ),
+}
+
+
+@pytest.mark.parametrize("regime", SCALAR_SWEEPS)
+def test_curves_rows_are_the_scalar_factors_that_eval_uses(capsys, regime):
+    flags, make = SCALAR_SWEEPS[regime]
+    rc, out, _ = run(capsys, "curves", "--regime", regime, "--t", "0:12:0.5", *flags)
+    assert rc == 0
+    names = [flag.removeprefix("--") for flag in flags[::2]]
+    expected = []
+    for combo in itertools.product(*map(cli._parse_range, flags[1::2])):
+        params = dict(zip(names, combo))
+        spec = make(params)
+        for t in cli._parse_range("0:12:0.5"):
+            expected.append(format(spec.factor(t, params.get("x")), ".10g"))
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[3] for row in rows] == expected
 
 
 def test_curves_parameter_sweep_order_is_deterministic(capsys):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -104,6 +106,24 @@ def test_config_tree_defaults_are_immutable_and_not_shared_mutably():
     assert a.positions is b.positions and a.labeled is b.labeled  # shared, but read-only
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.data = {}
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        ConfigTree({}),
+        ConfigTree({"discount": {"kind": "hyperbolic", "k": 0.5}}, labeled=frozenset({"x"})),
+        parse('wealth = 1\nschedule "A" { pay = [{amount = 1, t = 0}] }'),
+    ],
+    ids=["empty", "no positions", "parsed"],
+)
+def test_config_trees_deep_copy_and_pickle(tree):
+    path = ("schedule", "A", "pay", 0, "t")
+    for clone in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert clone == tree and clone.where(path) == tree.where(path)
+        assert clone.data is not tree.data
+        if not tree.positions:  # the one read-only default, not a copy of it
+            assert clone.positions is ConfigTree({}).positions
 
 
 def test_parse_errors_carry_line_and_column():

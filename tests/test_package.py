@@ -32,12 +32,15 @@ def test_star_import_binds_exactly_all_and_dir_lists_it():
         desirables.no_such_name
 
 
+HEAVY = ["desirables.coherence", "desirables.lp", "numpy"]
+
+
 def loaded_after(code):
-    """The heavy submodules loaded after each ``report()`` in a fresh interpreter."""
+    """The heavy modules (``HEAVY``) loaded after each ``report()`` in a fresh interpreter."""
     prelude = (
         "import contextlib, io, sys\n"
         "def report():\n"
-        "    print(sorted({'desirables.coherence', 'desirables.lp'} & set(sys.modules)))\n"
+        f"    print(sorted({set(HEAVY)!r} & set(sys.modules)))\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -59,7 +62,7 @@ def test_package_names_load_their_module_on_first_use():
         "desirables.audit\n"
         "report()\n"
     )
-    assert loaded_after(code) == ["[]", "[]", "['desirables.coherence', 'desirables.lp']"]
+    assert loaded_after(code) == ["[]", "[]", str(HEAVY)]
 
 
 @pytest.mark.parametrize(
@@ -74,6 +77,7 @@ def test_package_names_load_their_module_on_first_use():
     ids=lambda v: v[0] if isinstance(v, list) else str(v),
 )
 def test_cli_loads_coherence_and_lp_for_check_and_fit_only(argv, heavy):
+    # numpy too, where a grid (scan) or an LP (check, fit) runs.
     code = (
         "import desirables.cli\n"
         "report()\n"
@@ -81,8 +85,49 @@ def test_cli_loads_coherence_and_lp_for_check_and_fit_only(argv, heavy):
         f"    assert desirables.cli.main({argv!r}) == 0\n"
         "report()\n"
     )
-    after = "['desirables.coherence', 'desirables.lp']" if heavy else "[]"
-    assert loaded_after(code) == ["[]", after]
+    after = HEAVY if heavy else ["numpy"] if argv[0] == "scan" else []
+    assert loaded_after(code) == ["[]", str(after)]
+
+
+def _config(command, name, *flags):
+    return [command, "--config", str(DATA / name), *flags]
+
+
+# Each regime's swept flags, one point or range each.
+CURVES = {
+    "exponential": ["--r", "0.05:0.1:0.05"],
+    "hyperbolic": ["--k", "0.5"],
+    "quasi": ["--beta", "0.6", "--delta", "0.9:0.95:0.05"],
+    "generalized": ["--k", "0.5", "--p", "2"],
+    "scale": ["--r", "0.1", "--x", "10:100:90"],
+    "state": ["--r", "0.2"],
+    "hybrid": ["--lambda", "0.5", "--r", "0.1", "--k", "0.5"],
+}
+# (argv, exit code): the scalar valuation path, and the exits before a grid or an LP.
+WITHOUT_NUMPY = [
+    (_config("eval", "hyperbolic_projects.conf"), 0),
+    (_config("eval", "hybrid_mix.conf", "--paper-rounding"), 0),
+    *[(["curves", "--regime", r, "--t", "0:3:0.5", *f], 0) for r, f in CURVES.items()],
+    (_config("scan", "ghyp_p2.conf"), 2),  # no scan block
+    (_config("check", "hyperbolic_projects.conf"), 2),  # no assessments
+    (_config("fit", "hyperbolic_projects.conf"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    WITHOUT_NUMPY,
+    ids=[" ".join(Path(a).name for a in argv) for argv, _ in WITHOUT_NUMPY],
+)
+def test_eval_curves_and_early_exits_load_no_numpy(argv, exit_code):
+    code = (
+        "import desirables, desirables.cli\n"
+        "report()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert desirables.cli.main({argv!r}) == {exit_code}\n"
+        "report()\n"
+    )
+    assert loaded_after(code) == ["[]", "[]"]
 
 
 def test_no_module_declares_a_dataclass():
@@ -95,4 +140,4 @@ def test_no_module_declares_a_dataclass():
         "            print(module.__name__ + '.' + name)\n"
         "report()\n"
     )
-    assert loaded_after(code) == ["['desirables.coherence', 'desirables.lp']"]
+    assert loaded_after(code) == [str(HEAVY)]

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from desirables import (
     Composed,
@@ -21,7 +21,7 @@ from desirables import (
     audit_admissibility,
 )
 
-from desirables._backend import GRID
+from desirables._backend import GRID, _segment
 from helpers import utility_zoo, reward_window
 
 
@@ -207,6 +207,25 @@ def test_array_phi_table_extrapolates_like_scalar():
     table = PhiTable((-1.0, 0.0, 2.0), (-3.0, 0.0, 1.0))
     w = np.array([-50.0, -1.0, -0.5, 0.0, 1.0, 2.0, 2.0001, 80.0])
     assert table(w, GRID).tolist() == [table(float(v)) for v in w]
+
+
+@st.composite
+def table_knots(draw):
+    # The knots of an identity PhiTable: strictly increasing, bracketing 0.
+    below = draw(st.lists(st.floats(-1e6, 0.0), min_size=1, max_size=4))
+    above = draw(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4))
+    xs = tuple(sorted({*below, *above}))
+    assume(len(xs) >= 2)
+    return PhiTable(xs, xs).xs
+
+
+@given(table_knots(), st.data())
+def test_scalar_segment_is_the_clipped_searchsorted_index(xs, data):
+    w = data.draw(st.one_of(st.sampled_from(xs), st.floats(allow_nan=False)), label="w")
+    expected = np.clip(np.searchsorted(xs, w, side="right") - 1, 0, len(xs) - 2)
+    assert _segment(xs, w) == int(expected)
+    # NaN passes neither end test; bisect, as numpy, places it after every knot.
+    assert _segment(xs, math.nan) == int(np.searchsorted(xs, math.nan, side="right")) - 1
 
 
 def test_array_eval_names_first_reward_outside_domain():
