@@ -147,15 +147,18 @@ class _Tableau:
         self.n_art = art_rows.size
         self.tau = np.where(flip, -1.0, 1.0)
         T = np.zeros((m + 1, n + m + self.n_art + 1))  # row m is set by each phase
-        T[:m, :n] = p.constraints * self.tau[:, None]
-        T[:m, -1] = p.rhs * self.tau
+        T[:m, :n], T[:m, -1] = p.constraints, p.rhs  # times tau below: x * 1.0 is x
         # Each row's starting basic column: its slack, or on a negated row its artificial.
-        self.identity_col = n + np.arange(m)
-        T[np.arange(m), self.identity_col] = self.tau
-        self.identity_col[art_rows] = n + m + np.arange(self.n_art)
-        T[art_rows, self.identity_col[art_rows]] = 1.0
+        rows = np.arange(m)
+        self.identity_col = n + rows
+        T[rows, self.identity_col] = self.tau
+        if self.n_art:
+            T[art_rows, :n] *= -1.0
+            T[art_rows, -1] *= -1.0
+            self.identity_col[art_rows] = n + m + np.arange(self.n_art)
+            T[art_rows, self.identity_col[art_rows]] = 1.0
         self.basis = self.identity_col.copy()
-        self.T = T
+        self.T, self.work = T, np.empty_like(T)  # work: _pivot's rank-1 product
 
 
 def _pivot(tab: _Tableau, row: int, col: int) -> None:
@@ -166,10 +169,12 @@ def _pivot(tab: _Tableau, row: int, col: int) -> None:
         raise NumericalInstability(
             f"pivot magnitude {abs(piv):.3e} below {_PIVOT_MIN}", tab.problem
         )
-    T[row] /= piv
-    f = T[:, col].copy()
+    pivot_row = T[row]
+    pivot_row /= piv
+    f = T[:, col, None].copy()
     f[row] = 0.0
-    T -= f[:, None] * T[row]
+    np.multiply(f, pivot_row, out=tab.work)
+    T -= tab.work
     tab.basis[row] = col
 
 
@@ -184,7 +189,7 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray) -> str:
     # by row, not by a BLAS product, so pivots do not depend on the BLAS build).
     T[m] = np.append(cost, 0.0) - (cost[tab.basis][:, None] * T[:m]).sum(axis=0)
     reduced, rhs = T[m, :-1], T[:m, -1]  # views: every pivot updates them
-    ratio = np.empty(m)
+    ratio, candidate = np.empty(m), np.empty(m, dtype=bool)
     degenerate = 0  # consecutive pivots on a row with rhs 0
     for _ in range(_MAX_ITER):
         entering = int(reduced.argmin())  # Dantzig: most negative reduced cost
@@ -192,16 +197,20 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray) -> str:
             return "optimal"
         if degenerate >= _STALL:  # Bland: lowest index, until a pivot makes progress
             entering = int((reduced < -_TOL).argmax())
+        if not m:  # no row bounds the entering column
+            return "unbounded"
         # Min-ratio test over the entries above _TOL (finite ratios: the tableau
-        # is finite, and an overflow raises); ties at the minimum ratio go to
-        # the smallest basis index.
+        # is finite, and an overflow raises); ties at the minimum ratio, rare,
+        # go to the smallest basis index.
         col = T[:m, entering]
         ratio.fill(np.inf)
-        np.divide(rhs, col, out=ratio, where=col > _TOL)
-        least = ratio.min(initial=np.inf)
+        np.divide(rhs, col, out=ratio, where=np.greater(col, _TOL, out=candidate))
+        row = int(ratio.argmin())
+        least = ratio[row]
         if least == np.inf:
             return "unbounded"
-        row = int(np.where(ratio == least, tab.basis, T.shape[1]).argmin())
+        if np.count_nonzero(np.equal(ratio, least, out=candidate)) > 1:
+            row = int(np.where(candidate, tab.basis, T.shape[1]).argmin())
         degenerate = degenerate + 1 if rhs[row] == 0.0 else 0
         _pivot(tab, row, entering)
     raise NumericalInstability("iteration cap exceeded", tab.problem)
@@ -271,6 +280,7 @@ def _drive_out_artificials(tab: _Tableau, kept: int) -> None:
             raise NumericalInstability("a basic artificial has no column to leave on", tab.problem)
         _pivot(tab, int(i), col)
     tab.T = np.delete(T, np.s_[kept:-1], axis=1)
+    tab.work = np.empty_like(tab.T)
 
 
 def _recheck(p: LpProblem, x: np.ndarray) -> None:
