@@ -513,7 +513,7 @@ class Canonical:
             return lp.LpSolution(sol.status, certificate=self._y(sol.certificate))
         x = self._x(sol.x)
         x.flags.writeable = False
-        value = float(np.dot(self.general.objective, x))
+        value = math.fsum(self.general.objective * x)  # correctly rounded: no BLAS summation order
         return lp.LpSolution(sol.status, x=x, value=value, y=self._y(sol.y))
 
 
@@ -700,7 +700,7 @@ def bland_solve(p: GeneralLp) -> lp.LpSolution:
     x = np.zeros(len(p.objective))
     np.add.at(x, tab.var, tab.sign * x_std[: tab.n_struct])
     recheck(p, x)
-    value = float(np.dot(p.objective, x))
+    value = math.fsum(p.objective * x)  # correctly rounded: no BLAS summation order
     # Duals: reduced costs at the identity columns, unflipped by tau.  A dropped
     # redundant row leaves its basic artificial a zero column, hence a zero dual.
     y = tab.tau * reduced[tab.identity_col]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from desirables import DimensionError, NumericalInstability, lp
+from desirables import DimensionError, NumericalInstability, coherence, lp
 from desirables.lp import LpProblem, LpStatus, _recheck, format_problem
 
 from oracles import (
@@ -390,7 +390,7 @@ def _pinned_problem(rng):
         a = draw(n)
         if planted:
             slack = 0.0 if rel == "=" or rng.random() < 0.4 else float(rng.integers(1, 4))
-            rhs = float(a @ x0) + (slack if rel == "<=" else -slack)
+            rhs = math.fsum(a * x0) + (slack if rel == "<=" else -slack)
         else:
             rhs = 0.0 if rng.random() < 0.3 else float(draw(1)[0])
         add(a, rel, rhs)
@@ -406,12 +406,14 @@ def _pinned_corpus():
 #: to_canonical and mapped back, recorded under Dantzig pricing with the Bland
 #: fallback and certificates read from the phase-1 reduced costs.  Any change
 #: to a pivot choice, to the arithmetic order of a step or to the canonical
-#: form changes it.  ``value`` is np.dot(objective, x), whose summation order
-#: belongs to the BLAS build, so another BLAS may also change it.
+#: form changes it.  The corpus's planted right-hand sides and the ``value``
+#: of a solution are math.fsum sums of products, correctly rounded, so the
+#: digest does not depend on the BLAS build or on the CPU kernel it picks.
 #: BLAND_CORPUS_SHA256 is the same digest of the reference kernel, recorded
 #: when it was the package's kernel; it solves the general form directly.
-PINNED_CORPUS_SHA256 = "9c2b231a82656fe7b0192c17bbb1630c297fd20c3eb08264926240a7b73f5217"
-BLAND_CORPUS_SHA256 = "476d6d43086b811eaabc03bb1cdbe5551dfe6c1139ba26418fd7d11ca61d6c64"
+#: Both were re-recorded when those sums stopped being BLAS dot products.
+PINNED_CORPUS_SHA256 = "300c5d9b05c06b05b3da41199811a1227d150016e01c7b290001c61d0d1d8f7f"
+BLAND_CORPUS_SHA256 = "ba4f0e07ade33f6ef8574982b41590c7fdbf9bef7aa7079d0c59eab890c87f95"
 
 
 def _corpus_digest(solve_fn):
@@ -493,6 +495,103 @@ def test_carried_reduced_cost_row_matches_the_final_basis(monkeypatch):
             assert np.abs(row - reduced).max() <= 1e-9 * max(1.0, np.abs(reduced).max())
             phases += 1
     assert phases > 300
+
+
+class _PivotRuleOracle:
+    """Recompute the documented pivot rule at every ``lp._pivot``, with plain Python loops.
+
+    Inside a phase the entering column is the most negative reduced cost below
+    -_TOL (lowest index among equals), or after _STALL consecutive degenerate
+    pivots the lowest index below -_TOL (Bland); the leaving row has the
+    minimum ratio rhs / entry over entries above _TOL, ties to the smallest
+    basis index.  Outside a phase a pivot drives a basic artificial out on the
+    first column among the kept ones with an entry of magnitude above _TOL.
+    """
+
+    def __init__(self, monkeypatch):
+        self.in_phase, self.degenerate = False, 0
+        self.counts = dict(dantzig=0, bland=0, tied=0, drive_out=0)
+        real_min, real_pivot = lp._simplex_min, lp._pivot
+
+        def simplex_min(tab, cost):
+            self.in_phase, self.degenerate = True, 0
+            try:
+                return real_min(tab, cost)
+            finally:
+                self.in_phase = False
+
+        def pivot(tab, row, col):
+            rows, basis = tab.T.tolist(), tab.basis.tolist()
+            expected = self.phase_pivot(rows, basis) if self.in_phase else self.drive_out(rows, basis, row, tab)
+            assert (row, col) == expected
+            real_pivot(tab, row, col)
+
+        monkeypatch.setattr(lp, "_simplex_min", simplex_min)
+        monkeypatch.setattr(lp, "_pivot", pivot)
+
+    def phase_pivot(self, rows, basis):
+        m = len(basis)
+        reduced = rows[m][:-1]
+        improving = [j for j, d in enumerate(reduced) if d < -lp._TOL]
+        assert improving  # the kernel pivots only while a reduced cost is below -_TOL
+        if self.degenerate >= lp._STALL:
+            entering, rule = improving[0], "bland"
+        else:
+            entering, rule = improving[0], "dantzig"
+            for j in improving:
+                if reduced[j] < reduced[entering]:
+                    entering = j
+        self.counts[rule] += 1
+        least, leaving, tied = math.inf, None, 0
+        for i in range(m):
+            if rows[i][entering] > lp._TOL:
+                ratio = rows[i][-1] / rows[i][entering]
+                if ratio < least:
+                    least, leaving, tied = ratio, i, 1
+                elif ratio == least:
+                    tied += 1
+                    if basis[i] < basis[leaving]:
+                        leaving = i
+        assert leaving is not None  # an unbounded phase returns before it pivots
+        self.counts["tied"] += tied > 1
+        self.degenerate = self.degenerate + 1 if rows[leaving][-1] == 0.0 else 0
+        return leaving, entering
+
+    def drive_out(self, rows, basis, row, tab):
+        kept = len(rows[row]) - 1 - tab.n_art
+        assert basis[row] >= kept
+        self.counts["drive_out"] += 1
+        return row, next(j for j in range(kept) if abs(rows[row][j]) > lp._TOL)
+
+
+def _tied_margin_lps(rng, m, n, count):
+    """Margin LPs over small-integer generator columns, each drawn column repeated."""
+    for _ in range(count):
+        base = rng.integers(-3, 4, (m, (n + 1) // 2)).astype(float)
+        U = base[:, np.sort(rng.integers(0, base.shape[1], n))]
+        yield U, rng.integers(-2, 4, m).astype(float)
+
+
+@pytest.mark.parametrize("m, n", [(4, 8), (32, 60)])
+def test_margin_lp_pivots_follow_the_documented_rule(monkeypatch, m, n):
+    oracle = _PivotRuleOracle(monkeypatch)
+    for U, c in _tied_margin_lps(np.random.default_rng(m), m, n, 60):
+        coherence._margin_lp(U, c)
+    assert oracle.counts["dantzig"] > 100 and oracle.counts["tied"] > 10
+
+
+@pytest.mark.parametrize("stall", [lp._STALL, 2], ids=["stall", "stall2"])
+def test_pinned_corpus_pivots_follow_the_documented_rule(monkeypatch, stall):
+    # At _STALL = 2 Bland's rule takes over often, so both entering rules are checked.
+    monkeypatch.setattr(lp, "_STALL", stall)
+    oracle = _PivotRuleOracle(monkeypatch)
+    for p in _pinned_corpus():
+        try:
+            solve(p)
+        except NumericalInstability:
+            pass
+    assert oracle.counts["tied"] > 100 and oracle.counts["drive_out"] > 0
+    assert stall == lp._STALL or oracle.counts["bland"] > 100
 
 
 def _highs(p):
@@ -600,7 +699,7 @@ def test_to_canonical_maps_solutions_back_to_the_general_form(p):
     if sol.status is LpStatus.OPTIMAL:
         assert sol.x.shape == p.objective.shape
         recheck(p, sol.x)  # raises on a violated row or bound
-        assert sol.value == float(np.dot(p.objective, sol.x))
+        assert sol.value == math.fsum(p.objective * sol.x)
         size = max(1.0, float(np.abs(p.objective).max()))
         _assert_duals_prove_optimum(p, sol, 1e-7 * size * (1.0 + abs(sol.value)))
     if sol.status is LpStatus.INFEASIBLE:
