@@ -25,10 +25,11 @@ def _where(cond, a, b):
 
 def _segment(xs, w):
     # Index i of the table interval [xs[i], xs[i + 1]] that serves w, the
-    # first and last intervals extending to -inf and +inf.
+    # first and last intervals extending to -inf and +inf; NaN, which compares
+    # false, goes to the last, as in _segment_grid.
     if w <= xs[0]:
         return 0
-    if w >= xs[-2]:
+    if not w < xs[-2]:
         return len(xs) - 2
     return bisect.bisect_right(xs, w) - 1
 

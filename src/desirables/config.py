@@ -118,26 +118,34 @@ def _tokenize(text: str) -> list[tuple]:
         tokens.append((kind, value, line, col))
 
 
-class _NoPositions(Mapping):
-    """The empty read-only mapping, one instance: it copies and unpickles as itself."""
+class _ReadOnlyMap(Mapping):
+    """A read-only copy of a dict.  The empty one, ``_NO_POSITIONS``, copies and unpickles as itself."""
 
-    def __getitem__(self, path):
-        raise KeyError(path)
+    __slots__ = ("_items",)
+
+    def __init__(self, items=()):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __contains__(self, key):
+        return key in self._items
 
     def __iter__(self):
-        return iter(())
+        return iter(self._items)
 
     def __len__(self):
-        return 0
+        return len(self._items)
 
     def __reduce__(self):
-        return "_NO_POSITIONS"
+        return "_NO_POSITIONS" if self is _NO_POSITIONS else (_ReadOnlyMap, (self._items,))
 
     def __repr__(self):
-        return "{}"
+        return repr(self._items)
 
 
-_NO_POSITIONS = _NoPositions()
+_NO_POSITIONS = _ReadOnlyMap()
 
 
 class ConfigTree(Record):
@@ -206,7 +214,7 @@ class _Parser:
                 self.fail(f"duplicate key {key!r}", tok)
             else:
                 data[key] = self.parse_item((key,), tok, "'=', label, or block")
-        return ConfigTree(data=data, labeled=labeled, positions=self.positions)
+        return ConfigTree(data=data, labeled=frozenset(labeled), positions=_ReadOnlyMap(self.positions))
 
     def parse_block(self, path: tuple) -> dict:
         self.expect("{", path)

@@ -108,6 +108,33 @@ def test_config_tree_defaults_are_immutable_and_not_shared_mutably():
         a.data = {}
 
 
+def test_parsed_config_tree_labels_and_positions_are_read_only():
+    tree = parse('wealth = 1\nschedule "A" {\n  pay = [{amount = 1, t = 0}]\n}')
+    assert isinstance(tree.labeled, frozenset) and tree.labeled == {"schedule"}
+    with pytest.raises(AttributeError):
+        tree.labeled.add("wealth")
+    with pytest.raises(TypeError):
+        tree.positions[("x",)] = (1, 1)
+    with pytest.raises(TypeError):
+        del tree.positions[("wealth",)]
+    assert not hasattr(tree.positions, "update")
+    assert dict(tree.positions) == {
+        ("wealth",): (1, 1),
+        ("schedule",): (2, 1),
+        ("schedule", "A"): (2, 1),
+        ("schedule", "A", "pay"): (3, 3),
+        ("schedule", "A", "pay", 0, "amount"): (3, 11),
+        ("schedule", "A", "pay", 0, "t"): (3, 23),
+    }
+    assert tree.where(("schedule", "A", "pay", 0, "t")) == (3, 23)
+    assert tree.where(("schedule", "A", "pay", 0)) == (3, 3)
+    assert tree.where(("schedule", "B")) == (2, 1) and tree.where(("other",)) == (None, None)
+    for clone in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert clone == tree and type(clone.positions) is type(tree.positions)
+        assert isinstance(clone.labeled, frozenset)
+        assert clone.positions is not tree.positions
+
+
 @pytest.mark.parametrize(
     "tree",
     [

@@ -224,8 +224,15 @@ def test_scalar_segment_is_the_clipped_searchsorted_index(xs, data):
     w = data.draw(st.one_of(st.sampled_from(xs), st.floats(allow_nan=False)), label="w")
     expected = np.clip(np.searchsorted(xs, w, side="right") - 1, 0, len(xs) - 2)
     assert _segment(xs, w) == int(expected)
-    # NaN passes neither end test; bisect, as numpy, places it after every knot.
-    assert _segment(xs, math.nan) == int(np.searchsorted(xs, math.nan, side="right")) - 1
+    # NaN, placed after every knot by searchsorted, is clipped to the last interval.
+    nan_index = np.clip(np.searchsorted(xs, math.nan, side="right") - 1, 0, len(xs) - 2)
+    assert _segment(xs, math.nan) == int(nan_index) == len(xs) - 2
+
+
+def test_phi_table_maps_nan_to_nan_on_scalar_and_grid():
+    table = PhiTable((-1.0, 0.0, 2.0), (-3.0, 0.0, 1.0))
+    assert math.isnan(table(math.nan))
+    assert math.isnan(table(np.array([math.nan]), GRID)[0])
 
 
 def test_array_eval_names_first_reward_outside_domain():
