@@ -17,9 +17,14 @@ rule); after 50 consecutive degenerate pivots the lowest-index improving
 column enters instead (Bland's rule) until a pivot makes progress, so the
 simplex cannot cycle.  Ratio-test ties go to the smallest basis index.
 Tableau row m is the phase's reduced-cost row, so a pivot is one rank-1
-update of the whole matrix.  Every step is a fixed sequence of elementwise
-numpy operations, with no BLAS product, so identical inputs produce
-bit-identical solutions.
+update of the whole matrix.  One step makes these numpy calls: argmin of row
+m; a mask of the entering column above _TOL and a masked divide, into reused
+buffers; argmin of the ratios and a count of the rows at the least ratio (the
+basis-index tie-break runs only when that count exceeds one); a divide of the
+pivot row, one product of it and the pivot column into a reused work array,
+and one in-place subtraction.  None is a BLAS product, so the pivots, ``x``,
+``y`` and certificates are bit-identical across BLAS builds; ``value`` and the
+checks below are BLAS dot products, whose last bits may vary with the build.
 
 The row prices are the final reduced costs of a phase at each row's initial
 basic column, less that column's cost, unflipped for negated rows (Chvátal
@@ -149,9 +154,8 @@ class _Tableau:
         T = np.zeros((m + 1, n + m + self.n_art + 1))  # row m is set by each phase
         T[:m, :n], T[:m, -1] = p.constraints, p.rhs  # times tau below: x * 1.0 is x
         # Each row's starting basic column: its slack, or on a negated row its artificial.
-        rows = np.arange(m)
-        self.identity_col = n + rows
-        T[rows, self.identity_col] = self.tau
+        self.identity_col = n + np.arange(m)
+        T[:m, n : n + m] = np.diag(self.tau)
         if self.n_art:
             T[art_rows, :n] *= -1.0
             T[art_rows, -1] *= -1.0
@@ -199,9 +203,8 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray) -> str:
             entering = int((reduced < -_TOL).argmax())
         if not m:  # no row bounds the entering column
             return "unbounded"
-        # Min-ratio test over the entries above _TOL (finite ratios: the tableau
-        # is finite, and an overflow raises); ties at the minimum ratio, rare,
-        # go to the smallest basis index.
+        # Min-ratio test over the entries above _TOL (finite: an overflow raises);
+        # ties at the least ratio, which are rare, go to the smallest basis index.
         col = T[:m, entering]
         ratio.fill(np.inf)
         np.divide(rhs, col, out=ratio, where=np.greater(col, _TOL, out=candidate))
