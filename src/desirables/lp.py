@@ -152,7 +152,7 @@ class _Tableau:
         self.n_art = art_rows.size
         self.tau = np.where(flip, -1.0, 1.0)
         T = np.zeros((m + 1, n + m + self.n_art + 1))  # row m is set by each phase
-        T[:m, :n], T[:m, -1] = p.constraints, p.rhs  # times tau below: x * 1.0 is x
+        T[:m, :n], T[:m, -1] = p.constraints, p.rhs  # times tau: only flipped rows, as x * 1.0 is x
         # Each row's starting basic column: its slack, or on a negated row its artificial.
         self.identity_col = n + np.arange(m)
         T[:m, n : n + m] = np.diag(self.tau)

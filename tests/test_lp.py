@@ -522,8 +522,10 @@ class _PivotRuleOracle:
 
         def pivot(tab, row, col):
             rows, basis = tab.T.tolist(), tab.basis.tolist()
-            expected = self.phase_pivot(rows, basis) if self.in_phase else self.drive_out(rows, basis, row, tab)
-            assert (row, col) == expected
+            if self.in_phase:
+                assert (row, col) == self.phase_pivot(rows, basis)
+            else:
+                assert (row, col) == self.drive_out(rows, basis, row, tab.n_art)
             real_pivot(tab, row, col)
 
         monkeypatch.setattr(lp, "_simplex_min", simplex_min)
@@ -534,14 +536,12 @@ class _PivotRuleOracle:
         reduced = rows[m][:-1]
         improving = [j for j, d in enumerate(reduced) if d < -lp._TOL]
         assert improving  # the kernel pivots only while a reduced cost is below -_TOL
-        if self.degenerate >= lp._STALL:
-            entering, rule = improving[0], "bland"
-        else:
-            entering, rule = improving[0], "dantzig"
+        bland, entering = self.degenerate >= lp._STALL, improving[0]
+        if not bland:  # Dantzig: the most negative, the lowest index among equals
             for j in improving:
                 if reduced[j] < reduced[entering]:
                     entering = j
-        self.counts[rule] += 1
+        self.counts["bland" if bland else "dantzig"] += 1
         least, leaving, tied = math.inf, None, 0
         for i in range(m):
             if rows[i][entering] > lp._TOL:
@@ -557,8 +557,8 @@ class _PivotRuleOracle:
         self.degenerate = self.degenerate + 1 if rows[leaving][-1] == 0.0 else 0
         return leaving, entering
 
-    def drive_out(self, rows, basis, row, tab):
-        kept = len(rows[row]) - 1 - tab.n_art
+    def drive_out(self, rows, basis, row, n_art):
+        kept = len(rows[row]) - 1 - n_art
         assert basis[row] >= kept
         self.counts["drive_out"] += 1
         return row, next(j for j in range(kept) if abs(rows[row][j]) > lp._TOL)
