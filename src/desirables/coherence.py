@@ -245,6 +245,11 @@ class Infeasible(Record):
     with a zero entry in the last evidence (a Farkas certificate of the
     eliminated fit LP, or duals y whose shifted bound L + b . y puts the margin
     below zero, both checked by the LP kernel) are dropped without a solve.
+    Each trial after the first LP is warm-started: it continues from the
+    optimal tableau of the last LP that found no functional, with every
+    constraint dropped since then relaxed (``lp.solve_relaxed``).  A trial is
+    solved cold after an LP that ended INFEASIBLE in phase 1, and when it drops
+    the last accepted constraint, since its LP then gains the cap row.
     """
 
     conflict: tuple[tuple[str, int], ...]
@@ -263,7 +268,9 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
     t = L + d shifted by L = min(min u(f_i), 0), so it has no equality row and
     no free variable, and every accepted row starts on a slack (see
     :func:`_fit_rows`); k and L are fixed once per call, so the conflict
-    search's trials take subsets of one row block.
+    search's trials take subsets of one row block, and every trial after the
+    first LP is warm-started from an earlier trial's tableau (see
+    :class:`Infeasible`).
     """
     if not 0 < strict_margin <= 1e-2:
         raise ValueError(f"strict margin must lie in (0, 1e-2], got {strict_margin!r}")
@@ -272,20 +279,21 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
     labels += [("rejected", j) for j in range(len(a.rejected))]
 
     active = list(labels)
-    result, droppable = _fit_lp(fit, active)
+    result, droppable, restart = _fit_lp(fit, active)
     if result is not None:
         return result
 
     # Greedy deletion in input order; a constraint outside the support of the
     # current evidence is dropped without a solve, as the evidence still holds.
+    # Each trial starts from the last infeasible trial's tableau (restart).
     for constraint in labels:
         trial = [c for c in active if c != constraint]
         if constraint in droppable:
             active = trial
             continue
-        result, evidence = _fit_lp(fit, trial)
+        result, evidence, solved = _fit_lp(fit, trial, restart)
         if result is None:
-            active, droppable = trial, evidence
+            active, droppable, restart = trial, evidence, solved
     return Infeasible(conflict=tuple(active))
 
 
@@ -348,8 +356,8 @@ def _fit_rows(UA: np.ndarray, UR: np.ndarray, eps: float) -> _FitRows:
     return _FitRows(k, shift, n, rows, rhs)
 
 
-def _fit_lp(fit: _FitRows, active):
-    """Margin LP over a constraint subset: (Functional, set()), or (None, droppable).
+def _fit_lp(fit: _FitRows, active, restart=None):
+    """Margin LP over a constraint subset: (Functional, set(), None), or (None, droppable, restart).
 
     Solves maximize 2h = d over the active rows of ``fit``, the row
     sum w_{-k} <= 1 (that is, w_k >= 0) and, when no accepted row is active,
@@ -359,22 +367,40 @@ def _fit_lp(fit: _FitRows, active):
     evidence: the kernel-checked Farkas certificate, or the kernel-checked
     duals y when their bound L + b . y on the margin lies below -_TOL by the
     kernel's ``lp._CHECK_TOL``.
+
+    A ``restart`` is (constraints, OPTIMAL solution) of an earlier call on a
+    superset of ``active``.  When both LPs have the cap row or both lack it,
+    this LP continues from that solution's tableau (``lp.solve_relaxed``);
+    otherwise it is solved cold.  The returned restart is this call's own,
+    or None when its LP ended INFEASIBLE in phase 1.
     """
     sel = [i if kind == "accepted" else fit.n + i for kind, i in active]
     nw = fit.rows.shape[1] - 1  # weights left after the elimination
     objective = np.append(np.zeros(nw), 2.0)
-    cap = [] if any(kind == "accepted" for kind, _ in active) else [np.append(np.zeros(nw), 1.0)]
+    accepted = _has_accepted(active)
+    cap = [] if accepted else [np.append(np.zeros(nw), 1.0)]
     rows = np.vstack([fit.rows[sel], np.append(np.ones(nw), 0.0), *cap])
     rhs = np.concatenate([fit.rhs[sel], [1.0], [0.5 - fit.shift / 2] * len(cap)])
-    sol = lp.solve(lp.LpProblem(objective, rows, rhs))
+    problem = lp.LpProblem(objective, rows, rhs)
+    if restart is not None and _has_accepted(restart[0]) == accepted:
+        kept = set(active)
+        keep = [c in kept for c in restart[0]] + [True] * (1 + len(cap))
+        sol = lp.solve_relaxed(restart[1], problem, keep)
+    else:
+        sol = lp.solve(problem)
     if sol.status is lp.LpStatus.OPTIMAL and fit.shift + sol.value >= -_TOL:
         x = sol.x[:nw]
-        return Functional(np.maximum(np.insert(x, fit.k, 1.0 - x.sum()), 0.0)), set()
+        return Functional(np.maximum(np.insert(x, fit.k, 1.0 - x.sum()), 0.0)), set(), None
     evidence = sol.certificate
     if sol.y is not None and fit.shift + sol.y @ rhs < -_TOL - lp._CHECK_TOL:  # weak duality: d <= b . y
         evidence = sol.y
     # Rows follow ``active``: accepted constraints, then rejected ones.
-    return None, set() if evidence is None else {c for c, v in zip(active, evidence) if v == 0.0}
+    droppable = set() if evidence is None else {c for c, v in zip(active, evidence) if v == 0.0}
+    return None, droppable, (active, sol) if sol.status is lp.LpStatus.OPTIMAL else None
+
+
+def _has_accepted(constraints) -> bool:
+    return any(kind == "accepted" for kind, _ in constraints)
 
 
 def rho(ell: Functional, u: Utility, f: Gamble) -> float:

@@ -42,11 +42,25 @@ Both are checked before they are returned, as ``x`` is, against one
 tolerance ``_CHECK_TOL = 1e-7``: ``x`` row by row, the duals scaled by
 max(1, |objective|_inf) * (1 + |value|), the certificate by
 :func:`check_infeasibility_certificate`.  A vector that fails its check is
-returned as ``None``; the status and ``x`` are unchanged.
+returned as ``None``; the status and ``x`` are unchanged.  An optimal
+solution also carries its final ``basis``, the basic columns of [A | I].
+
+:func:`solve_relaxed` solves a problem that an optimal solve has solved, with
+some rows dropped, from that solve's final tableau.  Dropping row k relaxes
+it: r_k >= 0 in A_k x + s_k - r_k = b_k frees s_k - r_k.  The column of r_k
+is the slack column as it stands, negated; the slack is stored as tau_k e_k
+already, so it is not multiplied by tau again.  The slack is pivoted in at
+the row the ratio test picks for r_k (for s_k when nothing bounds r_k), so
+the basis stays feasible, and that row and the slack column are deleted.
+What is left is the smaller problem's tableau at a feasible basis, and phase
+2 continues from it in the same :func:`_simplex_min`; ``x``, ``y`` and the
+basis then get the reads and checks of a cold solve, against the smaller
+problem.
 """
 
 from __future__ import annotations
 
+import copy
 from enum import Enum
 
 import numpy as np
@@ -59,6 +73,7 @@ __all__ = [
     "LpStatus",
     "LpSolution",
     "solve",
+    "solve_relaxed",
     "check_infeasibility_certificate",
     "format_problem",
 ]
@@ -121,11 +136,21 @@ class LpStatus(Enum):
 
 
 class LpSolution(Record, eq=False):
+    """A solve's outcome.
+
+    ``basis`` is set for OPTIMAL: the final basic columns of [A | I]
+    (column j < n is x_j, column n + k is row k's slack), one per row of the
+    final tableau, so that x is the basic solution of those columns.
+    """
+
     status: LpStatus
     x: np.ndarray | None = None
     value: float | None = None
     certificate: np.ndarray | None = None
     y: np.ndarray | None = None
+    basis: np.ndarray | None = None
+
+    _tableau = None  # not a field: an OPTIMAL solve's final tableau, which solve_relaxed continues
 
 
 def format_problem(p: LpProblem) -> str:
@@ -141,7 +166,7 @@ class _Tableau:
 
     tau_k is -1 where b_k < 0, else 1.  Columns: the n structural variables,
     one slack (+1) or surplus (-1) per row in row order, then one artificial
-    per negated row in row order.
+    per negated row in row order (deleted after phase 1).
     """
 
     def __init__(self, p: LpProblem):
@@ -163,6 +188,47 @@ class _Tableau:
             T[art_rows, self.identity_col[art_rows]] = 1.0
         self.basis = self.identity_col.copy()
         self.T, self.work = T, np.empty_like(T)  # work: _pivot's rank-1 product
+
+    def relaxed(self, p: LpProblem, keep: np.ndarray) -> _Tableau:
+        """A phase-2 tableau of ``p``, this problem with only the rows ``keep`` (a mask), at a feasible basis.
+
+        Dropping row k relaxes it: a relaxation variable r_k >= 0 in
+        A_k x + s_k - r_k = b_k frees s_k - r_k, so the row binds nothing.
+        The column of r_k is the slack column as it stands, negated (the slack
+        is stored as tau_k e_k already, so no tau enters), and making r_k basic
+        in a row is the same basis change as pivoting s_k in there.  A free
+        variable basic in a row only sets that row, so the row and the slack
+        column are then deleted, which leaves the tableau of ``p``.  A nonbasic
+        slack is pivoted in first, at the row the ratio test picks for r_k or,
+        when nothing bounds r_k, for s_k; either keeps the basis feasible.
+        """
+        n = p.objective.size
+        warm = copy.copy(self)  # n_art, tau and identity_col describe the cold start only
+        warm.problem, warm.T, warm.basis = p, self.T.copy(), self.basis.copy()  # work: scratch, shared
+        drop = np.zeros(warm.T.shape[1], dtype=bool)  # the dropped rows' slack columns
+        drop[n + np.flatnonzero(~keep)] = True
+        basic = np.zeros_like(drop)
+        basic[warm.basis] = True
+        free = drop[warm.basis]  # rows on a dropped slack, which is free: deleted below
+        rhs = warm.T[:-1, -1]  # a view: pivots update it
+        for col in np.flatnonzero(drop & ~basic):
+            column = np.where(free, 0.0, warm.T[:-1, col])  # a free basic variable never leaves
+            for entering in (-column, column):  # r_k's column, else s_k's
+                bounded = entering > _TOL
+                if bounded.any():
+                    break
+            else:
+                raise NumericalInstability("a relaxed row's slack has no pivot", p)
+            ratio = np.full(free.size, np.inf)
+            np.divide(rhs, entering, out=ratio, where=bounded)
+            row = int(ratio.argmin())
+            _pivot(warm, row, col)
+            free[row] = True
+        warm.T = warm.T[np.append(~free, True)][:, ~drop]
+        warm.basis = warm.basis[~free]
+        warm.basis -= np.cumsum(drop)[warm.basis]  # the deleted columns before each
+        warm.work = np.empty_like(warm.T)
+        return warm
 
 
 def _pivot(tab: _Tableau, row: int, col: int) -> None:
@@ -220,14 +286,42 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray) -> str:
 
 
 def solve(p: LpProblem) -> LpSolution:
-    """Solve the LP; returns Optimal(x, value, y), Infeasible(certificate), or Unbounded.
+    """Solve the LP; returns Optimal(x, value, y, basis), Infeasible(certificate), or Unbounded.
 
     Tableau arithmetic that overflows or turns invalid (inf - inf, 0 * inf)
     raises NumericalInstability instead of solving on inf or NaN.
     """
+    return _guarded(p, _solve, p)
+
+
+def solve_relaxed(base: LpSolution, p: LpProblem, keep) -> LpSolution:
+    """Solve ``p``, the problem that ``base`` solved with only the rows ``keep`` left, from base's tableau.
+
+    ``base`` is an OPTIMAL solution of :func:`solve` or :func:`solve_relaxed`,
+    and ``keep`` is a boolean mask over its problem's rows.  Dropping rows
+    only enlarges the feasible set, so phase 2 continues from base's final
+    basis with each dropped row relaxed; x, y and the basis are then read and
+    checked against ``p`` as :func:`solve` reads and checks them.
+    """
+    tab = base._tableau
+    if tab is None:
+        raise ValueError(f"only an OPTIMAL solution can be relaxed, not {base.status}")
+    q, keep = tab.problem, np.asarray(keep, dtype=bool)
+    if not (
+        keep.shape == q.rhs.shape
+        and np.array_equal(p.objective, q.objective)
+        and np.array_equal(p.constraints, q.constraints[keep])
+        and np.array_equal(p.rhs, q.rhs[keep])
+    ):
+        raise ValueError("p is not the solved problem restricted to the rows keep")
+    return _guarded(p, lambda: _phase2(tab.relaxed(p, keep)))
+
+
+def _guarded(p: LpProblem, run, *args) -> LpSolution:
+    """run(*args) with float errors raised, each turned into NumericalInstability on p."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _solve(p)
+            return run(*args)
     except FloatingPointError as exc:
         raise NumericalInstability(f"tableau arithmetic failed: {exc}", p) from None
 
@@ -247,24 +341,32 @@ def _solve(p: LpProblem) -> LpSolution:
             y = y if check_infeasibility_certificate(p, y) else None
             return LpSolution(LpStatus.INFEASIBLE, certificate=y)
         _drive_out_artificials(tab, n + m)
+    return _phase2(tab)
 
+
+def _phase2(tab: _Tableau) -> LpSolution:
+    """Phase 2 from tab's feasible basis; then x, value, y and the basis of tab.problem, checked."""
+    p, T = tab.problem, tab.T
+    m, n = p.constraints.shape
     cost = np.zeros(n + m)
     cost[:n] = -p.objective
     if _simplex_min(tab, cost) == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
-    T = tab.T
     x_std = np.zeros(n + m)
     x_std[tab.basis] = T[:-1, -1]
     x = x_std[:n] + 0.0  # + 0.0: a basic level of -0.0 reads as 0.0
     _recheck(p, x)
     value = float(np.dot(p.objective, x))
     y = T[-1, n : n + m].copy()  # phase 2's prices at the slack and surplus columns
-    x.flags.writeable = y.flags.writeable = False
+    basis = tab.basis.copy()
+    x.flags.writeable = y.flags.writeable = basis.flags.writeable = False
     tol = _CHECK_TOL * max(1.0, float(np.abs(p.objective).max())) * (1.0 + abs(value))
     if not (_dual_feasible(p, y, p.objective, tol) and abs(float(y @ p.rhs) - value) <= tol):
         y = None
-    return LpSolution(LpStatus.OPTIMAL, x=x, value=value, y=y)
+    sol = LpSolution(LpStatus.OPTIMAL, x=x, value=value, y=y, basis=basis)
+    object.__setattr__(sol, "_tableau", tab)
+    return sol
 
 
 def _drive_out_artificials(tab: _Tableau, kept: int) -> None:

@@ -22,6 +22,8 @@ decided by one ``dominates`` call per pair and F3 by ``accept_decision``.
 before one weight was eliminated and its margin shifted (a free margin and
 the equality sum w = 1, solved through phase 1 by the kernel), and
 :func:`greedy_conflict` the conflict search that decides every trial subset
+with it.  :func:`exact_basic_solution` solves a basis of a canonical problem
+in rational arithmetic, and :func:`basis_gives_x` checks a solution's basis
 with it.
 
 The kernel takes one form, ``<=`` rows over x >= 0.  :class:`GeneralLp` is
@@ -36,6 +38,7 @@ in the general form; :func:`bland_solve` solves the general form itself.
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -341,6 +344,55 @@ def u_convex_combine_by_state(u: Utility, f: Gamble, g: Gamble, lam: float, mu: 
     # Unbounded-below utilities let the combination dip under the inputs'
     # floor; widen the bank so the result stays admissible.
     return Gamble(f.space, rewards, wealth_floor=max(w, float(-rewards.min())))
+
+
+def exact_basic_solution(p: lp.LpProblem, basis) -> list[Fraction]:
+    """The basic solution of ``basis``, columns of [A | I], for the rows of ``p``, in exact arithmetic.
+
+    Every float is a dyadic rational, so Gauss-Jordan elimination on
+    ``Fraction`` entries solves B z = b with no rounding.  Returns z over all
+    n + m columns, zero off the basis; raises StopIteration if B is singular.
+    """
+    A = p.constraints
+    m, n = A.shape
+    rows = [
+        [Fraction(float(A[i, j])) if j < n else Fraction(int(j - n == i)) for j in basis]
+        + [Fraction(float(p.rhs[i]))]
+        for i in range(m)
+    ]
+    for c in range(m):
+        r = next(r for r in range(c, m) if rows[r][c] != 0)
+        rows[c], rows[r] = rows[r], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(m):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    z = [Fraction(0)] * (n + m)
+    for c, j in enumerate(basis):
+        z[j] = rows[c][m]
+    return z
+
+
+def basis_gives_x(p: lp.LpProblem, sol: lp.LpSolution) -> bool:
+    """``sol.basis`` is a read-only basis of ``p`` whose exact basic solution rounds to ``sol.x``.
+
+    Rounding: within 1e-12 relative to the largest exact entry, and exactly
+    0.0 on the nonbasic structural columns.
+    """
+    m, n = p.constraints.shape
+    basis = sol.basis
+    if not (
+        basis.dtype.kind == "i"
+        and not basis.flags.writeable
+        and basis.size == m
+        and np.unique(basis).size == m
+        and (m == 0 or 0 <= basis.min() <= basis.max() < n + m)
+    ):
+        return False
+    exact = np.array([float(v) for v in exact_basic_solution(p, basis.tolist())[:n]])
+    close = np.abs(sol.x - exact).max(initial=0.0) <= 1e-12 * (1.0 + np.abs(exact).max(initial=0.0))
+    return bool(close and not sol.x[np.setdiff1d(np.arange(n), basis)].any())
 
 
 def farkas_check(p, y, tol=1e-7):

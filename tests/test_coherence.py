@@ -41,6 +41,7 @@ from desirables import coherence, lp
 from helpers import random_assessment, random_gamble, random_query, utility_zoo
 from oracles import (
     audit_by_dominates,
+    basis_gives_x,
     cut_problem_check,
     farkas_check,
     farkas_verdict,
@@ -232,28 +233,36 @@ def test_conflict_search_matches_plain_greedy_deletion(aset):
 
 @contextmanager
 def _recorded_solves():
-    """Log (problem, solution, raw evidence) per ``lp.solve``.
+    """Log [problem, solution, raw evidence, warm] per ``lp.solve`` or ``lp.solve_relaxed`` call.
 
-    The raw evidence is the vector the kernel checked before deciding whether
-    to return it: the duals, or the Farkas certificate (the check sees -y).
+    The conflict search solves its first LP, and a trial after a fallback,
+    with ``lp.solve``; every other trial is warm, an ``lp.solve_relaxed`` call
+    (``warm`` is True).  The raw evidence is the vector the kernel checked
+    before deciding whether to return it: the duals, or the Farkas
+    certificate (the check sees -y).
     """
     log = []
-    real_solve, real_check = lp.solve, lp._dual_feasible
+    real_solve, real_relaxed, real_check = lp.solve, lp.solve_relaxed, lp._dual_feasible
 
     def check(p, y, c, tol):
         log[-1][2] = np.array(y)
         return real_check(p, y, c, tol)
 
-    def solve(p):
-        entry = [p, None, None]
+    def recorded(p, run, warm):
+        entry = [p, None, None, warm]
         log.append(entry)
-        entry[1] = sol = real_solve(p)
+        entry[1] = sol = run()
         if sol.status is lp.LpStatus.INFEASIBLE:
             entry[2] = -entry[2]
         return sol
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "solve", solve)
+        mp.setattr(lp, "solve", lambda p: recorded(p, lambda: real_solve(p), False))
+        mp.setattr(
+            lp,
+            "solve_relaxed",
+            lambda base, p, keep: recorded(p, lambda: real_relaxed(base, p, keep), True),
+        )
         mp.setattr(lp, "_dual_feasible", check)
         yield log
 
@@ -278,19 +287,25 @@ def test_accept_evidence_is_returned_exactly_when_the_inline_check_passes():
 
 
 def _assert_fit_evidence_matches_cut_check(aset, eps=1e-6):
-    """Solve the full fit LP and each single-deletion subset; compare evidence both ways."""
+    """Solve the full fit LP and each single-deletion subset; compare evidence both ways.
+
+    The subsets start from the full LP's tableau, as the conflict search's
+    trials do, so most of them are warm.  Returns (status, warm) per LP with
+    no functional.
+    """
     UA, UR = aset.transformed_generators(), aset.transformed_rejected()
     fit = coherence._fit_rows(UA, UR, eps)
     labels = [("accepted", i) for i in range(UA.shape[1])]
     labels += [("rejected", j) for j in range(UR.shape[1])]
-    statuses = []
+    statuses, restart = [], None
     with _recorded_solves() as log:
         for active in [labels] + [[c for c in labels if c != d] for d in labels]:
-            result, droppable = coherence._fit_lp(fit, active)
-            problem, sol, raw = log[-1]
+            result, droppable, solved = coherence._fit_lp(fit, active, restart)
+            restart = solved if active is labels else restart
+            problem, sol, raw, warm = log[-1]
             if result is not None:
                 continue
-            statuses.append(sol.status)
+            statuses.append((sol.status, warm))
             if sol.status is lp.LpStatus.INFEASIBLE:
                 proven = farkas_check(problem, raw)
                 assert (sol.certificate is not None) == proven
@@ -318,7 +333,8 @@ def test_fit_evidence_matches_cut_check_on_random_sets():
         rejected = tuple(random_gamble(rng, aset.space, aset.utility) for _ in range(3))
         aset = AssessmentSet(aset.space, aset.utility, aset.accepted, rejected)
         statuses += _assert_fit_evidence_matches_cut_check(aset)
-    assert set(statuses) == {lp.LpStatus.OPTIMAL, lp.LpStatus.INFEASIBLE}
+    assert {status for status, _ in statuses} == {lp.LpStatus.OPTIMAL, lp.LpStatus.INFEASIBLE}
+    assert {status for status, warm in statuses if warm} == {lp.LpStatus.OPTIMAL}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -337,13 +353,122 @@ def test_conflict_search_without_certificates_matches_greedy_deletion(aset):
     with _recorded_solves() as log, pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "check_infeasibility_certificate", check_negated)
         result = fit_functional(aset)
-    infeasible = [sol for _, sol, _ in log if sol.status is lp.LpStatus.INFEASIBLE]
+    infeasible = [sol for _, sol, _, _ in log if sol.status is lp.LpStatus.INFEASIBLE]
     assert len(infeasible) == len(wrong)
     assert all(sol.certificate is None for sol in infeasible)
     if any(g.rewards.min() >= 0 for g in aset.rejected):  # the full LP is infeasible
         assert wrong
     assert isinstance(result, Infeasible)
     assert result.conflict == expected
+
+
+@contextmanager
+def _warm_trials_checked_cold(shift):
+    """Solve every warm trial's problem cold as well; log (problem, solution, base, keep) per solve.
+
+    A warm trial (``lp.solve_relaxed``) must have the status and the verdict
+    (margin L + value >= -1e-9, L = ``shift``) of a cold ``lp.solve`` of the
+    same trial problem, and its value within ``lp._CHECK_TOL``.  ``base`` and
+    ``keep`` are None for a cold solve.  A warm solution's basis must give
+    its x by an exact solve, as a cold one's does.
+    """
+    log = []
+    real_solve, real_relaxed = lp.solve, lp.solve_relaxed
+
+    def solve(p):
+        sol = real_solve(p)
+        log.append((p, sol, None, None))
+        return sol
+
+    def solve_relaxed(base, p, keep):
+        sol, cold = real_relaxed(base, p, keep), real_solve(p)
+        assert sol.status is cold.status
+        assert _fits(sol, shift) == _fits(cold, shift)
+        if sol.status is lp.LpStatus.OPTIMAL:
+            assert abs(sol.value - cold.value) <= lp._CHECK_TOL
+            assert basis_gives_x(p, sol)
+        log.append((p, sol, base, np.asarray(keep)))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", solve)
+        mp.setattr(lp, "solve_relaxed", solve_relaxed)
+        yield log
+
+
+def _fits(sol, shift):
+    return sol.status is lp.LpStatus.OPTIMAL and shift + sol.value >= -1e-9
+
+
+def _has_cap_row(p):
+    # The cap row h <= (1 - L)/2 is last when present; otherwise the row sum w_{-k} <= 1 is.
+    return p.constraints[-1, -1] == 1.0 and not p.constraints[-1, :-1].any()
+
+
+def _search_paths(log, shift):
+    """The warm-start paths one conflict search took, checking where each trial started.
+
+    A warm trial starts from the last trial (or first LP) without a
+    functional; a cold trial follows one that ended INFEASIBLE in phase 1, or
+    gains the cap row.
+    """
+    problem_of = {id(sol): p for p, sol, _, _ in log}
+    restart, fitted_from, paths = log[0][1], set(), set()
+    for p, sol, base, keep in log[1:]:
+        if base is None:
+            if restart.status is lp.LpStatus.INFEASIBLE:
+                paths.add("cold after phase 1 infeasible")
+            else:
+                assert _has_cap_row(p) and not _has_cap_row(problem_of[id(restart)])
+                paths.add("cold with the cap row")
+        else:
+            assert base is restart
+            if (problem_of[id(base)].rhs[~keep] < 0).any():
+                paths.add("negated row relaxed")
+            if np.count_nonzero(~keep) > 1:
+                paths.add("rows dropped without a solve relaxed")
+            if id(base) in fitted_from:
+                paths.add("saved tableau restored after a fit")
+            if _fits(sol, shift):
+                fitted_from.add(id(base))
+        if not _fits(sol, shift):
+            restart = sol
+    return paths
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_conflicting_sets())
+def test_warm_trials_match_cold_solves(aset):
+    fit = coherence._fit_rows(aset.transformed_generators(), aset.transformed_rejected(), 1e-6)
+    with _warm_trials_checked_cold(fit.shift) as log:
+        result = fit_functional(aset)
+    assert isinstance(result, Infeasible)
+    _search_paths(log, fit.shift)
+
+
+#: (path, m, accepted, rejected): small linear-utility sets whose conflict
+#: search takes the named path (the smallest of 4,000 sets drawn like
+#: _conflicting_sets, rewards then rounded).
+WARM_START_CASES = [
+    ("negated row relaxed", 2, [[-1.7, 1.6], [-0.3, 1.4]], [[0.1, -0.4], [-1.4, 1.6]]),
+    ("rows dropped without a solve relaxed", 2, [[2.0, 0.3], [-0.8, 0.3]], [[-0.5, 0.6]]),
+    ("saved tableau restored after a fit", 2, [[0.3, -0.8], [1.5, 2.0]], [[0.4, -0.7]]),
+    ("cold after phase 1 infeasible", 2, [[-1.4, 0.9]], [[0.8, 0.0]]),
+    ("cold with the cap row", 2, [[2.0, 0.3], [-0.8, 0.3]], [[-0.5, 0.6]]),
+]
+
+
+@pytest.mark.parametrize(
+    "path, m, accepted, rejected", WARM_START_CASES, ids=[case[0] for case in WARM_START_CASES]
+)
+def test_warm_start_paths_match_cold_solves(path, m, accepted, rejected):
+    aset = assessment_on(m, Linear(), accepted, rejected)
+    fit = coherence._fit_rows(aset.transformed_generators(), aset.transformed_rejected(), 1e-6)
+    with _warm_trials_checked_cold(fit.shift) as log:
+        result = fit_functional(aset)
+    assert isinstance(result, Infeasible)
+    assert result.conflict == greedy_conflict(aset)
+    assert path in _search_paths(log, fit.shift)
 
 
 def _highs_fit_feasible(UA, UR, eps):
@@ -384,6 +509,68 @@ def test_conflict_search_on_captured_set_returns_verified_conflict():
     assert not feasible(result.conflict)
     for k in range(len(result.conflict)):  # irreducible
         assert feasible(result.conflict[:k] + result.conflict[k + 1 :])
+
+
+def _sampled_conflicting_set(rng):
+    """A set like those of _conflicting_sets, larger, drawn from a numpy generator.
+
+    Rewards are tenths, shifted by sums taken with math.fsum, so the set does
+    not depend on the BLAS build.
+    """
+    m = int(rng.integers(2, 6))
+    w0 = rng.integers(1, 6, m).astype(float)
+    w0 /= w0.sum()
+
+    def vec():
+        return rng.integers(-20, 21, m) / 10
+
+    def planted(delta):
+        v = vec()
+        return v - (math.fsum(w0 * v) + delta)
+
+    accepted = []
+    for _ in range(int(rng.integers(1, 11))):
+        v = vec()
+        accepted.append(v if v.max() >= 0 else np.abs(v))
+    rejected = [planted(delta) for delta in rng.choice((0.05, 0.2, 0.5), int(rng.integers(0, 6)))]
+    if rng.random() < 0.5:  # a rejected gamble above a planted accepted one
+        f = planted(0.6)
+        f[int(np.argmax(f))] = max(f.max(), 0.0)
+        accepted.insert(int(rng.integers(len(accepted) + 1)), f)
+        culprit = f + rng.choice((0.0, 0.1, 0.3), m)
+    else:  # a nonnegative rejected gamble
+        culprit = np.abs(vec())
+    rejected.insert(int(rng.integers(len(rejected) + 1)), culprit)
+    return assessment_on(m, Linear(), accepted, rejected)
+
+
+#: LPs solved per conflict search (the first LP and every solved trial) by the
+#: cold search that warm trials replaced, on fit_conflict_seed11.json and on
+#: _sampled_conflicting_set(np.random.default_rng([23, i])) for i in 0..39.
+COLD_SEARCH_SOLVES_SEED11 = 6
+COLD_SEARCH_SOLVES = [
+    4, 4, 3, 4, 5, 3, 2, 5, 2, 3, 4, 5, 4, 5, 2, 3, 3, 2, 5, 8,
+    2, 4, 3, 5, 4, 3, 2, 5, 3, 4, 6, 6, 5, 7, 5, 5, 3, 6, 5, 2,
+]  # fmt: skip
+
+
+def test_warm_conflict_search_solves_as_many_trials_as_the_cold_search():
+    # A constraint with an exact 0.0 in the last evidence is dropped without a
+    # solve.  Warm duals that left 1e-16 where a cold solve has 0.0 would add
+    # solves and change no conflict; the counts pin that they do not.
+    data = json.loads((Path(__file__).parent / "data" / "fit_conflict_seed11.json").read_text())
+    m = len(data["accepted"][0])
+    captured = assessment_on(m, LogShift(), data["accepted"], data["rejected"])
+    sets = [(captured, data["strict_margin"])]
+    sets += [(_sampled_conflicting_set(np.random.default_rng([23, i])), 1e-6) for i in range(40)]
+    counts, warm = [], 0
+    for aset, eps in sets:
+        with _recorded_solves() as log:
+            assert isinstance(fit_functional(aset, strict_margin=eps), Infeasible)
+        counts.append(len(log))
+        warm += sum(entry[3] for entry in log)
+    assert counts == [COLD_SEARCH_SOLVES_SEED11] + COLD_SEARCH_SOLVES
+    assert warm > sum(counts) // 2
 
 
 # The kernel's absolute tolerances do not scale with rewards near 1e9: the fit

@@ -14,6 +14,7 @@ from oracles import (
     GeneralLp,
     bland_solve,
     check_infeasibility_certificate,
+    basis_gives_x,
     farkas_check,
     recheck,
     solve_general as solve,
@@ -443,6 +444,22 @@ def test_pinned_corpus_outputs_are_bit_identical():
 
 def test_reference_kernel_reproduces_its_recorded_corpus_digest():
     assert _corpus_digest(bland_solve) == BLAND_CORPUS_SHA256
+
+
+def test_basis_gives_x_by_an_exact_solve_on_a_sample_of_the_pinned_corpus():
+    checked = 0
+    for p in _pinned_corpus()[::10]:
+        q = to_canonical(p).problem
+        try:
+            sol = lp.solve(q)
+        except NumericalInstability:
+            continue
+        if sol.status is not LpStatus.OPTIMAL:
+            assert sol.basis is None
+            continue
+        assert basis_gives_x(q, sol)
+        checked += 1
+    assert checked >= 15
 
 
 def _assert_agrees_with_reference(p):
