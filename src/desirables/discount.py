@@ -22,6 +22,7 @@ numpy array of delays it uses numpy.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Mapping
 
@@ -238,8 +239,27 @@ class TabulatedEta(EtaSpec, Record):
             raise ValueError("eta values must be positive")
 
     def value(self, x: float) -> float:
-        import numpy as np
-        return float(np.interp(x, self.xs, self.ys))
+        # np.interp's arithmetic, bit for bit, without importing numpy.
+        xs, ys = self.xs, self.ys
+        if len(xs) == 1:
+            return ys[0]
+        if x != x:
+            return x
+        if x <= xs[0]:
+            return ys[0]
+        if x >= xs[-1]:
+            return ys[-1]
+        i = bisect.bisect_right(xs, x) - 1
+        x0, y0, y1 = xs[i], ys[i], ys[i + 1]
+        if x == x0:
+            return y0
+        slope = (y1 - y0) / (xs[i + 1] - x0)
+        v = slope * (x - x0) + y0
+        if v != v:  # 0 * inf in a table spanning more than the largest float
+            v = slope * (x - xs[i + 1]) + y1
+            if v != v and y0 == y1:
+                v = y0
+        return v
 
     def derivative(self, x: float) -> float:
         # Central differences at relative step 1e-5 * x.

@@ -9,7 +9,8 @@ flips relative to the unshifted baseline.
 grid of delays (shifts x the payments of ``a`` then ``b``, 128 shifts per
 block): one ``factor`` and one ``eval`` call per block, per-payment
 quantities (eta(x), state rates) once per payment and block, each shift's value
-summed over the payment columns in the order ``sum`` adds payments.  numpy's
+added over the payment columns left to right from 0.0, as ``schedule_value``
+adds its payments.  numpy's
 ``exp``/``log1p``/``pow`` can differ from libm's in the last bits, so a scan
 value may differ from ``schedule_value`` of the shifted schedule by a few
 ulps.  The baseline is ``compare`` of the unshifted schedules.  An error in
@@ -65,6 +66,8 @@ class PaymentSchedule(Record):
         object.__setattr__(self, "payments", tuple(self.payments))
         if not self.payments:
             raise ValueError("schedule needs at least one payment")
+        # Read by schedule_value, so unlabelled schedules skip the regime walk.
+        object.__setattr__(self, "_has_states", any(p.state is not None for p in self.payments))
 
 
 class Preference(enum.Enum):
@@ -95,28 +98,29 @@ def schedule_value(
 ) -> float:
     """Sum of per-payment effective utilities, invariant to payment order.
 
-    An error in a payment is re-raised as the same type, its message prefixed
-    with ``payment {i} (amount=..., t=...)``, and before that with
+    The payments' values are added left to right from 0.0.  An error in a
+    payment is re-raised as the same type, its message prefixed with
+    ``payment {i} (amount=..., t=...)``, and before that with
     ``schedule "{label}"`` when the schedule has a label.
     """
-    if not uses_states(d) and any(p.state is not None for p in sch.payments):
+    if sch._has_states and not uses_states(d):
         warnings.warn(
             f"schedule {sch.label!r} carries state labels but the discount "
             "regime is state-independent; labels are ignored",
             stacklevel=2,
         )
-    values = []
-    for i, p in enumerate(sch.payments):
-        try:
-            values.append(
-                effective_utility(u, d, p.amount, p.time, p.state, round_factors=round_factors)
-            )
-        except DesirablesError as exc:
-            where = f'schedule "{sch.label}" ' if sch.label else ""
-            raise type(exc)(
-                f"{where}payment {i} (amount={p.amount:g}, t={p.time:g}): {exc}"
-            ) from None
-    return sum(values)
+    total = 0.0
+    try:
+        # effective_utility, inlined: this loop is most of compare's cost.
+        for i, p in enumerate(sch.payments):
+            x = p.amount
+            total += u.eval(d.factor(p.time, x, p.state, round_factors=round_factors) * x)
+    except DesirablesError as exc:
+        where = f'schedule "{sch.label}" ' if sch.label else ""
+        raise type(exc)(
+            f"{where}payment {i} (amount={p.amount:g}, t={p.time:g}): {exc}"
+        ) from None
+    return total
 
 
 def compare(
@@ -235,7 +239,7 @@ def reversal_scan(
 
 
 def _sum_columns(cells):
-    # Column after column from 0.0, as ``sum`` adds payments: pairwise
+    # Column after column from 0.0, as schedule_value adds payments: pairwise
     # summation (``cells.sum(axis=1)``) would round differently.
     total = 0.0
     for column in cells.T:

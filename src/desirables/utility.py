@@ -61,7 +61,8 @@ class Utility:
                 v = self._eval(x, xp)
             check_each(self._not_finite, x, xp.isfinite(v))
             return v
-        self._check_domain(x)
+        if not x > self.domain_lo:
+            self._check_domain(x)
         try:
             v = self._eval(x)
         except OverflowError:

@@ -4,9 +4,11 @@ Apart from :func:`bland_solve` and the two unshifted LPs below, nothing here
 touches the package's simplex kernel: feasibility is decided by exhaustive
 lambda-grid search and by vertex enumeration of the Farkas dual polytope, and
 tiny LPs are re-solved by enumerating candidate vertices.  :func:`scan_by_compare` is the reversal scan
-as one scalar ``compare`` per shift, and :func:`transform_by_state` and
-:func:`u_convex_combine_by_state` are the utility transform and u-convex
-combination as one scalar ``eval`` (and ``inverse``) per state.
+as one scalar ``compare`` per shift, :func:`schedule_value_by_payment` a
+schedule's value as one ``effective_utility`` call per payment, and
+:func:`transform_by_state` and :func:`u_convex_combine_by_state` are the
+utility transform and u-convex combination as one scalar ``eval`` (and
+``inverse``) per state.
 :func:`inline_accept_check`, :func:`cut_problem_check` and
 :func:`farkas_check` are the evidence checks coherence made on unchecked LP
 duals and certificates before the kernel checked them itself; they build LP
@@ -37,12 +39,14 @@ in the general form; :func:`bland_solve` solves the general form itself.
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from desirables import (
+    DesirablesError,
     DimensionError,
     Finding,
     DomainError,
@@ -52,8 +56,10 @@ from desirables import (
     Preference,
     ScanResult,
     compare,
+    effective_utility,
     schedule_value,
     shift_schedule,
+    uses_states,
     Utility,
     accept_decision,
     check_partial_loss,
@@ -278,6 +284,27 @@ def greedy_conflict(a, strict_margin=1e-6):
         if not fits(trial):
             active = trial
     return tuple(active)
+
+
+def schedule_value_by_payment(u, d, sch, *, round_factors=False):
+    """Reference ``schedule_value``: the state-label warning, then one
+    ``effective_utility`` per payment, each in its own ``try``, added left to
+    right from 0.0."""
+    if not uses_states(d) and any(p.state is not None for p in sch.payments):
+        warnings.warn(
+            f"schedule {sch.label!r} carries state labels but the discount "
+            "regime is state-independent; labels are ignored",
+            stacklevel=2,
+        )
+    total = 0.0
+    for i, p in enumerate(sch.payments):
+        try:
+            value = effective_utility(u, d, p.amount, p.time, p.state, round_factors=round_factors)
+        except DesirablesError as exc:
+            where = f'schedule "{sch.label}" ' if sch.label else ""
+            raise type(exc)(f"{where}payment {i} (amount={p.amount:g}, t={p.time:g}): {exc}") from None
+        total = total + value
+    return total
 
 
 def scan_by_compare(u, d, a0, b0, shifts, *, tol=1e-9, round_factors=False):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from desirables import (
     DomainError,
@@ -407,3 +407,48 @@ def test_paper_rounding_on_arrays_uses_python_round():
     for spec in (d, Hybrid(0.5, Exponential(0.05), d), QuasiHyperbolic(0.7, 0.95)):
         grid = spec.factor(t, round_factors=True).tolist()
         assert grid == [spec.factor(float(v), round_factors=True) for v in t]
+
+
+# -- TabulatedEta.value against np.interp ---------------------------------------
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _tables_and_points(draw):
+    xs = sorted(set(draw(st.lists(_FINITE, min_size=1, max_size=6))))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    ys = draw(st.lists(positive, min_size=len(xs), max_size=len(xs)))
+    knots = list(xs)
+    beside = [math.nextafter(v, side) for v in xs for side in (-math.inf, math.inf)]
+    ends = [xs[0] - 1.0, xs[-1] + 1.0, 2 * xs[0] - xs[-1], 2 * xs[-1] - xs[0]]
+    between = [0.5 * (a + b) for a, b in zip(xs, xs[1:])]
+    special = [math.inf, -math.inf, math.nan, 0.0, -0.0]
+    drawn = draw(st.lists(st.floats(), max_size=8))
+    return TabulatedEta(tuple(xs), tuple(ys)), knots + beside + ends + between + special + drawn
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tables_and_points())
+def test_tabulated_eta_value_is_np_interp_bit_for_bit(case):
+    eta, points = case
+    for x in points:
+        got = eta.value(x)
+        with np.errstate(all="ignore"):  # tables spanning more than the largest float overflow
+            want = float(np.interp(x, eta.xs, eta.ys))
+        assert type(got) is float
+        assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (x, got, want)
+
+
+@pytest.mark.parametrize(
+    "xs, ys, x, want",
+    [
+        ((2.0,), (0.6,), math.nan, 0.6),  # one entry: np.interp gives its y even at NaN
+        ((1.0, 3.0), (1.0, 2.0), math.nan, math.nan),
+        # x1 - x0 overflows to inf, so slope * (x - x0) is 0 * inf: np.interp
+        # retries from the right knot.
+        ((-1.5e308, 1.5e308), (1.0, 2.0), 1.4e308, 2.0),
+    ],
+)
+def test_tabulated_eta_value_at_nan_and_in_a_table_wider_than_the_largest_float(xs, ys, x, want):
+    got = TabulatedEta(xs, ys).value(x)
+    assert got == want or (math.isnan(got) and math.isnan(want))

@@ -39,7 +39,7 @@ from desirables import (
     shift_schedule,
     uses_states,
 )
-from oracles import scan_by_compare
+from oracles import scan_by_compare, schedule_value_by_payment
 
 
 def sched(*pairs, label=""):
@@ -430,3 +430,110 @@ def test_grid_scan_matches_compare_per_shift(case):
             assert res.trace[i][1] is pref, (delta, va, vb)
     opposite = {Preference.A: Preference.B, Preference.B: Preference.A}.get(res.baseline)
     assert res.first_flip == next((t for t, p in res.trace if p is opposite), None)
+
+
+# -- schedule_value against one effective_utility per payment ------------------
+# sqrt(1e300) ** 4 overflows: math.pow raises OverflowError, eval a DomainError.
+_OVERFLOWING = Composed(Sqrt(), PhiPower(4.0))
+# A payment that breaks: a reward outside the utility or inverse-log eta
+# domain (x <= 1), a missing or unknown state, a label the regime ignores, or
+# a utility that overflows.
+_BREAKAGES = {
+    "domain": (-5.0, 0),
+    "eta": (0.5, 0),
+    "eta-edge": (1.0, 0),
+    "missing": (10.0, None),
+    "unknown": (10.0, "crash"),
+    "label": (10.0, "boom"),
+    "overflow": (1e300, 0),
+}
+
+
+@st.composite
+def _valuations(draw):
+    d = draw(_REGIMES)
+    u = draw(st.one_of(_UTILITIES, st.just(_OVERFLOWING)))
+    labels = ["boom", "bust"] if uses_states(d) else [None]
+    pays = [
+        DatedPayment(draw(st.floats(1.5, 2000.0)), draw(st.floats(0.0, 20.0)), draw(st.sampled_from(labels)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        amount, state = _BREAKAGES[draw(st.sampled_from(sorted(_BREAKAGES)))]
+        state = labels[0] if state == 0 else state
+        pays[draw(st.integers(0, len(pays) - 1))] = DatedPayment(amount, draw(st.floats(0.0, 20.0)), state)
+    sch = PaymentSchedule(tuple(pays), draw(st.sampled_from(["", "L"])))
+    return u, d, sch, draw(st.booleans())
+
+
+def _valuation(run, action):
+    """(value bits or (error type, message), warnings) of ``run`` under the filter ``action``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        try:
+            value = run()
+        except (DesirablesError, UserWarning) as exc:
+            return (type(exc), str(exc)), caught
+    return value.hex(), caught
+
+
+def _assert_valuation_matches_the_fold(u, d, sch, rounded):
+    """The outcome under each filter, after checking that both paths agree."""
+    labelled = not uses_states(d) and any(p.state is not None for p in sch.payments)
+    outcomes = {}
+    for action in ("always", "error"):  # under "error" the warning comes before any payment error
+        got, warned = _valuation(lambda: schedule_value(u, d, sch, round_factors=rounded), action)
+        ref, ref_warned = _valuation(
+            lambda: schedule_value_by_payment(u, d, sch, round_factors=rounded), action
+        )
+        assert got == ref
+        seen = [(w.category, str(w.message), w.filename) for w in warned]
+        assert seen == [(w.category, str(w.message), w.filename) for w in ref_warned]
+        assert len(seen) == (labelled and action == "always")
+        assert all(filename == __file__ for _, _, filename in seen)
+        if action == "error" and labelled:
+            assert got[0] is UserWarning
+        outcomes[action] = got
+    return outcomes
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_valuations())
+def test_schedule_value_matches_a_fold_of_effective_utilities(case):
+    _assert_valuation_matches_the_fold(*case)
+
+
+@pytest.mark.parametrize(
+    "u, d, pays, error, message",
+    [
+        (LogShift(), Exponential(0.1), [(5, 0, None), (-3, 0, None)], DomainError,
+         "payment 1 (amount=-3, t=0): log_shift: reward -3.0 outside domain x > -1.0"),
+        (Linear(), StateDependent({"s1": 0.1}), [(1, 0, "s1"), (2, 1.5, "s2")], UnknownState,
+         "payment 1 (amount=2, t=1.5): state 's2' not in rate map ['s1']"),
+        (Linear(), StateDependent({"s1": 0.1}), [(1, 2, None)], MissingArgument,
+         "payment 0 (amount=1, t=2): state-dependent discounting needs a state label"),
+        (Linear(), ScaleDependent(Exponential(0.1), InverseLog()), [(10, 1, None), (1, 1, None)], DomainError,
+         "payment 1 (amount=1, t=1): inverse_log: reward 1.0 outside eta domain x > 1.0"),
+        (_OVERFLOWING, Exponential(0.0), [(1e300, 0, None)], DomainError,
+         "payment 0 (amount=1e+300, t=0): composed: utility of reward 1e+300 is not finite"),
+    ],
+    ids=["domain", "unknown-state", "missing-label", "inverse-log", "overflow"],
+)
+@pytest.mark.parametrize("label", ["", "L"])
+def test_schedule_value_errors_match_the_fold(u, d, pays, error, message, label):
+    sch = PaymentSchedule(tuple(DatedPayment(*p) for p in pays), label)
+    where = 'schedule "L" ' if label else ""
+    for rounded in (False, True):
+        outcomes = _assert_valuation_matches_the_fold(u, d, sch, rounded)
+        assert outcomes == {"always": (error, where + message), "error": (error, where + message)}
+
+
+def test_schedule_value_warns_on_labels_before_a_payment_error():
+    sch = PaymentSchedule((DatedPayment(-5, 0, "s1"),), "L")
+    outcomes = _assert_valuation_matches_the_fold(LogShift(), Exponential(0.1), sch, False)
+    assert outcomes["always"][0] is DomainError
+    assert outcomes["error"] == (
+        UserWarning,
+        "schedule 'L' carries state labels but the discount regime is "
+        "state-independent; labels are ignored",
+    )

@@ -130,6 +130,31 @@ def test_eval_curves_and_early_exits_load_no_numpy(argv, exit_code):
     assert loaded_after(code) == ["[]", "[]"]
 
 
+def test_eval_with_a_tabulated_eta_loads_no_numpy(tmp_path):
+    # TabulatedEta interpolates in pure Python, as np.interp does.
+    conf = tmp_path / "tabulated.conf"
+    conf.write_text(
+        'utility { kind = "sqrt" }\n'
+        'discount { kind = "scale_dependent", base = {kind = "hyperbolic", k = 0.5},\n'
+        '  eta = {form = "tabulated", x = [10, 100, 1000], y = [1.2, 1.0, 0.7]} }\n'
+        'schedule "A" { pay = [{amount = 50, t = 0}, {amount = 400, t = 3}] }\n'
+        'schedule "B" { pay = [{amount = 5000, t = 8}] }\n',
+        encoding="utf-8",
+    )
+    code = (
+        "import desirables, desirables.cli\n"
+        "report()\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert desirables.cli.main(['eval', '--config', {str(conf)!r}]) == 0\n"
+        "report()\n"
+        "print(out.getvalue().splitlines()[1:])\n"
+    )
+    *loaded, rows = loaded_after(code)
+    assert loaded == ["[]", "[]"]
+    assert rows == str(["A\t20.3132", "B\t40.2574"])
+
+
 def test_no_module_declares_a_dataclass():
     code = (
         "import importlib, pkgutil, desirables\n"
