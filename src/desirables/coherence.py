@@ -245,11 +245,12 @@ class Infeasible(Record):
     with a zero entry in the last evidence (a Farkas certificate of the
     eliminated fit LP, or duals y whose shifted bound L + b . y puts the margin
     below zero, both checked by the LP kernel) are dropped without a solve.
-    Each trial after the first LP is warm-started: it continues from the
-    optimal tableau of the last LP that found no functional, with every
-    constraint dropped since then relaxed (``lp.solve_relaxed``).  A trial is
-    solved cold after an LP that ended INFEASIBLE in phase 1, and when it drops
-    the last accepted constraint, since its LP then gains the cap row.
+    The search keeps one boolean mask over the assessment rows (accepted
+    first); each trial after the first LP is warm-started: it continues from
+    the optimal tableau of the last LP that found no functional, with every
+    row dropped since then relaxed (``lp.solve_relaxed``).  A trial is solved
+    cold after an LP that ended INFEASIBLE in phase 1, and when it drops the
+    last accepted constraint, since its LP then gains the cap row.
     """
 
     conflict: tuple[tuple[str, int], ...]
@@ -268,33 +269,33 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
     t = L + d shifted by L = min(min u(f_i), 0), so it has no equality row and
     no free variable, and every accepted row starts on a slack (see
     :func:`_fit_rows`); k and L are fixed once per call, so the conflict
-    search's trials take subsets of one row block, and every trial after the
+    search's trials are masks over one row block, and every trial after the
     first LP is warm-started from an earlier trial's tableau (see
     :class:`Infeasible`).
     """
     if not 0 < strict_margin <= 1e-2:
         raise ValueError(f"strict margin must lie in (0, 1e-2], got {strict_margin!r}")
     fit = _fit_rows(a.transformed_generators(), a.transformed_rejected(), strict_margin)
-    labels = [("accepted", i) for i in range(len(a.accepted))]
-    labels += [("rejected", j) for j in range(len(a.rejected))]
-
-    active = list(labels)
+    active = np.ones(fit.rows.shape[0], dtype=bool)
     result, droppable, restart = _fit_lp(fit, active)
     if result is not None:
         return result
 
-    # Greedy deletion in input order; a constraint outside the support of the
+    # Greedy deletion in input order; a row outside the support of the
     # current evidence is dropped without a solve, as the evidence still holds.
     # Each trial starts from the last infeasible trial's tableau (restart).
-    for constraint in labels:
-        trial = [c for c in active if c != constraint]
-        if constraint in droppable:
+    for row in range(active.size):
+        trial = active.copy()
+        trial[row] = False
+        if droppable[row]:
             active = trial
             continue
         result, evidence, solved = _fit_lp(fit, trial, restart)
         if result is None:
             active, droppable, restart = trial, evidence, solved
-    return Infeasible(conflict=tuple(active))
+    labels = [("accepted", i) for i in range(fit.n)]
+    labels += [("rejected", j) for j in range(active.size - fit.n)]
+    return Infeasible(tuple(c for c, kept in zip(labels, active) if kept))
 
 
 def fit_constraints(
@@ -356,51 +357,45 @@ def _fit_rows(UA: np.ndarray, UR: np.ndarray, eps: float) -> _FitRows:
     return _FitRows(k, shift, n, rows, rhs)
 
 
-def _fit_lp(fit: _FitRows, active, restart=None):
-    """Margin LP over a constraint subset: (Functional, set(), None), or (None, droppable, restart).
+def _fit_lp(fit: _FitRows, active: np.ndarray, restart=None):
+    """Margin LP over the rows ``active`` (a mask): (Functional, None, None), or (None, droppable, restart).
 
     Solves maximize 2h = d over the active rows of ``fit``, the row
     sum w_{-k} <= 1 (that is, w_k >= 0) and, when no accepted row is active,
     the cap h <= (1 - L)/2; all rows are "<=", and every variable is >= 0.
     The margin is t = L + d: a functional is returned when t >= -_TOL.
-    ``droppable`` holds the active constraints with a zero entry in the
-    evidence: the kernel-checked Farkas certificate, or the kernel-checked
-    duals y when their bound L + b . y on the margin lies below -_TOL by the
-    kernel's ``lp._CHECK_TOL``.
+    ``droppable`` masks the active rows with a zero entry in the evidence:
+    the kernel-checked Farkas certificate, or the kernel-checked duals y when
+    their bound L + b . y on the margin lies below -_TOL by the kernel's
+    ``lp._CHECK_TOL``.
 
-    A ``restart`` is (constraints, OPTIMAL solution) of an earlier call on a
+    A ``restart`` is (mask, OPTIMAL solution) of an earlier call on a
     superset of ``active``.  When both LPs have the cap row or both lack it,
     this LP continues from that solution's tableau (``lp.solve_relaxed``);
     otherwise it is solved cold.  The returned restart is this call's own,
     or None when its LP ended INFEASIBLE in phase 1.
     """
-    sel = [i if kind == "accepted" else fit.n + i for kind, i in active]
     nw = fit.rows.shape[1] - 1  # weights left after the elimination
-    objective = np.append(np.zeros(nw), 2.0)
-    accepted = _has_accepted(active)
-    cap = [] if accepted else [np.append(np.zeros(nw), 1.0)]
-    rows = np.vstack([fit.rows[sel], np.append(np.ones(nw), 0.0), *cap])
-    rhs = np.concatenate([fit.rhs[sel], [1.0], [0.5 - fit.shift / 2] * len(cap)])
-    problem = lp.LpProblem(objective, rows, rhs)
-    if restart is not None and _has_accepted(restart[0]) == accepted:
-        kept = set(active)
-        keep = [c in kept for c in restart[0]] + [True] * (1 + len(cap))
-        sol = lp.solve_relaxed(restart[1], problem, keep)
+    accepted = active[: fit.n].any()
+    cap = [] if accepted else [0.5 - fit.shift / 2]
+    rhs = np.concatenate([fit.rhs[active], [1.0], cap])
+    if restart is not None and restart[0][: fit.n].any() == accepted:
+        sol = lp.solve_relaxed(restart[1], np.append(active[restart[0]], [True] * (1 + len(cap))))
     else:
-        sol = lp.solve(problem)
+        extra = [np.append(np.ones(nw), 0.0)] + [np.append(np.zeros(nw), 1.0)] * len(cap)
+        rows = np.vstack([fit.rows[active], *extra])
+        sol = lp.solve(lp.LpProblem(np.append(np.zeros(nw), 2.0), rows, rhs))
     if sol.status is lp.LpStatus.OPTIMAL and fit.shift + sol.value >= -_TOL:
         x = sol.x[:nw]
-        return Functional(np.maximum(np.insert(x, fit.k, 1.0 - x.sum()), 0.0)), set(), None
+        return Functional(np.maximum(np.insert(x, fit.k, 1.0 - x.sum()), 0.0)), None, None
     evidence = sol.certificate
     if sol.y is not None and fit.shift + sol.y @ rhs < -_TOL - lp._CHECK_TOL:  # weak duality: d <= b . y
         evidence = sol.y
-    # Rows follow ``active``: accepted constraints, then rejected ones.
-    droppable = set() if evidence is None else {c for c, v in zip(active, evidence) if v == 0.0}
+    # Evidence rows follow the mask's rows: accepted, then rejected.
+    droppable = np.zeros_like(active)
+    if evidence is not None:
+        droppable[active] = evidence[: np.count_nonzero(active)] == 0.0
     return None, droppable, (active, sol) if sol.status is lp.LpStatus.OPTIMAL else None
-
-
-def _has_accepted(constraints) -> bool:
-    return any(kind == "accepted" for kind, _ in constraints)
 
 
 def rho(ell: Functional, u: Utility, f: Gamble) -> float:

@@ -45,22 +45,21 @@ max(1, |objective|_inf) * (1 + |value|), the certificate by
 returned as ``None``; the status and ``x`` are unchanged.  An optimal
 solution also carries its final ``basis``, the basic columns of [A | I].
 
-:func:`solve_relaxed` solves a problem that an optimal solve has solved, with
-some rows dropped, from that solve's final tableau.  Dropping row k relaxes
-it: r_k >= 0 in A_k x + s_k - r_k = b_k frees s_k - r_k.  The column of r_k
-is the slack column as it stands, negated; the slack is stored as tau_k e_k
-already, so it is not multiplied by tau again.  The slack is pivoted in at
-the row the ratio test picks for r_k (for s_k when nothing bounds r_k), so
-the basis stays feasible, and that row and the slack column are deleted.
-What is left is the smaller problem's tableau at a feasible basis, and phase
-2 continues from it in the same :func:`_simplex_min`; ``x``, ``y`` and the
-basis then get the reads and checks of a cold solve, against the smaller
-problem.
+:func:`solve_relaxed` solves an optimally solved problem again with only the
+rows a mask ``keep`` selects, from that solve's final tableau.  Dropping row
+k relaxes it: r_k >= 0 in A_k x + s_k - r_k = b_k frees s_k - r_k.  The
+column of r_k is the slack column as it stands, negated; the slack is stored
+as tau_k e_k already, so it is not multiplied by tau again.  The slack is
+pivoted in at the row the ratio test picks for r_k (for s_k when nothing
+bounds r_k), so the basis stays feasible, and the dropped rows and slack
+columns are deleted in one copy.  What is left is the smaller problem's
+tableau at a feasible basis, and phase 2 continues from it in the same
+:func:`_simplex_min`; ``x``, ``y`` and the basis then get the reads and
+checks of a cold solve, against the smaller problem.
 """
 
 from __future__ import annotations
 
-import copy
 from enum import Enum
 
 import numpy as np
@@ -162,32 +161,15 @@ def format_problem(p: LpProblem) -> str:
 
 
 class _Tableau:
-    """Dense simplex tableau of the rows tau_k (A_k x + s_k) = tau_k b_k, with the reduced-cost row last.
+    """Dense simplex tableau of ``problem``: T, with the reduced-cost row last, and one basic column per row.
 
-    tau_k is -1 where b_k < 0, else 1.  Columns: the n structural variables,
-    one slack (+1) or surplus (-1) per row in row order, then one artificial
-    per negated row in row order (deleted after phase 1).
+    :func:`_cold_start` builds the tableau a solve starts from, and
+    :meth:`relaxed` a warm one from an optimal tableau.
     """
 
-    def __init__(self, p: LpProblem):
-        self.problem = p
-        m, n = p.constraints.shape
-        flip = p.rhs < 0
-        art_rows = np.flatnonzero(flip)
-        self.n_art = art_rows.size
-        self.tau = np.where(flip, -1.0, 1.0)
-        T = np.zeros((m + 1, n + m + self.n_art + 1))  # row m is set by each phase
-        T[:m, :n], T[:m, -1] = p.constraints, p.rhs  # times tau: only flipped rows, as x * 1.0 is x
-        # Each row's starting basic column: its slack, or on a negated row its artificial.
-        self.identity_col = n + np.arange(m)
-        T[:m, n : n + m] = np.diag(self.tau)
-        if self.n_art:
-            T[art_rows, :n] *= -1.0
-            T[art_rows, -1] *= -1.0
-            self.identity_col[art_rows] = n + m + np.arange(self.n_art)
-            T[art_rows, self.identity_col[art_rows]] = 1.0
-        self.basis = self.identity_col.copy()
-        self.T, self.work = T, np.empty_like(T)  # work: _pivot's rank-1 product
+    def __init__(self, problem: LpProblem, T: np.ndarray, basis: np.ndarray):
+        self.problem, self.T, self.basis = problem, T, basis
+        self.work = np.empty_like(T)  # _pivot's rank-1 product
 
     def relaxed(self, p: LpProblem, keep: np.ndarray) -> _Tableau:
         """A phase-2 tableau of ``p``, this problem with only the rows ``keep`` (a mask), at a feasible basis.
@@ -203,16 +185,15 @@ class _Tableau:
         when nothing bounds r_k, for s_k; either keeps the basis feasible.
         """
         n = p.objective.size
-        warm = copy.copy(self)  # n_art, tau and identity_col describe the cold start only
-        warm.problem, warm.T, warm.basis = p, self.T.copy(), self.basis.copy()  # work: scratch, shared
-        drop = np.zeros(warm.T.shape[1], dtype=bool)  # the dropped rows' slack columns
+        full = _Tableau(p, self.T.copy(), self.basis.copy())
+        drop = np.zeros(full.T.shape[1], dtype=bool)  # the dropped rows' slack columns
         drop[n + np.flatnonzero(~keep)] = True
         basic = np.zeros_like(drop)
-        basic[warm.basis] = True
-        free = drop[warm.basis]  # rows on a dropped slack, which is free: deleted below
-        rhs = warm.T[:-1, -1]  # a view: pivots update it
+        basic[full.basis] = True
+        free = drop[full.basis]  # rows on a dropped slack, which is free: deleted below
+        rhs = full.T[:-1, -1]  # a view: pivots update it
         for col in np.flatnonzero(drop & ~basic):
-            column = np.where(free, 0.0, warm.T[:-1, col])  # a free basic variable never leaves
+            column = np.where(free, 0.0, full.T[:-1, col])  # a free basic variable never leaves
             for entering in (-column, column):  # r_k's column, else s_k's
                 bounded = entering > _TOL
                 if bounded.any():
@@ -222,13 +203,12 @@ class _Tableau:
             ratio = np.full(free.size, np.inf)
             np.divide(rhs, entering, out=ratio, where=bounded)
             row = int(ratio.argmin())
-            _pivot(warm, row, col)
+            _pivot(full, row, col)
             free[row] = True
-        warm.T = warm.T[np.append(~free, True)][:, ~drop]
-        warm.basis = warm.basis[~free]
-        warm.basis -= np.cumsum(drop)[warm.basis]  # the deleted columns before each
-        warm.work = np.empty_like(warm.T)
-        return warm
+        basis = full.basis[~free]
+        basis -= np.cumsum(drop)[basis]  # the deleted columns before each
+        left = np.append(~free, True)[:, None] & ~drop  # one boolean index: a single copy
+        return _Tableau(p, full.T[left].reshape(-1, np.count_nonzero(~drop)), basis)
 
 
 def _pivot(tab: _Tableau, row: int, col: int) -> None:
@@ -294,26 +274,22 @@ def solve(p: LpProblem) -> LpSolution:
     return _guarded(p, _solve, p)
 
 
-def solve_relaxed(base: LpSolution, p: LpProblem, keep) -> LpSolution:
-    """Solve ``p``, the problem that ``base`` solved with only the rows ``keep`` left, from base's tableau.
+def solve_relaxed(base: LpSolution, keep) -> LpSolution:
+    """Solve the problem that ``base`` solved with only the rows ``keep`` left, from base's tableau.
 
     ``base`` is an OPTIMAL solution of :func:`solve` or :func:`solve_relaxed`,
     and ``keep`` is a boolean mask over its problem's rows.  Dropping rows
     only enlarges the feasible set, so phase 2 continues from base's final
     basis with each dropped row relaxed; x, y and the basis are then read and
-    checked against ``p`` as :func:`solve` reads and checks them.
+    checked against the smaller problem as :func:`solve` reads and checks them.
     """
     tab = base._tableau
     if tab is None:
         raise ValueError(f"only an OPTIMAL solution can be relaxed, not {base.status}")
     q, keep = tab.problem, np.asarray(keep, dtype=bool)
-    if not (
-        keep.shape == q.rhs.shape
-        and np.array_equal(p.objective, q.objective)
-        and np.array_equal(p.constraints, q.constraints[keep])
-        and np.array_equal(p.rhs, q.rhs[keep])
-    ):
-        raise ValueError("p is not the solved problem restricted to the rows keep")
+    if keep.shape != q.rhs.shape:
+        raise ValueError(f"keep of shape {keep.shape} does not mask the {q.rhs.size} rows")
+    p = LpProblem(q.objective, q.constraints[keep], q.rhs[keep])
     return _guarded(p, lambda: _phase2(tab.relaxed(p, keep)))
 
 
@@ -326,21 +302,44 @@ def _guarded(p: LpProblem, run, *args) -> LpSolution:
         raise NumericalInstability(f"tableau arithmetic failed: {exc}", p) from None
 
 
-def _solve(p: LpProblem) -> LpSolution:
-    m, n = p.constraints.shape
-    tab = _Tableau(p)
+def _cold_start(p: LpProblem) -> tuple[_Tableau, np.ndarray, np.ndarray]:
+    """The tableau of the rows tau_k (A_k x + s_k) = tau_k b_k at its starting basis; tau and that basis.
 
-    if tab.n_art:
-        cost = np.zeros(n + m + tab.n_art)
-        cost[n + m :] = 1.0
+    tau_k is -1 where b_k < 0, else 1.  Columns: the n structural variables,
+    one slack (+1) or surplus (-1) per row in row order, then one artificial
+    per negated row in row order (deleted after phase 1).
+    """
+    m, n = p.constraints.shape
+    flip = p.rhs < 0
+    art_rows = np.flatnonzero(flip)
+    tau = np.where(flip, -1.0, 1.0)
+    T = np.zeros((m + 1, n + m + art_rows.size + 1))  # row m is set by each phase
+    T[:m, :n], T[:m, -1] = p.constraints, p.rhs  # times tau: only flipped rows, as x * 1.0 is x
+    # Each row's starting basic column: its slack, or on a negated row its artificial.
+    identity_col = n + np.arange(m)
+    T[:m, n : n + m] = np.diag(tau)
+    if art_rows.size:
+        T[art_rows, :n] *= -1.0
+        T[art_rows, -1] *= -1.0
+        identity_col[art_rows] = n + m + np.arange(art_rows.size)
+        T[art_rows, identity_col[art_rows]] = 1.0
+    return _Tableau(p, T, identity_col.copy()), tau, identity_col
+
+
+def _solve(p: LpProblem) -> LpSolution:
+    tab, tau, identity_col = _cold_start(p)
+    kept = sum(p.constraints.shape)  # structural, slack and surplus columns; artificials follow
+    if tab.T.shape[1] - 1 > kept:
+        cost = np.zeros(tab.T.shape[1] - 1)
+        cost[kept:] = 1.0
         if _simplex_min(tab, cost) != "optimal":  # phase 1 is bounded below by 0
             raise NumericalInstability("phase 1 unbounded", p)
         if -tab.T[-1, -1] > _TOL:  # phase 1's optimum (row m's rhs, negated) stays above 0
-            y = -(tab.tau * (tab.T[-1, :-1] - cost)[tab.identity_col])
+            y = -(tau * (tab.T[-1, :-1] - cost)[identity_col])
             y.flags.writeable = False
             y = y if check_infeasibility_certificate(p, y) else None
             return LpSolution(LpStatus.INFEASIBLE, certificate=y)
-        _drive_out_artificials(tab, n + m)
+        _drive_out_artificials(tab, kept)
     return _phase2(tab)
 
 

@@ -231,6 +231,12 @@ def test_conflict_search_matches_plain_greedy_deletion(aset):
     assert result.conflict == greedy_conflict(aset)
 
 
+def _relaxed_problem(base, keep):
+    """The problem ``lp.solve_relaxed(base, keep)`` solves: base's problem with only the rows keep."""
+    q, keep = base._tableau.problem, np.asarray(keep, dtype=bool)
+    return lp.LpProblem(q.objective, q.constraints[keep], q.rhs[keep])
+
+
 @contextmanager
 def _recorded_solves():
     """Log [problem, solution, raw evidence, warm] per ``lp.solve`` or ``lp.solve_relaxed`` call.
@@ -261,7 +267,9 @@ def _recorded_solves():
         mp.setattr(
             lp,
             "solve_relaxed",
-            lambda base, p, keep: recorded(p, lambda: real_relaxed(base, p, keep), True),
+            lambda base, keep: recorded(
+                _relaxed_problem(base, keep), lambda: real_relaxed(base, keep), True
+            ),
         )
         mp.setattr(lp, "_dual_feasible", check)
         yield log
@@ -295,13 +303,12 @@ def _assert_fit_evidence_matches_cut_check(aset, eps=1e-6):
     """
     UA, UR = aset.transformed_generators(), aset.transformed_rejected()
     fit = coherence._fit_rows(UA, UR, eps)
-    labels = [("accepted", i) for i in range(UA.shape[1])]
-    labels += [("rejected", j) for j in range(UR.shape[1])]
+    full = np.ones(UA.shape[1] + UR.shape[1], dtype=bool)
     statuses, restart = [], None
     with _recorded_solves() as log:
-        for active in [labels] + [[c for c in labels if c != d] for d in labels]:
+        for active in [full] + [np.arange(full.size) != d for d in range(full.size)]:
             result, droppable, solved = coherence._fit_lp(fit, active, restart)
-            restart = solved if active is labels else restart
+            restart = solved if active is full else restart
             problem, sol, raw, warm = log[-1]
             if result is not None:
                 continue
@@ -314,7 +321,10 @@ def _assert_fit_evidence_matches_cut_check(aset, eps=1e-6):
                 proven = cut_problem_check(problem, raw, fit.shift)
                 bound = None if sol.y is None else fit.shift + sol.y @ problem.rhs
                 assert (bound is not None and bound < -1e-9 - 1e-7) == proven
-            assert droppable == ({c for c, v in zip(active, raw) if v == 0.0} if proven else set())
+            zero = np.zeros_like(active)
+            if proven:
+                zero[active] = raw[: np.count_nonzero(active)] == 0.0
+            assert np.array_equal(droppable, zero)
     return statuses
 
 
@@ -380,8 +390,9 @@ def _warm_trials_checked_cold(shift):
         log.append((p, sol, None, None))
         return sol
 
-    def solve_relaxed(base, p, keep):
-        sol, cold = real_relaxed(base, p, keep), real_solve(p)
+    def solve_relaxed(base, keep):
+        p = _relaxed_problem(base, keep)
+        sol, cold = real_relaxed(base, keep), real_solve(p)
         assert sol.status is cold.status
         assert _fits(sol, shift) == _fits(cold, shift)
         if sol.status is lp.LpStatus.OPTIMAL:

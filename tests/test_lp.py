@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -285,7 +287,7 @@ def test_recheck_rejects_a_row_feasible_negative_x():
 
 def test_pivot_on_a_tiny_entry_raises_and_carries_the_problem():
     p = LpProblem((1.0, 1.0), [[1e-13, 1.0], [1.0, 1.0]], [1.0, 2.0])
-    tab = lp._Tableau(p)
+    tab = lp._cold_start(p)[0]
     before = tab.T.copy()
     with pytest.raises(NumericalInstability) as info:
         lp._pivot(tab, 0, 0)
@@ -503,7 +505,7 @@ def test_carried_reduced_cost_row_matches_the_final_basis(monkeypatch):
             lp.solve(q)
         except NumericalInstability:
             continue
-        full = lp._Tableau(q).T[:-1]
+        full = lp._cold_start(q)[0].T[:-1]
         for row, basis, cost in finals:
             # Phase 2 prices the columns left after the artificial ones are deleted.
             system = np.column_stack([full[:, : cost.size], full[:, -1]])
@@ -542,7 +544,8 @@ class _PivotRuleOracle:
             if self.in_phase:
                 assert (row, col) == self.phase_pivot(rows, basis)
             else:
-                assert (row, col) == self.drive_out(rows, basis, row, tab.n_art)
+                kept = sum(tab.problem.constraints.shape)  # the columns before the artificials
+                assert (row, col) == self.drive_out(rows, basis, row, kept)
             real_pivot(tab, row, col)
 
         monkeypatch.setattr(lp, "_simplex_min", simplex_min)
@@ -574,8 +577,7 @@ class _PivotRuleOracle:
         self.degenerate = self.degenerate + 1 if rows[leaving][-1] == 0.0 else 0
         return leaving, entering
 
-    def drive_out(self, rows, basis, row, n_art):
-        kept = len(rows[row]) - 1 - n_art
+    def drive_out(self, rows, basis, row, kept):
         assert basis[row] >= kept
         self.counts["drive_out"] += 1
         return row, next(j for j in range(kept) if abs(rows[row][j]) > lp._TOL)
@@ -740,3 +742,42 @@ def test_conflict_search_lp_reaches_verified_optimum():
         lhs = float(np.dot(coeffs, sol.x))
         assert {"<=": lhs <= rhs + 1e-7, ">=": lhs >= rhs - 1e-7, "=": abs(lhs - rhs) <= 1e-7}[rel]
     assert sol.value == pytest.approx(data["highs_optimum"], abs=1e-7)
+
+
+def test_solve_relaxed_matches_a_cold_solve_of_the_kept_rows():
+    # maximize x1 + x2 s.t. x1 <= 1, x2 <= 2, x1 + x2 >= 0.5 (a negated row), x1 + 2 x2 <= 4;
+    # every subset of the rows, unbounded ones included, from the full problem's tableau.
+    p = LpProblem((1.0, 1.0), [[1, 0], [0, 1], [-1, -1], [1, 2]], [1.0, 2.0, -0.5, 4.0])
+    base = lp.solve(p)
+    for keep in map(np.array, itertools.product((True, False), repeat=4)):
+        q = LpProblem(p.objective, p.constraints[keep], p.rhs[keep])
+        cold, warm = lp.solve(q), lp.solve_relaxed(base, keep)
+        assert warm.status is cold.status
+        if warm.status is LpStatus.OPTIMAL:
+            assert warm.value == pytest.approx(cold.value, abs=1e-12)
+            assert basis_gives_x(q, warm)
+
+
+@pytest.mark.parametrize(
+    "problem, status",
+    [
+        (LpProblem((0.0,), [[1.0], [-1.0]], [0.0, -1.0]), LpStatus.INFEASIBLE),  # x <= 0, x >= 1
+        (LpProblem((1.0,), [[-1.0]], [0.0]), LpStatus.UNBOUNDED),
+    ],
+    ids=["infeasible", "unbounded"],
+)
+def test_solve_relaxed_refuses_a_base_that_is_not_optimal(problem, status):
+    base = lp.solve(problem)
+    assert base.status is status
+    message = f"only an OPTIMAL solution can be relaxed, not {status}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lp.solve_relaxed(base, [True] * problem.rhs.size)
+
+
+@pytest.mark.parametrize(
+    "keep", [[True], [True, True, False], [[True, False]]], ids=["short", "long", "2-d"]
+)
+def test_solve_relaxed_refuses_a_keep_that_does_not_mask_the_rows(keep):
+    base = lp.solve(LpProblem((1.0, 1.0), [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]))
+    with pytest.raises(ValueError, match="does not mask the 2 rows"):
+        lp.solve_relaxed(base, keep)
