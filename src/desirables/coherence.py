@@ -78,24 +78,44 @@ class AssessmentSet(Record):
         """m x n matrix whose columns are the utility transforms of the accepted gambles.
 
         Computed on the first call, so a DomainError surfaces at the query, and
-        cached as a read-only array for later calls.
+        cached as a read-only array for later calls: a view of the first m rows
+        and n columns of :meth:`_margin_rows`, so the set holds one copy of U.
         """
-        return self._transformed("accepted")
+        return self._cached("_u_accepted", lambda: self._margin_rows()[:-1, :-1])
 
     def transformed_rejected(self) -> np.ndarray:
         """m x r matrix of the rejected gambles' transforms, built and cached the same way."""
-        return self._transformed("rejected")
+        shape = (self.space.m, len(self.rejected))
+        return self._cached("_u_rejected", lambda: self._columns(self.rejected, shape))
 
-    def _transformed(self, side: str) -> np.ndarray:
-        U = self.__dict__.get("_u_" + side)
-        if U is None:
-            gambles = getattr(self, side)
-            U = np.zeros((self.space.m, len(gambles)))
-            for i, g in enumerate(gambles):
-                U[:, i] = transform(self.utility, g)
-            U.flags.writeable = False
-            self.__dict__["_u_" + side] = U  # frozen: a cache past __setattr__
-        return U
+    def _margin_rows(self) -> np.ndarray:
+        """[[U, 1], [0, 1]], the (m + 1) x (n + 1) matrix of every margin LP over this set, cached read-only.
+
+        Its last row, (0, ..., 0, 1), is also that LP's objective.
+        """
+
+        def build():
+            M = self._columns(self.accepted, (self.space.m + 1, len(self.accepted) + 1))
+            M[:, -1] = 1.0
+            return M
+
+        return self._cached("_margin", build)
+
+    def _columns(self, gambles, shape) -> np.ndarray:
+        """Zeros of ``shape`` with the gambles' transforms in the first columns' first m rows."""
+        out = np.zeros(shape)
+        for i, g in enumerate(gambles):
+            out[: self.space.m, i] = transform(self.utility, g)
+        return out
+
+    def _cached(self, key: str, build) -> np.ndarray:
+        """The array ``build()`` returns, built on the first call and cached read-only."""
+        a = self.__dict__.get(key)
+        if a is None:
+            a = build()
+            a.flags.writeable = False
+            self.__dict__[key] = a  # frozen: a cache past __setattr__
+        return a
 
 
 class Functional(Record, eq=False):
@@ -159,21 +179,26 @@ def accept_decision(a: AssessmentSet, g: Gamble) -> AcceptanceDecision:
     unshifted, so the duals are those of the unshifted LP.
     """
     _check_query(a, g)
-    return _margin_lp(a.transformed_generators(), transform(a.utility, g))
+    return _margin_lp(a._margin_rows(), transform(a.utility, g))
 
 
-def _margin_lp(U: np.ndarray, c: np.ndarray) -> AcceptanceDecision:
-    """accept_decision's shifted margin LP for the query column c over the generator columns U."""
-    m, n = U.shape
+def _margin_lp(rows: np.ndarray, c: np.ndarray) -> AcceptanceDecision:
+    """accept_decision's shifted margin LP for the query column c over ``rows``, a set's [[U, 1], [0, 1]].
+
+    ``rows`` is read-only and owns its data, so the LP shares it; only the
+    rhs is built per query.
+    """
+    m, n = rows.shape[0] - 1, rows.shape[1] - 1
     s0 = min(float(c.min()), 1.0)
+    rhs = np.empty(m + 1)
     try:
         with np.errstate(over="raise"):
-            rhs = np.append(c - s0, 1.0 - s0)
+            np.subtract(c, s0, out=rhs[:m])
     except FloatingPointError:
         raise NumericalInstability(f"margin LP rhs u(g) - {s0:g} overflows") from None
-    objective = np.append(np.zeros(n), 1.0)  # also the cap row
-    rows = np.vstack([np.column_stack([U, np.ones(m)]), objective])
-    sol = lp.solve(lp.LpProblem(objective, rows, rhs))
+    rhs[m] = 1.0 - s0
+    rhs.flags.writeable = False
+    sol = lp.solve(lp.LpProblem(rows[m], rows, rhs))  # the cap row is also the objective
     if sol.status is not lp.LpStatus.OPTIMAL:
         raise AssertionError(f"margin LP cannot be {sol.status}")
     margin = s0 + float(sol.value)
@@ -384,6 +409,7 @@ def _fit_lp(fit: _FitRows, active: np.ndarray, restart=None):
     else:
         extra = [np.append(np.ones(nw), 0.0)] + [np.append(np.zeros(nw), 1.0)] * len(cap)
         rows = np.vstack([fit.rows[active], *extra])
+        rows.flags.writeable = rhs.flags.writeable = False  # fresh: the LP shares them
         sol = lp.solve(lp.LpProblem(np.append(np.zeros(nw), 2.0), rows, rhs))
     if sol.status is lp.LpStatus.OPTIMAL and fit.shift + sol.value >= -_TOL:
         x = sol.x[:nw]
@@ -468,9 +494,9 @@ def audit(a: AssessmentSet) -> tuple[Finding, ...]:
     dominated = (R[:, None, :] >= A[None, :, :]).all(axis=2)
     for j, i in np.argwhere(dominated).tolist():
         findings.append(Finding("F2", f"rejected[{j}] dominates accepted[{i}]"))
-    U, UR = a.transformed_generators(), a.transformed_rejected()
+    rows, UR = a._margin_rows(), a.transformed_rejected()
     for j in np.flatnonzero(~dominated.any(axis=1)).tolist():
-        decision = _margin_lp(U, UR[:, j])
+        decision = _margin_lp(rows, UR[:, j])
         if decision.accepted:
             findings.append(
                 Finding(

@@ -8,6 +8,12 @@ row as two rows, and a free variable as the difference of two columns::
     # maximize t s.t. 2 w1 - w2 >= t, w1 + w2 <= 1, w, t >= 0
     LpProblem(objective=[0, 0, 1], constraints=[[-2, 1, 1], [1, 1, 0]], rhs=[0, 1])
 
+A problem shares each argument that is a read-only float64 array owning its
+data, so a caller that builds a matrix once (an assessment set's margin LP)
+hands it to every solve without a copy; anything else is copied read-only.
+Shapes and finiteness are checked either way.  :func:`solve_relaxed` builds
+its smaller problem from rows of an already checked one, unchecked.
+
 Every row has its own slack column.  A row with a negative rhs is negated, so
 its slack becomes a surplus, and it starts on an artificial column; every
 other row starts on its slack.  Phase 1 drives the artificials to zero and
@@ -17,9 +23,11 @@ rule); after 50 consecutive degenerate pivots the lowest-index improving
 column enters instead (Bland's rule) until a pivot makes progress, so the
 simplex cannot cycle.  Ratio-test ties go to the smallest basis index.
 Tableau row m is the phase's reduced-cost row, so a pivot is one rank-1
-update of the whole matrix.  One step makes these numpy calls: argmin of row
-m; a mask of the entering column above _TOL and a masked divide, into reused
-buffers; argmin of the ratios and a count of the rows at the least ratio (the
+update of the whole matrix.  A phase builds it from its cost and the basic
+rows whose cost is nonzero, so a cold phase 2 on the slack basis starts from
+the cost alone.  One step makes these numpy calls: argmin of row m; a mask of
+the entering column above _TOL and a masked divide, into reused buffers;
+argmin of the ratios and a count of the rows at the least ratio (the
 basis-index tie-break runs only when that count exceeds one); a divide of the
 pivot row, one product of it and the pivot column into a reused work array,
 and one in-place subtraction.  None is a BLAS product, so the pivots, ``x``,
@@ -87,6 +95,10 @@ _CHECK_TOL = 1e-7  # absolute tolerance of the checks on x, y and certificates
 
 
 def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float64 array: shared if it is one that owns its data, else copied."""
+    float64 = type(values) is np.ndarray and values.dtype == np.float64
+    if float64 and values.flags.owndata and not values.flags.writeable:
+        return values
     a = np.array(values, dtype=float)
     a.flags.writeable = False
     return a
@@ -96,7 +108,10 @@ class LpProblem(Record, eq=False):
     """maximize objective @ x s.t. constraints @ x <= rhs, x >= 0.
 
     ``constraints`` is the m x n coefficient matrix and ``rhs`` holds one
-    entry of either sign per row.  Arrays are stored as read-only float copies.
+    entry of either sign per row.  A read-only float64 array that owns its
+    data is stored as given, shared with the caller; any other input (a
+    writeable array, a view, another dtype, a list) is stored as a read-only
+    float copy.  Shapes and finiteness are checked either way.
     """
 
     objective: np.ndarray
@@ -237,7 +252,15 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray) -> str:
     T, m = tab.T, tab.basis.size
     # Reduced-cost row: cost minus the basis-weighted tableau rows (summed row
     # by row, not by a BLAS product, so pivots do not depend on the BLAS build).
-    T[m] = np.append(cost, 0.0) - (cost[tab.basis][:, None] * T[:m]).sum(axis=0)
+    # Only basic rows with a nonzero cost are summed.  A zero-cost row adds
+    # signed zeros, which can flip the sign of a zero reduced cost but of no
+    # value that is read: prices are read at slack, surplus and artificial
+    # columns, whose cost is +0.0 or 1.0, and pricing only compares.
+    T[m, :-1], T[m, -1] = cost, 0.0
+    basic_cost = cost[tab.basis]
+    rows = basic_cost.nonzero()[0]
+    if rows.size:
+        T[m] -= (basic_cost[rows, None] * T[rows]).sum(axis=0)
     reduced, rhs = T[m, :-1], T[:m, -1]  # views: every pivot updates them
     ratio, candidate = np.empty(m), np.empty(m, dtype=bool)
     degenerate = 0  # consecutive pivots on a row with rhs 0
@@ -289,8 +312,17 @@ def solve_relaxed(base: LpSolution, keep) -> LpSolution:
     q, keep = tab.problem, np.asarray(keep, dtype=bool)
     if keep.shape != q.rhs.shape:
         raise ValueError(f"keep of shape {keep.shape} does not mask the {q.rhs.size} rows")
-    p = LpProblem(q.objective, q.constraints[keep], q.rhs[keep])
+    p = _kept_rows(q, keep)
     return _guarded(p, lambda: _phase2(tab.relaxed(p, keep)))
+
+
+def _kept_rows(q: LpProblem, keep: np.ndarray) -> LpProblem:
+    """``q`` with only the rows ``keep``, unchecked: they are rows of q, which were checked."""
+    p = object.__new__(LpProblem)
+    for name, a in zip(LpProblem._fields, (q.objective, q.constraints[keep], q.rhs[keep])):
+        a.flags.writeable = False
+        object.__setattr__(p, name, a)
+    return p
 
 
 def _guarded(p: LpProblem, run, *args) -> LpSolution:
@@ -311,13 +343,14 @@ def _cold_start(p: LpProblem) -> tuple[_Tableau, np.ndarray, np.ndarray]:
     """
     m, n = p.constraints.shape
     flip = p.rhs < 0
-    art_rows = np.flatnonzero(flip)
+    art_rows = flip.nonzero()[0]
     tau = np.where(flip, -1.0, 1.0)
     T = np.zeros((m + 1, n + m + art_rows.size + 1))  # row m is set by each phase
     T[:m, :n], T[:m, -1] = p.constraints, p.rhs  # times tau: only flipped rows, as x * 1.0 is x
     # Each row's starting basic column: its slack, or on a negated row its artificial.
     identity_col = n + np.arange(m)
-    T[:m, n : n + m] = np.diag(tau)
+    width = T.shape[1]
+    T.reshape(-1)[n : n + m * (width + 1) : width + 1] = tau  # T[k, n + k] = tau_k
     if art_rows.size:
         T[art_rows, :n] *= -1.0
         T[art_rows, -1] *= -1.0
@@ -390,20 +423,23 @@ def _drive_out_artificials(tab: _Tableau, kept: int) -> None:
 def _recheck(p: LpProblem, x: np.ndarray) -> None:
     """Raise on the first row (in row order), then variable, that ``x`` violates."""
     lhs, tol = p.constraints @ x, _CHECK_TOL
-    ok = lhs <= p.rhs + tol
-    if not ok.all():
+    ok = lhs <= p.rhs + tol  # False on NaN
+    if np.count_nonzero(ok) < ok.size:
         k = int(ok.argmin())
         raise NumericalInstability(f"solution violates <= row by {lhs[k] - p.rhs[k]:.3e}", p)
     negative = x < -tol
-    if negative.any():
+    if np.count_nonzero(negative):
         raise NumericalInstability(
             f"solution violates nonnegativity: {x[negative.argmax()]:.3e}", p
         )
 
 
 def _dual_feasible(p: LpProblem, y: np.ndarray, c, tol: float) -> bool:
-    """y >= 0 and y @ constraints >= c, each within tol."""
-    return bool((y >= -tol).all() and (y @ p.constraints - c >= -tol).all())
+    """y >= 0 and y @ constraints >= c, each within tol (a NaN fails)."""
+    if np.count_nonzero(y >= -tol) < y.size:
+        return False
+    reduced = y @ p.constraints - c
+    return np.count_nonzero(reduced >= -tol) == reduced.size
 
 
 def check_infeasibility_certificate(p: LpProblem, y: np.ndarray) -> bool:

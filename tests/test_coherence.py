@@ -1001,6 +1001,114 @@ def test_margin_lp_rhs_overflow_is_a_numerical_instability():
         accept_decision(aset, g)
 
 
+def _fresh_margin_decision(U, c):
+    """accept_decision's shifted margin LP with its matrix and objective built afresh for the query."""
+    m, n = U.shape
+    s0 = min(float(c.min()), 1.0)
+    try:
+        with np.errstate(over="raise"):
+            rhs = np.append(c - s0, 1.0 - s0)
+    except FloatingPointError:
+        raise NumericalInstability(f"margin LP rhs u(g) - {s0:g} overflows") from None
+    objective = np.append(np.zeros(n), 1.0)
+    rows = np.vstack([np.column_stack([U, np.ones(m)]), objective])
+    sol = lp.solve(lp.LpProblem(objective, rows, rhs))
+    margin = s0 + float(sol.value)
+    if margin >= -1e-9:
+        return coherence.AcceptanceDecision(True, margin, witness=np.array(sol.x[:n]))
+    if sol.y is None:
+        return coherence.AcceptanceDecision(False, margin)
+    y = sol.y[:m]
+    total = float(np.abs(y).sum())
+    y = y / total if total > 0 else y
+    return coherence.AcceptanceDecision(False, margin, certificate=y if c @ y < 0 else None)
+
+
+def _fresh_generators(aset):
+    """The accepted gambles' transforms in a matrix of their own, not the set's cache."""
+    U = np.zeros((aset.space.m, len(aset.accepted)))
+    for i, g in enumerate(aset.accepted):
+        U[:, i] = transform(aset.utility, g)
+    return U
+
+
+def _outcome(run, *args):
+    """A decision's bytes, or the message it raised."""
+    try:
+        d = run(*args)
+    except NumericalInstability as exc:
+        return "raised", str(exc)
+    vectors = [None if v is None else v.tobytes() for v in (d.witness, d.certificate)]
+    return d.accepted, np.float64(d.margin).tobytes(), vectors
+
+
+@st.composite
+def _cached_matrix_cases(draw):
+    """Linear or log-utility sets with accepted and rejected gambles, and queries on their space."""
+    m = draw(st.integers(1, 5))
+    u = draw(st.sampled_from((Linear(), LogShift())))
+    vec = st.lists(st.integers(-5, 20).map(lambda k: k / 10), min_size=m, max_size=m)
+    accepted = [f for f in draw(st.lists(vec, max_size=6)) if max(f) >= 0]
+    aset = assessment_on(m, u, accepted, draw(st.lists(vec, max_size=4)))
+    return aset, [Gamble(aset.space, q) for q in draw(st.lists(vec, min_size=1, max_size=4))]
+
+
+def _linear_case(accepted, rejected, queries):
+    aset = assessment_on(len(queries[0]), Linear(), accepted, rejected)
+    return aset, [Gamble(aset.space, q) for q in queries]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_cached_matrix_cases())
+@example(_linear_case([], [[1, 0], [-1, 0]], [[0.5, -0.5], [0.0, 3.0]]))  # no accepted gamble
+@example(_linear_case([[1, 0]], [[1e308, -1e308]], [[1e308, -1e308], [1, 1]]))  # rhs overflow
+def test_cached_margin_matrix_decisions_bit_identical_to_a_fresh_build(case):
+    # Every margin LP over a set shares its cached [[U, 1], [0, 1]]; the
+    # decisions of accept_decision and of audit's F3 queries must be the bytes
+    # (or the overflow message) of the LP built afresh per query.
+    aset, queries = case
+    U = _fresh_generators(aset)
+    for g in queries:
+        c = transform(aset.utility, g)
+        assert _outcome(accept_decision, aset, g) == _outcome(_fresh_margin_decision, U, c)
+
+    real, queried = coherence._margin_lp, []
+
+    def checked(rows, c):
+        assert rows is aset._margin_rows() and not rows.flags.writeable
+        assert _outcome(real, rows, c) == _outcome(_fresh_margin_decision, U, c)
+        queried.append(c)
+        return real(rows, c)
+
+    def audit_outcome(margin_lp):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coherence, "_margin_lp", margin_lp)
+            try:
+                return audit(aset)
+            except NumericalInstability as exc:
+                return str(exc)
+
+    findings = audit_outcome(checked)
+    assert findings == audit_outcome(lambda rows, c: _fresh_margin_decision(U, c))
+    assert len(queried) <= len(aset.rejected)
+
+
+def test_margin_lps_share_the_sets_cached_matrix(monkeypatch):
+    aset = AssessmentSet(S2, LogShift(), (G(1, -0.5), G(-0.5, 2)), (G(-0.5, -0.25),))
+    problems, real_solve = [], lp.solve
+    monkeypatch.setattr(lp, "solve", lambda p: problems.append(p) or real_solve(p))
+    accept_decision(aset, G(0.5, 0.5))
+    accept_decision(aset, G(-0.5, 0.25))
+    audit(aset)  # the partial-loss LP, then one F3 query
+    rows = aset._margin_rows()
+    assert not rows.flags.writeable and rows.flags.owndata
+    assert [p.constraints is rows for p in problems] == [True, True, False, True]
+    U = aset.transformed_generators()
+    assert np.shares_memory(U, rows) and np.array_equal(U, rows[:-1, :-1])
+    assert np.array_equal(U, _fresh_generators(aset))
+    assert rows[-1].tolist() == [0.0, 0.0, 1.0] and rows[:, -1].tolist() == [1.0, 1.0, 1.0]
+
+
 def test_audit_of_an_overflowing_tableau_is_a_numerical_instability():
     aset = assessment_on(2, Linear(), [[1e308, -1e308], [-1e308, 1e308]], [[1e308, 1e308]])
     with pytest.raises(NumericalInstability, match="^tableau arithmetic failed: overflow"):

@@ -221,6 +221,110 @@ def test_dimension_limits():
         LpProblem((1.0,), [[1.0]], [[1.0]])
 
 
+def _frozen_array(values):
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def _readonly_view(values):
+    v = np.array(values, dtype=float)[:]  # a view of a writeable array
+    v.flags.writeable = False
+    return v
+
+
+_LP_FIELDS = {  # LpProblem's arguments, in order, as lists
+    "objective": [1.0, 2.0],
+    "constraints": [[1.0, 0.0], [0.0, 1.0]],
+    "rhs": [3.0, 4.0],
+}
+
+
+@pytest.mark.parametrize("field", _LP_FIELDS)
+def test_lp_problem_shares_a_read_only_float64_array_that_owns_its_data(field):
+    args = [_frozen_array(values) for values in _LP_FIELDS.values()]
+    k, values = list(_LP_FIELDS).index(field), _LP_FIELDS[field]
+    assert getattr(LpProblem(*args), field) is args[k]
+    # A shared array is still checked: shape and finiteness.
+    bad = np.array(values, dtype=float)
+    bad.flat[0] = math.nan
+    args[k] = _frozen_array(bad)
+    with pytest.raises(ValueError, match="finite"):
+        LpProblem(*args)
+    args[k] = _frozen_array(np.append(values, 1.0))  # finite, one entry too many
+    with pytest.raises(DimensionError):
+        LpProblem(*args)
+
+
+@pytest.mark.parametrize("field", _LP_FIELDS)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: np.array(v, dtype=float),  # writeable
+        _readonly_view,
+        lambda v: np.array(v, dtype=np.int64),
+        lambda v: v,  # a list
+    ],
+    ids=["writeable", "read-only view", "int", "list"],
+)
+def test_lp_problem_copies_any_other_input(field, make):
+    k, values = list(_LP_FIELDS).index(field), _LP_FIELDS[field]
+    args = [np.array(v, dtype=float) for v in _LP_FIELDS.values()]
+    passed = args[k] = make(values)
+    p = LpProblem(*args)
+    stored = getattr(p, field)
+    assert stored is not passed and stored.dtype == np.float64
+    assert not stored.flags.writeable and stored.flags.owndata
+    assert np.array_equal(stored, np.array(values, dtype=float))
+    # Writing to the caller's array (or to a view's writeable base) afterwards
+    # changes nothing in the problem.
+    for a in args:
+        base = a.base if isinstance(a, np.ndarray) and a.base is not None else a
+        if isinstance(base, np.ndarray) and base.flags.writeable:
+            base[...] = 7
+    for name, v in _LP_FIELDS.items():
+        assert np.array_equal(getattr(p, name), np.array(v, dtype=float))
+
+
+def _solution_bytes(sol):
+    arrays = (sol.x, sol.y, sol.certificate, sol.basis)
+    return sol.status, sol.value, [None if a is None else a.tobytes() for a in arrays]
+
+
+def _relaxation_bases():
+    """Optimal solves to relax: the 4-row LP with a negated row, and fit-sized random LPs."""
+    p = LpProblem((1.0, 1.0), [[1, 0], [0, 1], [-1, -1], [1, 2]], [1.0, 2.0, -0.5, 4.0])
+    yield p, list(map(np.array, itertools.product((True, False), repeat=4)))
+    rng = np.random.default_rng(23)
+    for m, n in [(12, 5), (36, 16)]:
+        q = LpProblem(rng.uniform(0, 1, n), rng.normal(size=(m, n)), rng.uniform(0.5, 2, m))
+        yield q, [rng.uniform(size=m) < 0.9 for _ in range(8)] + [np.zeros(m, dtype=bool)]
+
+
+def test_solve_relaxed_restricted_problem_is_the_checked_problem_of_the_kept_rows(monkeypatch):
+    # solve_relaxed builds the trial problem from rows of base's checked problem
+    # without checking them again; it must be the problem a caller would build,
+    # read-only, and solve to the same bytes.
+    for q, keeps in _relaxation_bases():
+        base = lp.solve(q)
+        assert base.status is LpStatus.OPTIMAL
+        for keep in keeps:
+            checked = LpProblem(q.objective, q.constraints[keep], q.rhs[keep])
+            restricted = lp._kept_rows(q, keep)
+            assert type(restricted) is LpProblem
+            for name in LpProblem._fields:
+                a, b = getattr(restricted, name), getattr(checked, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            assert restricted.objective is q.objective
+            warm = lp.solve_relaxed(base, keep)
+            if warm.status is LpStatus.OPTIMAL:
+                assert warm._tableau.problem.constraints.tobytes() == checked.constraints.tobytes()
+            with monkeypatch.context() as mp:
+                mp.setattr(lp, "_kept_rows", lambda q, keep, checked=checked: checked)
+                assert _solution_bytes(lp.solve_relaxed(base, keep)) == _solution_bytes(warm)
+
+
 @pytest.mark.parametrize(
     "objective, rows, relations, rhs, bounds",
     [
@@ -595,7 +699,7 @@ def _tied_margin_lps(rng, m, n, count):
 def test_margin_lp_pivots_follow_the_documented_rule(monkeypatch, m, n):
     oracle = _PivotRuleOracle(monkeypatch)
     for U, c in _tied_margin_lps(np.random.default_rng(m), m, n, 60):
-        coherence._margin_lp(U, c)
+        coherence._margin_lp(np.block([[U, np.ones((m, 1))], [np.zeros(n), 1.0]]), c)
     assert oracle.counts["dantzig"] > 100 and oracle.counts["tied"] > 10
 
 
