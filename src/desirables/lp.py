@@ -29,10 +29,16 @@ the cost alone.  One step makes these numpy calls: argmin of row m; a mask of
 the entering column above _TOL and a masked divide, into reused buffers;
 argmin of the ratios and a count of the rows at the least ratio (the
 basis-index tie-break runs only when that count exceeds one); a divide of the
-pivot row, one product of it and the pivot column into a reused work array,
-and one in-place subtraction.  None is a BLAS product, so the pivots, ``x``,
-``y`` and certificates are bit-identical across BLAS builds; ``value`` and the
-checks below are BLAS dot products, whose last bits may vary with the build.
+pivot row, one BLAS product of the pivot column and the pivot row (a k = 1
+matrix product, the rank-1 update) into a reused work array, and one in-place
+subtraction.  An entry of a k = 1 product is one correctly rounded product,
+with no sum, so every nonzero entry has the same bits under every BLAS build;
+only the sign of a zero may vary (OpenBLAS accumulates into +0.0).  No pivot
+decision reads a zero's sign: each is a comparison, and no divisor is zero.
+``x``, ``y`` and certificates are read with ``+ 0.0``, which turns -0.0 into
+0.0, so the pivots, ``x``, ``y`` and certificates are bit-identical across
+BLAS builds; ``value`` and the checks below are BLAS dot products, whose last
+bits may vary with the build.
 
 The row prices are the final reduced costs of a phase at each row's initial
 basic column, less that column's cost, unflipped for negated rows (Chvátal
@@ -227,7 +233,12 @@ class _Tableau:
 
 
 def _pivot(tab: _Tableau, row: int, col: int) -> None:
-    """Make ``col`` basic in ``row``: one rank-1 update of every row, row m included."""
+    """Make ``col`` basic in ``row``: one rank-1 update of every row, row m included.
+
+    T loses the k = 1 BLAS product of the pivot column (pivot entry zeroed)
+    and the divided pivot row: its nonzeros are the same bits under every
+    BLAS build, a zero's sign is not, and an overflow raises under _guarded.
+    """
     T = tab.T
     piv = T[row, col]
     if abs(piv) < _PIVOT_MIN:
@@ -238,7 +249,7 @@ def _pivot(tab: _Tableau, row: int, col: int) -> None:
     pivot_row /= piv
     f = T[:, col, None].copy()
     f[row] = 0.0
-    np.multiply(f, pivot_row, out=tab.work)
+    np.dot(f, pivot_row[None], out=tab.work)  # k = 1: each entry one rounded product
     T -= tab.work
     tab.basis[row] = col
 
@@ -368,7 +379,7 @@ def _solve(p: LpProblem) -> LpSolution:
         if _simplex_min(tab, cost) != "optimal":  # phase 1 is bounded below by 0
             raise NumericalInstability("phase 1 unbounded", p)
         if -tab.T[-1, -1] > _TOL:  # phase 1's optimum (row m's rhs, negated) stays above 0
-            y = -(tau * (tab.T[-1, :-1] - cost)[identity_col])
+            y = -(tau * (tab.T[-1, :-1] - cost)[identity_col]) + 0.0  # + 0.0 as for x
             y.flags.writeable = False
             y = y if check_infeasibility_certificate(p, y) else None
             return LpSolution(LpStatus.INFEASIBLE, certificate=y)
@@ -390,7 +401,7 @@ def _phase2(tab: _Tableau) -> LpSolution:
     x = x_std[:n] + 0.0  # + 0.0: a basic level of -0.0 reads as 0.0
     _recheck(p, x)
     value = float(np.dot(p.objective, x))
-    y = T[-1, n : n + m].copy()  # phase 2's prices at the slack and surplus columns
+    y = T[-1, n : n + m] + 0.0  # phase 2's prices at the slack and surplus columns; + 0.0 as for x
     basis = tab.basis.copy()
     x.flags.writeable = y.flags.writeable = basis.flags.writeable = False
     tol = _CHECK_TOL * max(1.0, float(np.abs(p.objective).max())) * (1.0 + abs(value))

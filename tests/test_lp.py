@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from desirables import DimensionError, NumericalInstability, coherence, lp
 from desirables.lp import LpProblem, LpStatus, _recheck, format_problem
@@ -411,6 +411,47 @@ def test_overflowing_tableau_raises_numerical_instability():
     assert info.value.problem is p
 
 
+def _rank1_overflow_small():
+    # maximize x1 s.t. x1 + 1e200 x2 <= 1, 1e200 x1 <= 1e200: x1 enters, row 0
+    # wins the ratio tie on its basis index, and its pivot row's 1e200 times
+    # row 1's 1e200 overflows.
+    return LpProblem((1.0, 0.0), [[1.0, 1e200], [1e200, 0.0]], [1.0, 1e200])
+
+
+def _rank1_overflow_largest():
+    # 256 rows over 64 variables, every rhs negative: 256 artificials, so the
+    # tableau is 257 x 577, the largest the kernel builds.  Phase 1 enters x1
+    # (reduced cost -1e200), rows 0 and 1 tie at ratio 1 and row 0 (the lower
+    # basis index) leaves: its 1e200 times row 1's 1e200 overflows.
+    A = np.zeros((256, 64))
+    A[0, :2] = -1.0, -1e200
+    A[1, 0] = -1e200
+    A[np.arange(2, 256), 2 + np.arange(254) % 62] = -1.0
+    rhs = np.full(256, -1.0)
+    rhs[1] = -1e200
+    return LpProblem(np.ones(64), A, rhs)
+
+
+@pytest.mark.parametrize("problem", [_rank1_overflow_small, _rank1_overflow_largest], ids=["2x2", "256x64"])
+def test_overflowing_rank1_product_raises_numerical_instability(monkeypatch, problem):
+    # The rank-1 product is a BLAS call: its overflow flag must reach the
+    # errstate of the solve.  OpenBLAS runs a k = 1 product of 257 x 577 on the
+    # calling thread, so the largest tableau raises too.
+    p, shapes, real = problem(), [], lp._pivot
+
+    def pivot(tab, row, col):
+        shapes.append(tab.T.shape)
+        real(tab, row, col)
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    with pytest.raises(NumericalInstability) as info:
+        lp.solve(p)
+    assert str(info.value) == "tableau arithmetic failed: overflow encountered in dot"
+    assert info.value.problem is p
+    m, n = p.constraints.shape
+    assert shapes == [(m + 1, n + m + np.count_nonzero(p.rhs < 0) + 1)]  # the first pivot raised
+
+
 def test_ratio_tie_goes_to_smallest_basis_index():
     # Reference kernel.  Phase 1 enters x1; rows 1 and 2 tie at ratio 3.  Row
     # 1's basic column is its artificial (index 5), row 2's is its slack
@@ -519,7 +560,10 @@ def _pinned_corpus():
 #: BLAND_CORPUS_SHA256 is the same digest of the reference kernel, recorded
 #: when it was the package's kernel; it solves the general form directly.
 #: Both were re-recorded when those sums stopped being BLAS dot products.
-PINNED_CORPUS_SHA256 = "300c5d9b05c06b05b3da41199811a1227d150016e01c7b290001c61d0d1d8f7f"
+#: PINNED_CORPUS_SHA256 was re-recorded once more when certificates began to
+#: be read with + 0.0, as x is: the earlier certificates carried -0.0 entries,
+#: and with + 0.0 applied to them the earlier kernel's digest equals this one's.
+PINNED_CORPUS_SHA256 = "2516b6d57a0c9d333b5c7cbf2a9052e09f4c42b2b2b6a934891701ba98fd97b5"
 BLAND_CORPUS_SHA256 = "ba4f0e07ade33f6ef8574982b41590c7fdbf9bef7aa7079d0c59eab890c87f95"
 
 
@@ -550,6 +594,65 @@ def test_pinned_corpus_outputs_are_bit_identical():
 
 def test_reference_kernel_reproduces_its_recorded_corpus_digest():
     assert _corpus_digest(bland_solve) == BLAND_CORPUS_SHA256
+
+
+_ZERO_SUBNORMAL_HUGE = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(1, 1, 0)
+@example(257, 577, 1)
+@given(st.integers(1, 257), st.integers(1, 577), st.integers(0, 2**32 - 1))
+def test_rank1_product_bytes_equal_the_broadcast_product(rows, cols, seed):
+    # _pivot's k = 1 BLAS product against the broadcast multiply it replaced,
+    # on the shapes the kernel can build.  Each entry is one rounded product,
+    # so only the sign of a zero may differ; entries mix signed zeros,
+    # subnormals, near-overflow values (whose products overflow to inf) and
+    # ordinary magnitudes.
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        ordinary = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+        special = rng.choice(_ZERO_SUBNORMAL_HUGE, size)
+        special *= np.where(rng.random(size) < 0.5, 1.0, rng.uniform(0.5, 1.0, size))
+        a = np.where(rng.random(size) < 0.3, special, ordinary)
+        return np.where(rng.random(size) < 0.5, -a, a)
+
+    f, r = draw((rows, 1)), draw(cols)
+    work = np.empty((rows, cols))
+    with np.errstate(over="ignore", under="ignore"):
+        np.dot(f, r[None], out=work)
+        expected = np.multiply(f, r)
+    assert (work + 0.0).tobytes() == (expected + 0.0).tobytes()
+
+
+def test_pinned_corpus_rank1_products_equal_the_broadcast_product(monkeypatch):
+    # At every pivot of the pinned corpus, the rank-1 product left in tab.work
+    # and the updated tableau equal, up to the sign of zeros, the broadcast
+    # product of the pivot column and the divided pivot row and the tableau it
+    # gives.
+    real, shapes = lp._pivot, []
+
+    def pivot(tab, row, col):
+        T = tab.T.copy()
+        real(tab, row, col)
+        pivot_row = T[row] / T[row, col]
+        f = T[:, col, None].copy()
+        f[row] = 0.0
+        product = np.multiply(f, pivot_row)
+        assert (tab.work + 0.0).tobytes() == (product + 0.0).tobytes()
+        T[row] = pivot_row
+        T -= product
+        assert (tab.T + 0.0).tobytes() == (T + 0.0).tobytes()
+        shapes.append(T.shape)
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    for p in _pinned_corpus():
+        try:
+            solve(p)
+        except NumericalInstability:
+            pass
+    assert len(shapes) > 3000 and len(set(shapes)) > 300, (len(shapes), len(set(shapes)))
 
 
 def test_basis_gives_x_by_an_exact_solve_on_a_sample_of_the_pinned_corpus():
