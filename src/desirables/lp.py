@@ -32,13 +32,12 @@ basis-index tie-break runs only when that count exceeds one); a divide of the
 pivot row, one BLAS product of the pivot column and the pivot row (a k = 1
 matrix product, the rank-1 update) into a reused work array, and one in-place
 subtraction.  An entry of a k = 1 product is one correctly rounded product,
-with no sum, so every nonzero entry has the same bits under every BLAS build;
-only the sign of a zero may vary (OpenBLAS accumulates into +0.0).  No pivot
-decision reads a zero's sign: each is a comparison, and no divisor is zero.
-``x``, ``y`` and certificates are read with ``+ 0.0``, which turns -0.0 into
-0.0, so the pivots, ``x``, ``y`` and certificates are bit-identical across
-BLAS builds; ``value`` and the checks below are BLAS dot products, whose last
-bits may vary with the build.
+with no sum, so only the sign of a zero may vary with the BLAS build (OpenBLAS
+accumulates into +0.0).  No pivot decision reads it: each is a comparison,
+and no divisor is zero.  ``x``, ``y`` and certificates are read with
+``+ 0.0``, which turns -0.0 into 0.0, so the pivots, ``x``, ``y`` and
+certificates are bit-identical across BLAS builds; ``value`` and the checks
+below are BLAS dot products, whose last bits may vary with the build.
 
 The row prices are the final reduced costs of a phase at each row's initial
 basic column, less that column's cost, unflipped for negated rows (Chvátal
