@@ -270,12 +270,12 @@ class Infeasible(Record):
     with a zero entry in the last evidence (a Farkas certificate of the
     eliminated fit LP, or duals y whose shifted bound L + b . y puts the margin
     below zero, both checked by the LP kernel) are dropped without a solve.
-    The search keeps one boolean mask over the assessment rows (accepted
-    first); each trial after the first LP is warm-started: it continues from
-    the optimal tableau of the last LP that found no functional, with every
-    row dropped since then relaxed (``lp.solve_relaxed``).  A trial is solved
-    cold after an LP that ended INFEASIBLE in phase 1, and when it drops the
-    last accepted constraint, since its LP then gains the cap row.
+    The search keeps one boolean mask over the fit LP's rows (accepted, then
+    rejected, then the bounds, never dropped); each trial is warm-started
+    from the optimal tableau of the last LP that found no functional, with
+    every row dropped since then relaxed (``lp.solve_relaxed``), unless that
+    LP ended INFEASIBLE in phase 1.  A trial that drops the last accepted
+    constraint leaves the margin unbounded, so a functional exists.
     """
 
     conflict: tuple[tuple[str, int], ...]
@@ -286,7 +286,7 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
 
     Searches w >= 0, sum w = 1 with w . u(f_i) >= 0 on every accepted f_i and
     w . u(g_j) <= -strict_margin on every rejected g_j, maximizing the minimum
-    accepted margin t (capped at 1 when no accepted gamble is active).  With
+    accepted margin t (capped at 1 when the set has no accepted gamble).  With
     finitely many assessments the compatible weights form a polytope; the
     returned element is the margin maximizer, with no uniqueness claim.
 
@@ -294,8 +294,8 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
     t = L + d shifted by L = min(min u(f_i), 0), so it has no equality row and
     no free variable, and every accepted row starts on a slack (see
     :func:`_fit_rows`); k and L are fixed once per call, so the conflict
-    search's trials are masks over one row block, and every trial after the
-    first LP is warm-started from an earlier trial's tableau (see
+    search's trials are masks over one row block, the whole fit polytope,
+    and are warm-started from an earlier trial's tableau (see
     :class:`Infeasible`).
     """
     if not 0 < strict_margin <= 1e-2:
@@ -309,7 +309,9 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
     # Greedy deletion in input order; a row outside the support of the
     # current evidence is dropped without a solve, as the evidence still holds.
     # Each trial starts from the last infeasible trial's tableau (restart).
-    for row in range(active.size):
+    labels = [("accepted", i) for i in range(len(a.accepted))]
+    labels += [("rejected", j) for j in range(len(a.rejected))]
+    for row in range(len(labels)):
         trial = active.copy()
         trial[row] = False
         if droppable[row]:
@@ -318,8 +320,6 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
         result, evidence, solved = _fit_lp(fit, trial, restart)
         if result is None:
             active, droppable, restart = trial, evidence, solved
-    labels = [("accepted", i) for i in range(fit.n)]
-    labels += [("rejected", j) for j in range(active.size - fit.n)]
     return Infeasible(tuple(c for c, kept in zip(labels, active) if kept))
 
 
@@ -344,17 +344,16 @@ def fit_constraints(
 
 
 class _FitRows(NamedTuple):
-    """One row per assessment of the fit LP over (w without w_k, h); accepted rows first."""
+    """The fit LP's rows over (w without w_k, h): the assessments, accepted first, then the bounds."""
 
     k: int
     shift: float  # L
-    n: int  # accepted rows
     rows: np.ndarray
     rhs: np.ndarray
 
 
 def _fit_rows(UA: np.ndarray, UR: np.ndarray, eps: float) -> _FitRows:
-    """The fit LP's assessment rows, with w_k eliminated and the margin shifted by L.
+    """The whole fit polytope as one row block, with w_k eliminated and the margin shifted by L.
 
     Substituting w_k = 1 - sum_{s != k} w_s and t = L + d, with
     L = min(min UA, 0) and d = 2h >= 0, and halving every row (an exact
@@ -363,10 +362,12 @@ def _fit_rows(UA: np.ndarray, UR: np.ndarray, eps: float) -> _FitRows:
 
         (UA_k - UA_s)/2 . w_{-k} + h <= (UA_k - L)/2    per accepted column,
         (UR_s - UR_k)/2 . w_{-k}     <= (-eps - UR_k)/2  per rejected column,
+        sum_s w_s                    <= 1                (w_k >= 0),
 
-    where s runs over the states other than k.  Every accepted rhs is >= 0,
-    so those rows start on a slack; k minimizes the largest rejected utility,
-    so as many rejected rows as possible hold at w = e_k and need no phase 1.
+    where s runs over the states other than k, and without accepted columns
+    the cap row h <= 1/2 bounds the margin.  Every accepted rhs is >= 0, so
+    those rows start on a slack; k minimizes the largest rejected utility, so
+    as many rejected rows as possible hold at w = e_k and need no phase 1.
     Since t >= L at every w on the simplex, the shift cuts off nothing.
     """
     m, n = UA.shape
@@ -374,53 +375,50 @@ def _fit_rows(UA: np.ndarray, UR: np.ndarray, eps: float) -> _FitRows:
     shift = float(UA.min(initial=0.0))
     A, R = UA / 2, UR / 2
     others = np.arange(m) != k
+    cap = int(n == 0)  # the cap row, with no accepted gamble
     rows = np.vstack([
         np.column_stack([(A[k] - A[others]).T, np.ones(n)]),
         np.column_stack([(R[others] - R[k]).T, np.zeros(R.shape[1])]),
+        np.append(np.ones(m - 1), 0.0),
+        np.eye(1, m, m - 1)[:cap],
     ])
-    rhs = np.concatenate([A[k] - shift / 2, -eps / 2 - R[k]])
-    return _FitRows(k, shift, n, rows, rhs)
+    rhs = np.concatenate([A[k] - shift / 2, -eps / 2 - R[k], [1.0], [0.5][:cap]])
+    return _FitRows(k, shift, rows, rhs)
 
 
 def _fit_lp(fit: _FitRows, active: np.ndarray, restart=None):
-    """Margin LP over the rows ``active`` (a mask): (Functional, None, None), or (None, droppable, restart).
+    """Maximize 2h = d over ``fit.rows[active]``: (Functional or True, None, None), or (None, droppable, restart).
 
-    Solves maximize 2h = d over the active rows of ``fit``, the row
-    sum w_{-k} <= 1 (that is, w_k >= 0) and, when no accepted row is active,
-    the cap h <= (1 - L)/2; all rows are "<=", and every variable is >= 0.
-    The margin is t = L + d: a functional is returned when t >= -_TOL.
-    ``droppable`` masks the active rows with a zero entry in the evidence:
-    the kernel-checked Farkas certificate, or the kernel-checked duals y when
-    their bound L + b . y on the margin lies below -_TOL by the kernel's
-    ``lp._CHECK_TOL``.
+    The margin is t = L + d: a functional is returned when t >= -_TOL, and
+    True when the LP is UNBOUNDED (a trial dropped every accepted row), as a
+    functional then exists.  ``droppable`` masks the active rows with a zero
+    entry in the evidence: the kernel-checked Farkas certificate, or the
+    kernel-checked duals y when their bound L + b . y on the margin lies
+    below -_TOL by the kernel's ``lp._CHECK_TOL``.
 
     A ``restart`` is (mask, OPTIMAL solution) of an earlier call on a
-    superset of ``active``.  When both LPs have the cap row or both lack it,
-    this LP continues from that solution's tableau (``lp.solve_relaxed``);
-    otherwise it is solved cold.  The returned restart is this call's own,
-    or None when its LP ended INFEASIBLE in phase 1.
+    superset of ``active``, whose tableau this LP continues from
+    (``lp.solve_relaxed``); without one it is solved cold.  The returned
+    restart is this call's own, or None when its LP ended INFEASIBLE.
     """
-    nw = fit.rows.shape[1] - 1  # weights left after the elimination
-    accepted = active[: fit.n].any()
-    cap = [] if accepted else [0.5 - fit.shift / 2]
-    rhs = np.concatenate([fit.rhs[active], [1.0], cap])
-    if restart is not None and restart[0][: fit.n].any() == accepted:
-        sol = lp.solve_relaxed(restart[1], np.append(active[restart[0]], [True] * (1 + len(cap))))
-    else:
-        extra = [np.append(np.ones(nw), 0.0)] + [np.append(np.zeros(nw), 1.0)] * len(cap)
-        rows = np.vstack([fit.rows[active], *extra])
+    rhs = fit.rhs[active]
+    if restart is None:
+        rows = fit.rows[active]
         rows.flags.writeable = rhs.flags.writeable = False  # fresh: the LP shares them
-        sol = lp.solve(lp.LpProblem(np.append(np.zeros(nw), 2.0), rows, rhs))
+        sol = lp.solve(lp.LpProblem(np.append(np.zeros(rows.shape[1] - 1), 2.0), rows, rhs))
+    else:
+        sol = lp.solve_relaxed(restart[1], active[restart[0]])
+    if sol.status is lp.LpStatus.UNBOUNDED:
+        return True, None, None
     if sol.status is lp.LpStatus.OPTIMAL and fit.shift + sol.value >= -_TOL:
-        x = sol.x[:nw]
+        x = sol.x[:-1]
         return Functional(np.maximum(np.insert(x, fit.k, 1.0 - x.sum()), 0.0)), None, None
     evidence = sol.certificate
     if sol.y is not None and fit.shift + sol.y @ rhs < -_TOL - lp._CHECK_TOL:  # weak duality: d <= b . y
         evidence = sol.y
-    # Evidence rows follow the mask's rows: accepted, then rejected.
     droppable = np.zeros_like(active)
     if evidence is not None:
-        droppable[active] = evidence[: np.count_nonzero(active)] == 0.0
+        droppable[active] = evidence == 0.0
     return None, droppable, (active, sol) if sol.status is lp.LpStatus.OPTIMAL else None
 
 

@@ -41,8 +41,9 @@ class Gamble(Record, eq=False):
     """State-contingent rewards bounded below by -wealth_floor.
 
     ``wealth_floor`` is the positive wealth bank w covering potential losses;
-    it defaults to max(1, -min(rewards)) so any bounded reward vector is
-    admissible out of the box.
+    it defaults to max(1, -min(rewards)), so any bounded reward vector makes a
+    gamble, but a wealth-shifted utility on x > 0 then fails at a reward of
+    -1 or less: w + min = 0, and :func:`transform` raises DomainError.
     """
 
     space: StateSpace

@@ -90,8 +90,7 @@ __all__ = [
     "format_problem",
 ]
 
-_MAX_VARS = 64
-_MAX_ROWS = 256
+_MAX_DIM = 256  # of variables and of rows
 _TOL = 1e-9
 _PIVOT_MIN = 1e-12
 _MAX_ITER = 100_000
@@ -130,10 +129,10 @@ class LpProblem(Record, eq=False):
             raise ValueError("objective must be a nonempty finite vector")
         A, rhs = _frozen(self.constraints), _frozen(self.rhs)
         m = rhs.size
-        if n > _MAX_VARS:
-            raise DimensionError(f"{n} variables exceeds the kernel limit of {_MAX_VARS}")
-        if m > _MAX_ROWS:
-            raise DimensionError(f"{m} constraints exceeds the kernel limit of {_MAX_ROWS}")
+        if n > _MAX_DIM:
+            raise DimensionError(f"{n} variables exceeds the kernel limit of {_MAX_DIM}")
+        if m > _MAX_DIM:
+            raise DimensionError(f"{m} constraints exceeds the kernel limit of {_MAX_DIM}")
         if A.size == 0:
             A = A.reshape(0, n)
         if A.shape != (m, n) or rhs.shape != (m,):

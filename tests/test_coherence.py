@@ -297,16 +297,18 @@ def test_accept_evidence_is_returned_exactly_when_the_inline_check_passes():
 def _assert_fit_evidence_matches_cut_check(aset, eps=1e-6):
     """Solve the full fit LP and each single-deletion subset; compare evidence both ways.
 
-    The subsets start from the full LP's tableau, as the conflict search's
-    trials do, so most of them are warm.  Returns (status, warm) per LP with
-    no functional.
+    The masks cover the whole row block, the row sum (and the cap row) that
+    no subset drops included.  The subsets start from the full LP's tableau,
+    as the conflict search's trials do, so most of them are warm.  Returns
+    (status, warm) per LP with no functional.
     """
     UA, UR = aset.transformed_generators(), aset.transformed_rejected()
     fit = coherence._fit_rows(UA, UR, eps)
-    full = np.ones(UA.shape[1] + UR.shape[1], dtype=bool)
+    full = np.ones(fit.rows.shape[0], dtype=bool)
     statuses, restart = [], None
     with _recorded_solves() as log:
-        for active in [full] + [np.arange(full.size) != d for d in range(full.size)]:
+        deletions = range(UA.shape[1] + UR.shape[1])
+        for active in [full] + [np.arange(full.size) != d for d in deletions]:
             result, droppable, solved = coherence._fit_lp(fit, active, restart)
             restart = solved if active is full else restart
             problem, sol, raw, warm = log[-1]
@@ -323,7 +325,7 @@ def _assert_fit_evidence_matches_cut_check(aset, eps=1e-6):
                 assert (bound is not None and bound < -1e-9 - 1e-7) == proven
             zero = np.zeros_like(active)
             if proven:
-                zero[active] = raw[: np.count_nonzero(active)] == 0.0
+                zero[active] = raw == 0.0
             assert np.array_equal(droppable, zero)
     return statuses
 
@@ -408,32 +410,30 @@ def _warm_trials_checked_cold(shift):
 
 
 def _fits(sol, shift):
+    # UNBOUNDED: no accepted row is left to bound the margin, so a functional exists.
+    if sol.status is lp.LpStatus.UNBOUNDED:
+        return True
     return sol.status is lp.LpStatus.OPTIMAL and shift + sol.value >= -1e-9
-
-
-def _has_cap_row(p):
-    # The cap row h <= (1 - L)/2 is last when present; otherwise the row sum w_{-k} <= 1 is.
-    return p.constraints[-1, -1] == 1.0 and not p.constraints[-1, :-1].any()
 
 
 def _search_paths(log, shift):
     """The warm-start paths one conflict search took, checking where each trial started.
 
     A warm trial starts from the last trial (or first LP) without a
-    functional; a cold trial follows one that ended INFEASIBLE in phase 1, or
-    gains the cap row.
+    functional; a cold trial follows one that ended INFEASIBLE in phase 1.  A
+    warm trial ends UNBOUNDED only when no row bounds the margin h.
     """
     problem_of = {id(sol): p for p, sol, _, _ in log}
     restart, fitted_from, paths = log[0][1], set(), set()
     for p, sol, base, keep in log[1:]:
         if base is None:
-            if restart.status is lp.LpStatus.INFEASIBLE:
-                paths.add("cold after phase 1 infeasible")
-            else:
-                assert _has_cap_row(p) and not _has_cap_row(problem_of[id(restart)])
-                paths.add("cold with the cap row")
+            assert restart.status is lp.LpStatus.INFEASIBLE
+            paths.add("cold after phase 1 infeasible")
         else:
             assert base is restart
+            if sol.status is lp.LpStatus.UNBOUNDED:
+                assert not p.constraints[:, -1].any()
+                paths.add("warm trial without an accepted row, UNBOUNDED")
             if (problem_of[id(base)].rhs[~keep] < 0).any():
                 paths.add("negated row relaxed")
             if np.count_nonzero(~keep) > 1:
@@ -465,7 +465,7 @@ WARM_START_CASES = [
     ("rows dropped without a solve relaxed", 2, [[2.0, 0.3], [-0.8, 0.3]], [[-0.5, 0.6]]),
     ("saved tableau restored after a fit", 2, [[0.3, -0.8], [1.5, 2.0]], [[0.4, -0.7]]),
     ("cold after phase 1 infeasible", 2, [[-1.4, 0.9]], [[0.8, 0.0]]),
-    ("cold with the cap row", 2, [[2.0, 0.3], [-0.8, 0.3]], [[-0.5, 0.6]]),
+    ("warm trial without an accepted row, UNBOUNDED", 2, [[2.0, 0.3], [-0.8, 0.3]], [[-0.5, 0.6]]),
 ]
 
 
@@ -691,6 +691,46 @@ def test_fit_lp_matches_the_unshifted_oracle(aset):
         scores = UA.T @ result.weights
         assert abs((scores.min() if scores.size else 1.0) - margin) <= 1e-9
         _assert_fit_constraints_hold(aset, result.weights, eps)
+
+
+def _fit_lp_built_per_call(UA, UR, eps):
+    """The first fit LP as it was built before the bounds joined the row block.
+
+    The assessment rows of the eliminated, shifted LP, with the row sum
+    w_{-k} <= 1 stacked after them and, when no gamble is accepted, the cap
+    row h <= (1 - L)/2 last.
+    """
+    (m, n), L = UA.shape, float(UA.min(initial=0.0))
+    k = int(np.argmin(UR.max(axis=1, initial=-math.inf)))
+    A, R, others = UA / 2, UR / 2, np.arange(m) != k
+    rows = [
+        np.column_stack([(A[k] - A[others]).T, np.ones(n)]),
+        np.column_stack([(R[others] - R[k]).T, np.zeros(R.shape[1])]),
+        np.append(np.ones(m - 1), 0.0),
+    ]
+    rhs = [A[k] - L / 2, -eps / 2 - R[k], [1.0]]
+    if n == 0:
+        rows.append(np.append(np.zeros(m - 1), 1.0))
+        rhs.append([0.5 - L / 2])
+    return np.append(np.zeros(m - 1), 2.0), np.vstack(rows), np.concatenate(rhs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_fit_sets(), st.booleans())
+@example(assessment_on(3, Linear(), [], [[-1.0, 0.5, 0.2]]), False)  # no accepted: the cap row
+@example(assessment_on(2, Linear(), [], []), True)
+@example(assessment_on(1, Linear(), [[2.0]], [[-1.0]]), False)
+def test_first_fit_lp_is_the_lp_built_per_call(aset, log_shift):
+    if log_shift:  # rewards scaled into log(1 + x)'s domain
+        scaled = [[0.45 * g.rewards for g in gs] for gs in (aset.accepted, aset.rejected)]
+        aset = assessment_on(aset.space.m, LogShift(), *scaled)
+    with _recorded_solves() as log:
+        fit_functional(aset)
+    first, warm = log[0][0], log[0][3]
+    expected = _fit_lp_built_per_call(aset.transformed_generators(), aset.transformed_rejected(), 1e-6)
+    assert not warm
+    for got, want in zip((first.objective, first.constraints, first.rhs), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1132,3 +1172,58 @@ def _audit_sets(draw):
 def test_audit_matches_the_dominates_loop(aset):
     # F2 findings in (rejected, accepted) order; F3 skips every F2-flagged gamble.
     assert audit(aset) == audit_by_dominates(aset)
+
+
+@pytest.mark.parametrize("m, n", [(32, 128), (64, 255), (16, 200)])
+def test_natural_extension_past_63_generators_matches_highs(m, n):
+    # Generators on a planted functional w (w . u(f) >= 0), so the cone has a
+    # separating w; queries planted inside the cone, drawn at random, and
+    # planted outside it (w . c < 0).  Verdicts and margins agree with HiGHS,
+    # and every witness and certificate is checked.
+    rng = np.random.default_rng([m, n])
+    space, w = StateSpace(tuple(f"s{i}" for i in range(m))), rng.dirichlet(np.ones(m))
+    accepted = []
+    while len(accepted) < n:
+        f = np.round(rng.uniform(-1.0, 1.0, m), 3)
+        if w @ f >= 0 and f.max() >= 0:
+            accepted.append(Gamble(space, f))
+    aset = AssessmentSet(space, Linear(), tuple(accepted))
+    U, tol = aset.transformed_generators(), lp._CHECK_TOL
+    assert check_partial_loss(aset).avoids
+    lam = rng.exponential(1.0, n) * (rng.random(n) < 0.1)
+    queries = [U @ lam + rng.uniform(0.0, 0.1, m) for _ in range(3)]
+    queries += [np.round(rng.uniform(-1.0, 1.0, m), 3) for _ in range(3)]
+    queries += [q - (w @ q + 0.01) for q in rng.uniform(-1.0, 1.0, (2, m))]
+    verdicts = set()
+    for c in queries:
+        decision = accept_decision(aset, Gamble(space, c))
+        highs = _highs_margin(U, c)
+        assert abs(decision.margin - highs) <= tol
+        assert decision.accepted == (highs >= -1e-9)
+        if decision.accepted:
+            assert np.all(U @ decision.witness + decision.margin <= c + tol)
+        else:
+            y = decision.certificate
+            assert y is not None
+            assert y.min() >= -tol and (U.T @ y).min() >= -tol and c @ y < 0
+        verdicts.add(decision.accepted)
+    assert verdicts == {True, False}
+
+
+def test_fit_on_256_states_matches_highs():
+    rng = np.random.default_rng(256)
+    w = rng.dirichlet(np.ones(256))
+    vectors = np.round(rng.uniform(-1.0, 1.0, (40, 256)), 3)
+    accepted = [v for v in vectors if w @ v >= 0][:12]
+    rejected = [v - (w @ v + 0.01) for v in vectors[:6]]
+    for conflict in (False, True):
+        if conflict:  # a rejected gamble dominating an accepted one
+            rejected[0] = accepted[0] + 0.05
+        aset = assessment_on(256, Linear(), accepted, rejected)
+        UA, UR = aset.transformed_generators(), aset.transformed_rejected()
+        result = fit_functional(aset)
+        assert isinstance(result, Functional) == (not conflict) == _highs_fit_feasible(UA, UR, 1e-6)
+        if conflict:
+            assert ("rejected", 0) in result.conflict
+        else:
+            _assert_fit_constraints_hold(aset, result.weights)

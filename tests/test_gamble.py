@@ -133,6 +133,17 @@ def test_transform_wealth_shift_for_positive_domain_kinds():
     assert uf[1] == pytest.approx(expected, rel=1e-12)
 
 
+def test_default_floor_leaves_the_worst_reward_outside_a_wealth_shifted_domain():
+    # max(1, -min) = 5 admits the gamble, but w + min = 0 is not in x > 0.
+    g = Gamble(StateSpace(("a", "b")), [-5.0, 3.0])
+    assert g.wealth_floor == 5.0
+    with pytest.raises(
+        DomainError, match=r"^state 'a': power_discounted: reward 0\.0 outside domain x > 0\.0$"
+    ):
+        transform(PowerDiscounted(0.5), g)
+    assert transform(PowerDiscounted(0.5), G(-0.5, 3.0)).min() < 0  # above -1: inside
+
+
 def test_u_convex_combine_linear_is_addition():
     h = u_convex_combine(Linear(), G(2, 0), G(0, 2), 1.0, 1.0)
     assert h.rewards == pytest.approx([2.0, 2.0], abs=1e-15)

@@ -206,10 +206,10 @@ def test_scale_invariance_of_verdicts():
 
 
 def test_dimension_limits():
-    LpProblem([1.0] * 64, np.ones((256, 64)), np.ones(256))  # at the limits
-    with pytest.raises(DimensionError):
-        LpProblem([1.0] * 65, (), ())
-    with pytest.raises(DimensionError):
+    LpProblem([1.0] * 256, np.ones((256, 256)), np.ones(256))  # at the limit
+    with pytest.raises(DimensionError, match="^257 variables exceeds the kernel limit of 256$"):
+        LpProblem([1.0] * 257, (), ())
+    with pytest.raises(DimensionError, match="^257 constraints exceeds the kernel limit of 256$"):
         LpProblem((1.0,), np.ones((257, 1)), np.ones(257))
     with pytest.raises(DimensionError):  # a row of the wrong length
         LpProblem((1.0, 2.0), [[1.0]], (1.0,))
@@ -419,24 +419,25 @@ def _rank1_overflow_small():
 
 
 def _rank1_overflow_largest():
-    # 256 rows over 64 variables, every rhs negative: 256 artificials, so the
-    # tableau is 257 x 577, the largest the kernel builds.  Phase 1 enters x1
+    # 256 rows over 256 variables, every rhs negative: 256 artificials, so the
+    # tableau is 257 x 769, the largest the kernel builds.  Phase 1 enters x1
     # (reduced cost -1e200), rows 0 and 1 tie at ratio 1 and row 0 (the lower
     # basis index) leaves: its 1e200 times row 1's 1e200 overflows.
-    A = np.zeros((256, 64))
+    A = np.zeros((256, 256))
     A[0, :2] = -1.0, -1e200
     A[1, 0] = -1e200
-    A[np.arange(2, 256), 2 + np.arange(254) % 62] = -1.0
+    A[np.arange(2, 256), np.arange(2, 256)] = -1.0
     rhs = np.full(256, -1.0)
     rhs[1] = -1e200
-    return LpProblem(np.ones(64), A, rhs)
+    return LpProblem(np.ones(256), A, rhs)
 
 
-@pytest.mark.parametrize("problem", [_rank1_overflow_small, _rank1_overflow_largest], ids=["2x2", "256x64"])
+@pytest.mark.parametrize("problem", [_rank1_overflow_small, _rank1_overflow_largest], ids=["2x2", "256x256"])
 def test_overflowing_rank1_product_raises_numerical_instability(monkeypatch, problem):
     # The rank-1 product is a BLAS call: its overflow flag must reach the
-    # errstate of the solve.  OpenBLAS runs a k = 1 product of 257 x 577 on the
-    # calling thread, so the largest tableau raises too.
+    # errstate of the solve.  OpenBLAS runs a k = 1 product of 257 x 769 on the
+    # calling thread, so the largest tableau raises too; a BLAS build that
+    # threads it loses the flag, and this test fails.
     p, shapes, real = problem(), [], lp._pivot
 
     def pivot(tab, row, col):
