@@ -475,26 +475,33 @@ def _fmt_vec(v) -> str:
 
 
 def audit(a: AssessmentSet) -> tuple[Finding, ...]:
-    """Run the executable F1-F3 checks and collect findings (empty when coherent)."""
-    findings: list[Finding] = []
-    loss = check_partial_loss(a)
-    if not loss.avoids:
-        findings.append(
-            Finding(
-                "F1",
-                f"witness lambda={_fmt_vec(loss.witness)} "
-                f"combination={_fmt_vec(loss.combination)}",
-            )
-        )
+    """Run the executable F1-F3 checks and collect findings (empty when coherent).
+
+    Findings come in the order F1, F2, F3.  F2 is one array comparison; F3
+    solves the margin LP of every rejected gamble that F2 did not flag.  F1
+    (avoiding partial loss) is then decided from F3's evidence when it can
+    be: a rejection's certificate y with y >= 0 exactly (so sum y = 1, as y
+    is l1-normalized) and min(y . U) >= -_TOL over the accepted columns U
+    (0 with none) shows that F1 holds with no LP.  Proof: for any lam >= 0
+    with sum lam <= 1 and U lam <= -eps per state,
+    -eps = -eps sum y >= y . U lam >= -_TOL sum lam >= -_TOL, so the
+    partial-loss LP's optimum eps* is <= _TOL, the bound under which
+    :func:`check_partial_loss` reports that F1 holds.  Otherwise
+    :func:`check_partial_loss` decides F1.  As F3 runs first, an audit whose
+    F3 LP and partial-loss LP would both raise reports F3's error.
+    """
     # F2, weak dominance of rejected[j] over accepted[i], as one r x n x m comparison.
     R = np.array([g.rewards for g in a.rejected]).reshape(-1, a.space.m)
     A = np.array([g.rewards for g in a.accepted]).reshape(-1, a.space.m)
     dominated = (R[:, None, :] >= A[None, :, :]).all(axis=2)
+    findings: list[Finding] = []
     for j, i in np.argwhere(dominated).tolist():
         findings.append(Finding("F2", f"rejected[{j}] dominates accepted[{i}]"))
     rows, UR = a._margin_rows(), a.transformed_rejected()
+    avoids = False
     for j in np.flatnonzero(~dominated.any(axis=1)).tolist():
         decision = _margin_lp(rows, UR[:, j])
+        y = decision.certificate
         if decision.accepted:
             findings.append(
                 Finding(
@@ -502,6 +509,19 @@ def audit(a: AssessmentSet) -> tuple[Finding, ...]:
                     f"rejected[{j}] lies in the accepted cone, "
                     f"witness lambda={_fmt_vec(decision.witness)}",
                 )
+            )
+        elif not avoids and y is not None and (y >= 0).all():
+            avoids = (y @ rows[:-1, :-1]).min(initial=0.0) >= -_TOL
+    if not avoids:
+        loss = check_partial_loss(a)
+        if not loss.avoids:
+            findings.insert(
+                0,
+                Finding(
+                    "F1",
+                    f"witness lambda={_fmt_vec(loss.witness)} "
+                    f"combination={_fmt_vec(loss.combination)}",
+                ),
             )
     return tuple(findings)
 
