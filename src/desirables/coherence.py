@@ -198,9 +198,10 @@ def _margin_lp(rows: np.ndarray, c: np.ndarray) -> AcceptanceDecision:
         raise NumericalInstability(f"margin LP rhs u(g) - {s0:g} overflows") from None
     rhs[m] = 1.0 - s0
     rhs.flags.writeable = False
-    sol = lp.solve(lp.LpProblem(rows[m], rows, rhs))  # the cap row is also the objective
-    if sol.status is not lp.LpStatus.OPTIMAL:
-        raise AssertionError(f"margin LP cannot be {sol.status}")
+    problem = lp.LpProblem(rows[m], rows, rhs)  # the cap row is also the objective
+    sol = lp.solve(problem)
+    if sol.status is not lp.LpStatus.OPTIMAL:  # rhs >= 0 and the cap row: feasible, bounded
+        raise NumericalInstability(f"margin LP cannot be {sol.status}", problem)
     margin = s0 + float(sol.value)
     if margin >= -_TOL:
         witness = np.array(sol.x[:n])
@@ -244,9 +245,10 @@ def check_partial_loss(a: AssessmentSet) -> PartialLossReport:
     objective = np.append(np.zeros(n), 1.0)
     rows = np.vstack([np.column_stack([U, np.ones(m)]), np.append(np.ones(n), 0.0)])
     rhs = np.append(np.zeros(m), 1.0)
-    sol = lp.solve(lp.LpProblem(objective, rows, rhs))
-    if sol.status is not lp.LpStatus.OPTIMAL:
-        raise AssertionError(f"partial-loss LP cannot be {sol.status}")
+    problem = lp.LpProblem(objective, rows, rhs)
+    sol = lp.solve(problem)
+    if sol.status is not lp.LpStatus.OPTIMAL:  # lam = 0 is feasible; sum lam <= 1 bounds eps
+        raise NumericalInstability(f"partial-loss LP cannot be {sol.status}", problem)
     margin = float(sol.value)
     if margin <= _TOL:
         return PartialLossReport(True, margin)

@@ -6,16 +6,19 @@ of two schedules by a common delay and reports where the pairwise preference
 flips relative to the unshifted baseline.
 
 ``reversal_scan`` evaluates the scalar formulas of ``schedule_value`` on a
-grid of delays (shifts x the payments of ``a`` then ``b``, 128 shifts per
-block): one ``factor`` and one ``eval`` call per block, per-payment
-quantities (eta(x), state rates) once per payment and block, each shift's value
-added over the payment columns left to right from 0.0, as ``schedule_value``
-adds its payments.  numpy's
-``exp``/``log1p``/``pow`` can differ from libm's in the last bits, so a scan
-value may differ from ``schedule_value`` of the shifted schedule by a few
-ulps.  The baseline is ``compare`` of the unshifted schedules.  An error in
-a block is raised as the shift-by-shift loop raises it, naming the payment
-(see ``schedule_value``).
+grid of delays (shifts x the payments of ``a`` then ``b``) in ceil(N / 128)
+blocks of near-equal shift counts: one ``factor`` and one ``eval`` call per
+block, per-payment quantities (eta(x), state rates) once per payment and
+block.  Each side of a block is transposed to a contiguous payments x shifts
+array and summed by one ``np.add.reduce`` over its rows, which numpy adds in
+order, so each shift's value is its payments added left to right from 0.0,
+as ``schedule_value`` adds them.  numpy sums a block of one shift pairwise
+instead, so no block holds one shift: a one-shift scan is evaluated on its
+shift twice.  numpy's ``exp``/``log1p``/``pow`` can differ from libm's in the
+last bits, so a scan value may differ from ``schedule_value`` of the shifted
+schedule by a few ulps.  The baseline is ``compare`` of the unshifted
+schedules.  An error in a block is raised as the shift-by-shift loop raises
+it, naming the payment (see ``schedule_value``).
 """
 
 from __future__ import annotations
@@ -174,8 +177,8 @@ class ScanResult(Record):
         return self.first_flip is not None
 
 
-# Shifts per block of the grid: a block of 128 shifts x 100 payments takes
-# 100 kB per array, so the grid's temporaries stay small and in cache.
+# Most shifts per block of the grid: a block of 128 shifts x 100 payments
+# takes 100 kB per array, so the grid's temporaries stay small and in cache.
 _BLOCK_SHIFTS = 128
 
 
@@ -209,39 +212,34 @@ def reversal_scan(
     times = np.array([p.time for p in payments])
     states = [p.state for p in payments]
     n_a = len(a0.payments)
-    va, vb = np.empty(len(deltas)), np.empty(len(deltas))
-    for lo in range(0, len(deltas), _BLOCK_SHIFTS):
-        block = slice(lo, lo + _BLOCK_SHIFTS)
-        t = times[None, :] + np.array(deltas[block])[:, None]
+    # A one-shift block would be summed pairwise: a lone shift is evaluated twice.
+    grid = np.array(deltas * 2 if len(deltas) == 1 else deltas)
+    n, blocks = len(grid), -(-len(grid) // _BLOCK_SHIFTS)
+    va, vb = np.empty(n), np.empty(n)
+    for i in range(blocks):
+        block = slice(i * n // blocks, (i + 1) * n // blocks)
+        t = times[None, :] + grid[block, None]
         try:
             cells = u.eval(d.factor(t, x, states, round_factors=round_factors) * x)
         except DesirablesError:
             # Replay the block shift by shift, so the error names its payment.
-            for delta in deltas[block]:
+            for delta in grid[block].tolist():
                 a, b = shift_schedule(a0, delta), shift_schedule(b0, delta)
                 compare(u, d, a, b, round_factors=round_factors)
             raise
-        va[block], vb[block] = _sum_columns(cells[:, :n_a]), _sum_columns(cells[:, n_a:])
-    a_wins, b_wins = (va > vb + tol).tolist(), (vb > va + tol).tolist()
-    trace = tuple(
-        (delta, Preference.A if a else Preference.B if b else Preference.INDIFFERENT)
-        for delta, a, b in zip(deltas, a_wins, b_wins)
-    )
-    opposite = {Preference.A: Preference.B, Preference.B: Preference.A}.get(baseline)
-    first_flip = next((delta for delta, pref in trace if pref is opposite), None)
+        # Payments x shifts, contiguous: numpy adds the rows in order.
+        cells = np.ascontiguousarray(cells.T)
+        va[block], vb[block] = np.add.reduce(cells[:n_a]), np.add.reduce(cells[n_a:])
+    # A sum from 0.0 gives no -0.0; a reduction may start from its first row.
+    va, vb = va[:len(deltas)] + 0.0, vb[:len(deltas)] + 0.0
+    # Codes index prefs; no code opposes an indifferent baseline (-1).
+    code = (va > vb + tol) + 2 * (vb > va + tol)
+    prefs = np.array([Preference.INDIFFERENT, Preference.A, Preference.B], dtype=object)
+    flips = np.flatnonzero(code == {Preference.A: 2, Preference.B: 1}.get(baseline, -1))
     return ScanResult(
-        trace=trace,
+        trace=tuple(zip(deltas, prefs[code].tolist())),
         baseline=baseline,
-        first_flip=first_flip,
+        first_flip=deltas[flips[0]] if flips.size else None,
         value_a=tuple(va.tolist()),
         value_b=tuple(vb.tolist()),
     )
-
-
-def _sum_columns(cells):
-    # Column after column from 0.0, as schedule_value adds payments: pairwise
-    # summation (``cells.sum(axis=1)``) would round differently.
-    total = 0.0
-    for column in cells.T:
-        total += column
-    return total

@@ -4,8 +4,10 @@ Apart from :func:`bland_solve` and the two unshifted LPs below, nothing here
 touches the package's simplex kernel: feasibility is decided by exhaustive
 lambda-grid search and by vertex enumeration of the Farkas dual polytope, and
 tiny LPs are re-solved by enumerating candidate vertices.  :func:`scan_by_compare` is the reversal scan
-as one scalar ``compare`` per shift, :func:`schedule_value_by_payment` a
-schedule's value as one ``effective_utility`` call per payment, and
+as one scalar ``compare`` per shift, :func:`scan_grid_sums` the scan's
+values as each shift's grid cells added column by column
+(:func:`sum_columns`), :func:`schedule_value_by_payment` a schedule's value
+as one ``effective_utility`` call per payment, and
 :func:`transform_by_state` and :func:`u_convex_combine_by_state` are the
 utility transform and u-convex combination as one scalar ``eval`` (and
 ``inverse``) per state.
@@ -324,6 +326,30 @@ def scan_by_compare(u, d, a0, b0, shifts, *, tol=1e-9, round_factors=False):
         if first_flip is None and pref is opposite.get(baseline):
             first_flip = delta
     return ScanResult(tuple(trace), baseline, first_flip, tuple(value_a), tuple(value_b))
+
+
+def sum_columns(cells):
+    """Each row of a shifts x payments array added column after column from
+    0.0, as ``schedule_value`` adds payments: ``cells.sum(axis=1)`` would add
+    pairwise and round differently."""
+    total = 0.0
+    for column in cells.T:
+        total += column
+    return total
+
+
+def scan_grid_sums(u, d, a0, b0, shifts, *, round_factors=False):
+    """Reference ``value_a`` and ``value_b`` of a reversal scan: the grid cells
+    u(D(t + delta) x) of every sorted shift (rows) and payment of ``a0`` then
+    ``b0`` (columns), evaluated as one array, and each side's columns summed by
+    :func:`sum_columns`."""
+    deltas = np.array(sorted(float(s) for s in shifts))
+    payments = a0.payments + b0.payments
+    x = np.array([p.amount for p in payments])
+    t = np.array([p.time for p in payments])[None, :] + deltas[:, None]
+    cells = u.eval(d.factor(t, x, [p.state for p in payments], round_factors=round_factors) * x)
+    n_a = len(a0.payments)
+    return sum_columns(cells[:, :n_a]), sum_columns(cells[:, n_a:])
 
 
 def transform_by_state(u: Utility, f: Gamble) -> np.ndarray:

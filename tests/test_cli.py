@@ -187,6 +187,14 @@ def test_check_overflowing_tableau_exits_3(capsys):
     assert err.startswith("error: tableau arithmetic failed: overflow") and err.count("\n") == 1
 
 
+def test_check_on_a_margin_lp_the_kernel_calls_unbounded_exits_3(capsys):
+    # The audit's F3 margin LP is bounded by its cap row; the kernel's
+    # absolute tolerances report it unbounded (ROADMAP item 1), which is an
+    # error line and exit 3, not a traceback and exit 1 ("incoherent").
+    rc, out, err = run(capsys, "check", "--config", str(DATA / "check_margin_unbounded.conf"))
+    assert (rc, out, err) == (3, "", "error: margin LP cannot be LpStatus.UNBOUNDED\n")
+
+
 def test_fit_on_the_overflowing_fixture_reports_its_conflict(capsys):
     # `check` overflows on this set; `fit` must not.
     rc, out, err = run(capsys, "fit", "--config", str(DATA / "check_overflow.conf"))

@@ -1155,6 +1155,21 @@ def test_audit_of_an_overflowing_tableau_is_a_numerical_instability():
         audit(aset)
 
 
+@pytest.mark.parametrize("status", [lp.LpStatus.UNBOUNDED, lp.LpStatus.INFEASIBLE])
+def test_an_lp_status_the_lp_rules_out_is_a_numerical_instability(monkeypatch, status):
+    # Both LPs are feasible at lam = 0 and bounded, so any other status is the
+    # kernel's fault: an error carrying the LP, as the kernel's own errors do.
+    aset = AssessmentSet(S2, LogShift(), (G(1, -0.5), G(-0.5, 2)), (G(-0.5, -0.25),))
+    problems, real_solve = [], lp.solve
+    monkeypatch.setattr(lp, "solve", lambda p: problems.append(p) or lp.LpSolution(status))
+    for decide, name in ((lambda: accept_decision(aset, G(0.5, 0.5)), "margin"),
+                         (lambda: check_partial_loss(aset), "partial-loss")):
+        with pytest.raises(NumericalInstability, match=f"^{name} LP cannot be {status}$") as err:
+            decide()
+        assert err.value.problem is problems[-1]
+        assert real_solve(problems[-1]).status is lp.LpStatus.OPTIMAL
+
+
 @st.composite
 def _audit_sets(draw):
     """Linear sets over the rewards -1, 0, 1, 2, so equal rewards (weak dominance) are common."""

@@ -39,7 +39,7 @@ from desirables import (
     shift_schedule,
     uses_states,
 )
-from oracles import scan_by_compare, schedule_value_by_payment
+from oracles import scan_by_compare, scan_grid_sums, schedule_value_by_payment
 
 
 def sched(*pairs, label=""):
@@ -430,6 +430,50 @@ def test_grid_scan_matches_compare_per_shift(case):
             assert res.trace[i][1] is pref, (delta, va, vb)
     opposite = {Preference.A: Preference.B, Preference.B: Preference.A}.get(res.baseline)
     assert res.first_flip == next((t for t, p in res.trace if p is opposite), None)
+
+
+# -- the grid's sums against the column-by-column loop -------------------------
+# Shift counts at and around the 128-shift block's edges.
+_EDGE_SHIFTS = (1, 2, 127, 128, 129, 255, 256, 257)
+
+
+@st.composite
+def _grid_sum_scans(draw):
+    zeros = draw(st.booleans())
+    if zeros:  # rewards of -0.0, so cells of -0.0: a utility and regime defined at 0
+        d = draw(st.one_of(_BASES, st.builds(Hybrid, st.floats(0.0, 1.0), _BASES, _BASES)))
+        u = draw(st.sampled_from([Linear(), LogShift()]))
+    else:
+        d, u = draw(_REGIMES), draw(_UTILITIES)
+    labels = ["boom", "bust"] if uses_states(d) else [None]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def schedule(label):
+        n = draw(st.sampled_from([1, 2, 9, 60, 75]))
+        # 1.6 to 1e4: inside every eta's domain, and wide enough that the
+        # order of the additions shows in the last bits.
+        amounts = 10.0 ** rng.uniform(0.2, 4.0, n)
+        if zeros:
+            amounts[rng.random(n) < draw(st.sampled_from([0.3, 1.0]))] = -0.0
+        times = rng.uniform(0.0, 20.0, n)
+        states = [labels[i] for i in rng.integers(len(labels), size=n)]
+        return PaymentSchedule(tuple(map(DatedPayment, amounts.tolist(), times.tolist(), states)), label)
+
+    a0, b0 = schedule("A"), schedule("B")
+    # Rounded to 0.1, so longer scans repeat shifts.
+    shifts = np.round(rng.uniform(0.0, 40.0, draw(st.sampled_from(_EDGE_SHIFTS))), 1).tolist()
+    # Rounded factors reach 0.0 at long delays, outside a domain x > 0.
+    return u, d, a0, b0, shifts, u.domain_lo < 0 and draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_grid_sum_scans())
+def test_scan_values_are_the_grid_cells_added_column_by_column(case):
+    u, d, a0, b0, shifts, rounded = case
+    res = reversal_scan(u, d, a0, b0, shifts, round_factors=rounded)
+    sum_a, sum_b = scan_grid_sums(u, d, a0, b0, shifts, round_factors=rounded)
+    assert [v.hex() for v in res.value_a] == [v.hex() for v in sum_a.tolist()]
+    assert [v.hex() for v in res.value_b] == [v.hex() for v in sum_b.tolist()]
 
 
 # -- schedule_value against one effective_utility per payment ------------------
