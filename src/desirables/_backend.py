@@ -7,6 +7,8 @@ of the scalar entry points is that of plain ``math`` code), and :data:`GRID`
 evaluates it on a numpy array, e.g. a shifts x payments grid.  numpy's
 ``exp``/``log1p``/``pow`` may differ from libm's in the last bits, so a grid
 cell can differ from the scalar value of the same cell by a few ulps.
+``each(fn, v)`` runs a per-payment scalar function on ``v`` (on each entry,
+under :data:`GRID`); ``segment(xs, w)`` finds the table interval serving ``w``.
 :data:`SCALAR` needs only the standard library; :data:`GRID`, and numpy with
 it, is built on first use.
 """
@@ -19,19 +21,11 @@ import sys
 from types import ModuleType
 
 
-def _where(cond, a, b):
-    return a if cond else b
-
-
 def _segment(xs, w):
     # Index i of the table interval [xs[i], xs[i + 1]] that serves w, the
     # first and last intervals extending to -inf and +inf; NaN, which compares
     # false, goes to the last, as in _segment_grid.
-    if w <= xs[0]:
-        return 0
-    if not w < xs[-2]:
-        return len(xs) - 2
-    return bisect.bisect_right(xs, w) - 1
+    return bisect.bisect_right(xs, w, 1, len(xs) - 1) - 1
 
 
 def is_array(x) -> bool:
@@ -87,8 +81,9 @@ SCALAR = _backend(
     sqrt=math.sqrt,
     abs=abs,
     copysign=math.copysign,
-    where=_where,
+    where=lambda cond, a, b: a if cond else b,
     round2=lambda v: round(v, 2),
+    each=lambda fn, v: fn(v),
     segment=_segment,
     take=lambda seq, i: seq[i],
 )

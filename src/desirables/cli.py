@@ -83,8 +83,9 @@ def _assessment_set(args):
     if not scenario.has_assessments:
         raise ValueError("no assessments block")
     space = scenario.states
-    if space is None and scenario.assessments_accepted:
-        space = scenario.assessments_accepted[0].space
+    assessed = scenario.assessments_accepted + scenario.assessments_rejected
+    if space is None and assessed:
+        space = assessed[0].space
     if space is None:
         raise ValueError("assessments need a states block or inline gamble states")
     from .coherence import AssessmentSet  # check and fit alone import coherence and lp

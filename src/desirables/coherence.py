@@ -63,10 +63,7 @@ class AssessmentSet(Record):
         object.__setattr__(self, "accepted", tuple(self.accepted))
         object.__setattr__(self, "rejected", tuple(self.rejected))
         for g in self.accepted + self.rejected:
-            if g.space != self.space:
-                raise SpaceMismatch(
-                    f"gamble on {g.space.labels} does not live on {self.space.labels}"
-                )
+            _check_query(self, g)
         # Fast necessary check: a sure loss can never be accepted.
         for i, g in enumerate(self.accepted):
             if g.rewards.max() < 0:
@@ -166,6 +163,11 @@ def _check_query(a: AssessmentSet, g: Gamble) -> None:
         raise SpaceMismatch(
             f"gamble on {g.space.labels} does not live on {a.space.labels}"
         )
+
+
+def _check_weights(ell: Functional, m: int) -> None:
+    if ell.weights.size != m:
+        raise SpaceMismatch(f"functional has {ell.weights.size} weights for {m} states")
 
 
 def accept_decision(a: AssessmentSet, g: Gamble) -> AcceptanceDecision:
@@ -426,6 +428,7 @@ def _fit_lp(fit: _FitRows, active: np.ndarray, restart=None):
 
 def rho(ell: Functional, u: Utility, f: Gamble) -> float:
     """Risk functional: belief weights applied to the utility transform of ``f``."""
+    _check_weights(ell, f.space.m)
     return float(np.dot(ell.weights, transform(u, f)))
 
 
@@ -437,6 +440,7 @@ def check_ordering_invariance(ell: Functional, c: float, u: Utility, fs) -> bool
     if not fs:
         raise ValueError("need at least one gamble")
     U = np.column_stack([transform(u, f) for f in fs])
+    _check_weights(ell, len(U))
     base, scaled = ell.weights @ U, (c * ell.weights) @ U
     return bool(
         np.array_equal(np.sign(base), np.sign(scaled))
@@ -536,6 +540,7 @@ def cross_check_functional(
     Checks every accepted generator, plus any candidate gambles that the
     natural extension accepts.
     """
+    _check_weights(ell, a.space.m)
     if (ell.weights @ a.transformed_generators() < -tol).any():
         return False
     for g in candidates:

@@ -22,7 +22,6 @@ numpy array of delays it uses numpy.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Mapping
 
@@ -85,8 +84,11 @@ class DiscountSpec:
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         raise NotImplementedError
 
+    def _parts(self) -> tuple[DiscountSpec, ...]:  # the regimes it is composed of
+        return ()
+
     def _depth(self) -> int:
-        return 1
+        return 1 + max((part._depth() for part in self._parts()), default=0)
 
 
 def _reject_delay(t) -> None:
@@ -249,7 +251,7 @@ class TabulatedEta(EtaSpec, Record):
             return ys[0]
         if x >= xs[-1]:
             return ys[-1]
-        i = bisect.bisect_right(xs, x) - 1
+        i = SCALAR.segment(xs, x)
         x0, y0, y1 = xs[i], ys[i], ys[i + 1]
         if x == x0:
             return y0
@@ -278,8 +280,8 @@ class ScaleDependent(DiscountSpec, Record):
     def __post_init__(self):
         _check_depth(self)
 
-    def _depth(self) -> int:
-        return 1 + self.base._depth()
+    def _parts(self) -> tuple[DiscountSpec, ...]:
+        return (self.base,)
 
     def _eta(self, x) -> float:
         if x is None:
@@ -288,7 +290,7 @@ class ScaleDependent(DiscountSpec, Record):
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         # eta(x) is per payment: scalar code, once per payment on a grid.
-        exponent = self._eta(x) if xp is SCALAR else xp.each(self._eta, x)
+        exponent = xp.each(self._eta, x)
         base = self.base._factor(t, x, s, False, xp)
         return _rounded(base**exponent, rounded, xp)
 
@@ -327,7 +329,7 @@ class StateDependent(DiscountSpec, Record):
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         # The rate is per payment: scalar code, once per payment on a grid.
-        rate = self._state_rate(s) if xp is SCALAR else xp.each(self._state_rate, s)
+        rate = xp.each(self._state_rate, s)
         return _rounded(xp.exp(-rate * t), rounded, xp)
 
 
@@ -345,8 +347,8 @@ class Hybrid(DiscountSpec, Record):
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam!r}")
         _check_depth(self)
 
-    def _depth(self) -> int:
-        return 1 + max(self.d1._depth(), self.d2._depth())
+    def _parts(self) -> tuple[DiscountSpec, ...]:
+        return (self.d1, self.d2)
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         first = self.d1._factor(t, x, s, rounded, xp)
@@ -368,13 +370,7 @@ def factor(
 
 def uses_states(d: DiscountSpec) -> bool:
     """True when the regime (or any nested component) reads state labels."""
-    if isinstance(d, StateDependent):
-        return True
-    if isinstance(d, Hybrid):
-        return uses_states(d.d1) or uses_states(d.d2)
-    if isinstance(d, ScaleDependent):
-        return uses_states(d.base)
-    return False
+    return isinstance(d, StateDependent) or any(map(uses_states, d._parts()))
 
 
 class ConstraintReport(Record):

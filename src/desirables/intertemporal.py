@@ -79,6 +79,10 @@ class Preference(enum.Enum):
     INDIFFERENT = "indifferent"
 
 
+# compare's preferences by band code (va > vb + tol) + 2 * (vb > va + tol), never 3.
+_PREFERENCES = (Preference.INDIFFERENT, Preference.A, Preference.B)
+
+
 def effective_utility(
     u: Utility,
     d: DiscountSpec,
@@ -140,11 +144,7 @@ def compare(
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     va = schedule_value(u, d, a, round_factors=round_factors)
     vb = schedule_value(u, d, b, round_factors=round_factors)
-    if va > vb + tol:
-        return Preference.A
-    if vb > va + tol:
-        return Preference.B
-    return Preference.INDIFFERENT
+    return _PREFERENCES[(va > vb + tol) + 2 * (vb > va + tol)]
 
 
 def shift_schedule(sch: PaymentSchedule, delta: float) -> PaymentSchedule:
@@ -232,12 +232,11 @@ def reversal_scan(
         va[block], vb[block] = np.add.reduce(cells[:n_a]), np.add.reduce(cells[n_a:])
     # A sum from 0.0 gives no -0.0; a reduction may start from its first row.
     va, vb = va[:len(deltas)] + 0.0, vb[:len(deltas)] + 0.0
-    # Codes index prefs; no code opposes an indifferent baseline (-1).
+    # compare's band codes; 3 - k opposes baseline code k, and no code is 3.
     code = (va > vb + tol) + 2 * (vb > va + tol)
-    prefs = np.array([Preference.INDIFFERENT, Preference.A, Preference.B], dtype=object)
-    flips = np.flatnonzero(code == {Preference.A: 2, Preference.B: 1}.get(baseline, -1))
+    flips = np.flatnonzero(code == 3 - _PREFERENCES.index(baseline))
     return ScanResult(
-        trace=tuple(zip(deltas, prefs[code].tolist())),
+        trace=tuple(zip(deltas, np.array(_PREFERENCES, dtype=object)[code].tolist())),
         baseline=baseline,
         first_flip=deltas[flips[0]] if flips.size else None,
         value_a=tuple(va.tolist()),

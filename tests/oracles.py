@@ -28,7 +28,7 @@ the equality sum w = 1, solved through phase 1 by the kernel), and
 :func:`greedy_conflict` the conflict search that decides every trial subset
 with it.  :func:`exact_basic_solution` solves a basis of a canonical problem
 in rational arithmetic, and :func:`basis_gives_x` checks a solution's basis
-with it.
+with it; :func:`exact_duals` gives the same basis's row prices.
 
 The kernel takes one form, ``<=`` rows over x >= 0.  :class:`GeneralLp` is
 the general form the tests state their LPs in (``<=``, ``>=`` and ``=`` rows,
@@ -399,20 +399,19 @@ def u_convex_combine_by_state(u: Utility, f: Gamble, g: Gamble, lam: float, mu: 
     return Gamble(f.space, rewards, wealth_floor=max(w, float(-rewards.min())))
 
 
-def exact_basic_solution(p: lp.LpProblem, basis) -> list[Fraction]:
-    """The basic solution of ``basis``, columns of [A | I], for the rows of ``p``, in exact arithmetic.
-
-    Every float is a dyadic rational, so Gauss-Jordan elimination on
-    ``Fraction`` entries solves B z = b with no rounding.  Returns z over all
-    n + m columns, zero off the basis; raises StopIteration if B is singular.
-    """
+def _basis_columns(p: lp.LpProblem, basis) -> list[list[Fraction]]:
+    # B, the columns of [A | I] in ``basis``, as exact columns.
     A = p.constraints
     m, n = A.shape
-    rows = [
-        [Fraction(float(A[i, j])) if j < n else Fraction(int(j - n == i)) for j in basis]
-        + [Fraction(float(p.rhs[i]))]
-        for i in range(m)
+    return [
+        [Fraction(float(A[i, j])) if j < n else Fraction(int(j - n == i)) for i in range(m)]
+        for j in basis
     ]
+
+
+def _solve_exact(rows) -> list[Fraction]:
+    # Gauss-Jordan elimination of the square augmented system ``rows``.
+    m = len(rows)
     for c in range(m):
         r = next(r for r in range(c, m) if rows[r][c] != 0)
         rows[c], rows[r] = rows[r], rows[c]
@@ -421,10 +420,36 @@ def exact_basic_solution(p: lp.LpProblem, basis) -> list[Fraction]:
             if r != c and rows[r][c] != 0:
                 f = rows[r][c]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    z = [Fraction(0)] * (n + m)
-    for c, j in enumerate(basis):
-        z[j] = rows[c][m]
+    return [row[m] for row in rows]
+
+
+def exact_basic_solution(p: lp.LpProblem, basis) -> list[Fraction]:
+    """The basic solution of ``basis``, columns of [A | I], for the rows of ``p``, in exact arithmetic.
+
+    Every float is a dyadic rational, so Gauss-Jordan elimination on
+    ``Fraction`` entries solves B z = b with no rounding.  Returns z over all
+    n + m columns, zero off the basis; raises StopIteration if B is singular.
+    """
+    columns = _basis_columns(p, basis)
+    rows = [[col[i] for col in columns] + [Fraction(float(b))] for i, b in enumerate(p.rhs)]
+    z = [Fraction(0)] * sum(p.constraints.shape)
+    for j, value in zip(basis, _solve_exact(rows)):
+        z[j] = value
     return z
+
+
+def exact_duals(p: lp.LpProblem, basis) -> list[Fraction]:
+    """The row prices y of ``basis``, columns of [A | I], in exact arithmetic.
+
+    Solves B^T y = c_B, where c_B holds the objective's entries of the basic
+    structural columns and 0 for basic slacks, as :func:`exact_basic_solution`
+    solves B z = b; raises StopIteration if B is singular.
+    """
+    n = p.constraints.shape[1]
+    return _solve_exact([
+        col + [Fraction(float(p.objective[j])) if j < n else Fraction(0)]
+        for j, col in zip(basis, _basis_columns(p, basis))
+    ])
 
 
 def basis_gives_x(p: lp.LpProblem, sol: lp.LpSolution) -> bool:

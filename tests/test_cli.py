@@ -226,6 +226,18 @@ def test_fit_outputs_weights(capsys):
     assert 2 * weights["s1"] - weights["s2"] >= -1e-9
 
 
+@pytest.mark.parametrize("command", ["check", "fit"])
+def test_rejected_gambles_with_inline_states_give_the_space(capsys, tmp_path, command):
+    # No states block and no accepted gamble: the space is the first rejected
+    # gamble's, and the answer is that of the same set with a states block.
+    fixture = DATA / "fit_rejected_inline_states.conf"
+    with_block = tmp_path / "with_states.conf"
+    with_block.write_text('states { labels = ["a", "b"] }\n' + fixture.read_text())
+    inline = run(capsys, command, "--config", str(fixture))
+    assert inline[0] == 0 and inline[2] == ""
+    assert inline == run(capsys, command, "--config", str(with_block))
+
+
 def test_fit_infeasible_reports_conflict(capsys, tmp_path):
     cfg = tmp_path / "conflict.conf"
     cfg.write_text(
@@ -497,6 +509,11 @@ _ASSESSMENT_SET_ERRORS = {
     "space-mismatch": (
         'assessments { accepted = [{states = ["a", "b"], rewards = [1, 1]}, '
         '{states = ["c", "d"], rewards = [1, 1]}] }\n',
+        "gamble on ('c', 'd') does not live on ('a', 'b')",
+    ),
+    "rejected-space-mismatch": (
+        'assessments { accepted = [{states = ["a", "b"], rewards = [1, 1]}], '
+        'rejected = [{states = ["c", "d"], rewards = [-1, -1]}] }\n',
         "gamble on ('c', 'd') does not live on ('a', 'b')",
     ),
     "no-states": (

@@ -107,6 +107,17 @@ def test_space_mismatch_rejected():
         accepts(linear_set([G(1, 0)]), Gamble(StateSpace(("a", "b")), [1, 0]))
 
 
+def test_functionals_with_another_weight_count_are_a_space_mismatch():
+    three = Functional([1.0, 1.0, 1.0])
+    message = "functional has 3 weights for 2 states"
+    with pytest.raises(SpaceMismatch, match=message):
+        rho(three, Linear(), G(1, 0))
+    with pytest.raises(SpaceMismatch, match=message):
+        check_ordering_invariance(three, 2.0, Linear(), [G(1, 0), G(0, 1)])
+    with pytest.raises(SpaceMismatch, match=message):
+        cross_check_functional(linear_set([G(1, 0)]), three)
+
+
 def test_avoids_partial_loss_line_pair():
     assert avoids_partial_loss(linear_set([G(1, -1), G(-1, 1)]))
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from oracles import (
     bland_solve,
     check_infeasibility_certificate,
     basis_gives_x,
+    exact_basic_solution,
+    exact_duals,
     farkas_check,
     recheck,
     solve_general as solve,
@@ -670,6 +673,41 @@ def test_basis_gives_x_by_an_exact_solve_on_a_sample_of_the_pinned_corpus():
         assert basis_gives_x(q, sol)
         checked += 1
     assert checked >= 15
+
+
+def test_final_bases_of_a_sample_of_the_pinned_corpus_have_exact_duals():
+    # Every tenth pinned problem that ends OPTIMAL: its final basis, solved in
+    # rational arithmetic, is dual feasible with no tolerance, and the kernel's
+    # y and value round the exact ones.  In exact arithmetic the basic
+    # solution z can be slightly negative (-1.33e-13 on problem 40 and
+    # -7.2e-17 on problem 80, with entries up to 3; ROADMAP item 7), so z >= 0
+    # is asserted within basis_gives_x's rounding of z, 1e-12 * (1 + max |z|).
+    checked = []
+    for idx, p in enumerate(_pinned_corpus()):
+        if idx % 10:
+            continue
+        q = to_canonical(p).problem
+        try:
+            sol = lp.solve(q)
+        except NumericalInstability:
+            continue
+        if sol.status is not LpStatus.OPTIMAL:
+            continue
+        A, c = q.constraints, q.objective
+        m, n = A.shape
+        basis = sol.basis.tolist()
+        y = exact_duals(q, basis)
+        assert min(y, default=0) >= 0
+        for j in range(n):
+            assert sum(y[i] * Fraction(float(A[i, j])) for i in range(m)) >= Fraction(float(c[j]))
+        assert np.abs(sol.y - [float(v) for v in y]).max(initial=0.0) <= lp._CHECK_TOL
+        z = exact_basic_solution(q, basis)
+        value = sum(Fraction(float(c[j])) * z[j] for j in range(n))
+        assert value == sum(yi * Fraction(float(b)) for yi, b in zip(y, q.rhs))
+        assert abs(sol.value - float(value)) <= 1e-12 * abs(float(value))
+        assert float(min(z)) >= -1e-12 * (1.0 + float(max(map(abs, z))))
+        checked.append(idx)
+    assert len(checked) == 16
 
 
 def _assert_agrees_with_reference(p):
