@@ -63,7 +63,7 @@ class AssessmentSet(Record):
         object.__setattr__(self, "accepted", tuple(self.accepted))
         object.__setattr__(self, "rejected", tuple(self.rejected))
         for g in self.accepted + self.rejected:
-            _check_query(self, g)
+            _check_space(self.space, g)
         # Fast necessary check: a sure loss can never be accepted.
         for i, g in enumerate(self.accepted):
             if g.rewards.max() < 0:
@@ -158,10 +158,10 @@ class AcceptanceDecision(Record, eq=False):
     certificate: np.ndarray | None = None
 
 
-def _check_query(a: AssessmentSet, g: Gamble) -> None:
-    if g.space != a.space:
+def _check_space(space: StateSpace, g: Gamble) -> None:
+    if g.space != space:
         raise SpaceMismatch(
-            f"gamble on {g.space.labels} does not live on {a.space.labels}"
+            f"gamble on {g.space.labels} does not live on {space.labels}"
         )
 
 
@@ -180,7 +180,7 @@ def accept_decision(a: AssessmentSet, g: Gamble) -> AcceptanceDecision:
     is feasible, so d >= 0 cuts off nothing); matrix and objective are
     unshifted, so the duals are those of the unshifted LP.
     """
-    _check_query(a, g)
+    _check_space(a.space, g)
     return _margin_lp(a._margin_rows(), transform(a.utility, g))
 
 
@@ -433,12 +433,17 @@ def rho(ell: Functional, u: Utility, f: Gamble) -> float:
 
 
 def check_ordering_invariance(ell: Functional, c: float, u: Utility, fs) -> bool:
-    """True iff scaling the weights by c > 0 preserves acceptance signs and ranking."""
+    """True iff scaling the weights by c > 0 preserves acceptance signs and ranking.
+
+    The gambles must share the first gamble's state space (else SpaceMismatch).
+    """
     if not c > 0:
         raise ValueError(f"scale must be positive, got {c!r}")
     fs = list(fs)
     if not fs:
         raise ValueError("need at least one gamble")
+    for f in fs:
+        _check_space(fs[0].space, f)
     U = np.column_stack([transform(u, f) for f in fs])
     _check_weights(ell, len(U))
     base, scaled = ell.weights @ U, (c * ell.weights) @ U
@@ -452,8 +457,12 @@ def check_transform_invariance(u: Utility, phi, fs) -> bool:
     """True iff acceptance signs under pointwise thresholds agree for u and phi(u).
 
     ``phi`` must be strictly increasing with phi(0) = 0 on the evaluated
-    range; violations of the precondition raise ValueError.
+    range; violations of the precondition raise ValueError.  Gambles not on
+    the first gamble's state space raise SpaceMismatch.
     """
+    fs = list(fs)
+    for f in fs:
+        _check_space(fs[0].space, f)
     if abs(phi(0.0)) > 1e-12:
         raise ValueError(f"phi(0) must be 0, got {phi(0.0)!r}")
     transformed = [transform(u, f).tolist() for f in fs]

@@ -17,7 +17,9 @@ re-rounding, with Python's ``round`` semantics on arrays too.
 
 Each regime writes ``_factor`` once against a backend ``xp``
 (:mod:`desirables._backend`): ``factor`` on a float uses :mod:`math`, on a
-numpy array of delays it uses numpy.
+numpy array of delays it uses numpy.  ``factor`` rejects a delay that is not
+>= 0 (NaN included); :mod:`desirables.intertemporal` calls ``_factor`` on
+times and shifts it has already checked.
 """
 
 from __future__ import annotations
@@ -95,10 +97,6 @@ def _reject_delay(t) -> None:
     raise DomainError(f"delay must be nonnegative, got {t!r}")
 
 
-def _rounded(value, rounded: bool, xp):
-    return xp.round2(value) if rounded else value
-
-
 def _check_depth(spec: DiscountSpec) -> None:
     if spec._depth() > _MAX_DEPTH:
         raise ValueError(f"discount nesting deeper than {_MAX_DEPTH} levels")
@@ -116,7 +114,9 @@ class Exponential(DiscountSpec, Record):
             raise ValueError(f"rate must be nonnegative and finite, got {self.r!r}")
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
-        return _rounded(xp.exp(-self.r * t), rounded, xp)
+        # D = 1 at every delay when r = 0, inf included (-0.0 * inf is NaN).
+        v = xp.exp(-self.r * t) if self.r else t**0.0
+        return xp.round2(v) if rounded else v
 
 
 class Hyperbolic(DiscountSpec, Record):
@@ -131,7 +131,8 @@ class Hyperbolic(DiscountSpec, Record):
             raise ValueError(f"k must be positive and finite, got {self.k!r}")
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
-        return _rounded(1.0 / (1.0 + self.k * t), rounded, xp)
+        v = 1.0 / (1.0 + self.k * t)
+        return xp.round2(v) if rounded else v
 
 
 class QuasiHyperbolic(DiscountSpec, Record):
@@ -153,7 +154,8 @@ class QuasiHyperbolic(DiscountSpec, Record):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
-        return xp.where(t == 0, 1.0, _rounded(self.beta * self.delta**t, rounded, xp))
+        v = self.beta * self.delta**t
+        return xp.where(t == 0, 1.0, xp.round2(v) if rounded else v)
 
 
 class GeneralizedHyperbolic(DiscountSpec, Record):
@@ -171,7 +173,8 @@ class GeneralizedHyperbolic(DiscountSpec, Record):
             raise ValueError(f"p must be positive and finite, got {self.p!r}")
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
-        return _rounded((1.0 + self.k * t) ** (-self.p), rounded, xp)
+        v = (1.0 + self.k * t) ** (-self.p)
+        return xp.round2(v) if rounded else v
 
 
 class EtaSpec:
@@ -291,8 +294,8 @@ class ScaleDependent(DiscountSpec, Record):
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         # eta(x) is per payment: scalar code, once per payment on a grid.
         exponent = xp.each(self._eta, x)
-        base = self.base._factor(t, x, s, False, xp)
-        return _rounded(base**exponent, rounded, xp)
+        v = self.base._factor(t, x, s, False, xp) ** exponent
+        return xp.round2(v) if rounded else v
 
 
 class StateDependent(DiscountSpec, Record):
@@ -330,7 +333,8 @@ class StateDependent(DiscountSpec, Record):
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         # The rate is per payment: scalar code, once per payment on a grid.
         rate = xp.each(self._state_rate, s)
-        return _rounded(xp.exp(-rate * t), rounded, xp)
+        v = xp.exp(-rate * t)
+        return xp.round2(v) if rounded else v
 
 
 class Hybrid(DiscountSpec, Record):

@@ -5,9 +5,14 @@ sum per-payment effective utilities.  A reversal scan shifts every payment
 of two schedules by a common delay and reports where the pairwise preference
 flips relative to the unshifted baseline.
 
+``DatedPayment``, ``shift_schedule`` and ``reversal_scan`` reject a time or
+shift that is not >= 0 (NaN included).  ``schedule_value``, ``compare`` and
+the scan's grid trust them and call the regime's ``_factor`` without
+``factor``'s delay check; ``effective_utility`` goes through ``factor``.
+
 ``reversal_scan`` evaluates the scalar formulas of ``schedule_value`` on a
 grid of delays (shifts x the payments of ``a`` then ``b``) in ceil(N / 128)
-blocks of near-equal shift counts: one ``factor`` and one ``eval`` call per
+blocks of near-equal shift counts: one ``_factor`` and one ``eval`` call per
 block, per-payment quantities (eta(x), state rates) once per payment and
 block.  Each side of a block is transposed to a contiguous payments x shifts
 array and summed by one ``np.add.reduce`` over its rows, which numpy adds in
@@ -27,6 +32,7 @@ import enum
 import math
 import warnings
 
+from . import _backend
 from ._record import Record
 from .discount import DiscountSpec, uses_states
 from .errors import DesirablesError
@@ -110,24 +116,7 @@ def schedule_value(
     ``payment {i} (amount=..., t=...)``, and before that with
     ``schedule "{label}"`` when the schedule has a label.
     """
-    if sch._has_states and not uses_states(d):
-        warnings.warn(
-            f"schedule {sch.label!r} carries state labels but the discount "
-            "regime is state-independent; labels are ignored",
-            stacklevel=2,
-        )
-    total = 0.0
-    try:
-        # effective_utility, inlined: this loop is most of compare's cost.
-        for i, p in enumerate(sch.payments):
-            x = p.amount
-            total += u.eval(d.factor(p.time, x, p.state, round_factors=round_factors) * x)
-    except DesirablesError as exc:
-        where = f'schedule "{sch.label}" ' if sch.label else ""
-        raise type(exc)(
-            f"{where}payment {i} (amount={p.amount:g}, t={p.time:g}): {exc}"
-        ) from None
-    return total
+    return _value(u, d, sch, round_factors)
 
 
 def compare(
@@ -142,9 +131,31 @@ def compare(
     """Preference between two schedules; Indifferent within absolute ``tol`` (0 <= tol < inf)."""
     if not 0.0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    va = schedule_value(u, d, a, round_factors=round_factors)
-    vb = schedule_value(u, d, b, round_factors=round_factors)
+    va, vb = _value(u, d, a, round_factors), _value(u, d, b, round_factors)
     return _PREFERENCES[(va > vb + tol) + 2 * (vb > va + tol)]
+
+
+def _value(u: Utility, d: DiscountSpec, sch: PaymentSchedule, rounded) -> float:
+    # schedule_value's loop, for it and compare: stacklevel 3 names their caller.
+    if sch._has_states and not uses_states(d):
+        warnings.warn(
+            f"schedule {sch.label!r} carries state labels but the discount "
+            "regime is state-independent; labels are ignored",
+            stacklevel=3,
+        )
+    total = 0.0
+    try:
+        # effective_utility, inlined, with the regime's own _factor: a
+        # payment's time is a float >= 0 (DatedPayment checked it).
+        for i, p in enumerate(sch.payments):
+            x = p.amount
+            total += u.eval(d._factor(p.time, x, p.state, rounded) * x)
+    except DesirablesError as exc:
+        where = f'schedule "{sch.label}" ' if sch.label else ""
+        raise type(exc)(
+            f"{where}payment {i} (amount={p.amount:g}, t={p.time:g}): {exc}"
+        ) from None
+    return total
 
 
 def shift_schedule(sch: PaymentSchedule, delta: float) -> PaymentSchedule:
@@ -216,20 +227,23 @@ def reversal_scan(
     grid = np.array(deltas * 2 if len(deltas) == 1 else deltas)
     n, blocks = len(grid), -(-len(grid) // _BLOCK_SHIFTS)
     va, vb = np.empty(n), np.empty(n)
-    for i in range(blocks):
-        block = slice(i * n // blocks, (i + 1) * n // blocks)
-        t = times[None, :] + grid[block, None]
-        try:
-            cells = u.eval(d.factor(t, x, states, round_factors=round_factors) * x)
-        except DesirablesError:
-            # Replay the block shift by shift, so the error names its payment.
-            for delta in grid[block].tolist():
-                a, b = shift_schedule(a0, delta), shift_schedule(b0, delta)
-                compare(u, d, a, b, round_factors=round_factors)
-            raise
-        # Payments x shifts, contiguous: numpy adds the rows in order.
-        cells = np.ascontiguousarray(cells.T)
-        va[block], vb[block] = np.add.reduce(cells[:n_a]), np.add.reduce(cells[n_a:])
+    # Sums and products that overflow are inf, as in the scalar formulas.
+    with np.errstate(over="ignore"):
+        for i in range(blocks):
+            block = slice(i * n // blocks, (i + 1) * n // blocks)
+            # Times and shifts are floats >= 0, so t is too: no delay check.
+            t = times[None, :] + grid[block, None]
+            try:
+                cells = u.eval(d._factor(t, x, states, round_factors, _backend.GRID) * x)
+            except DesirablesError:
+                # Replay the block shift by shift, so the error names its payment.
+                for delta in grid[block].tolist():
+                    a, b = shift_schedule(a0, delta), shift_schedule(b0, delta)
+                    compare(u, d, a, b, round_factors=round_factors)
+                raise
+            # Payments x shifts, contiguous: numpy adds the rows in order.
+            cells = np.ascontiguousarray(cells.T)
+            va[block], vb[block] = np.add.reduce(cells[:n_a]), np.add.reduce(cells[n_a:])
     # A sum from 0.0 gives no -0.0; a reduction may start from its first row.
     va, vb = va[:len(deltas)] + 0.0, vb[:len(deltas)] + 0.0
     # compare's band codes; 3 - k opposes baseline code k, and no code is 3.

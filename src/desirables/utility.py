@@ -288,9 +288,9 @@ class Composed(Utility, Record):
 
     kind = "composed"
 
-    @property
-    def domain_lo(self) -> float:  # type: ignore[override]
-        return self.base.domain_lo
+    def __post_init__(self):
+        # Read by every eval: set once, not a property.
+        object.__setattr__(self, "domain_lo", self.base.domain_lo)
 
     @property
     def needs_wealth_shift(self) -> bool:  # type: ignore[override]

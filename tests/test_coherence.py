@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -824,6 +825,22 @@ def test_transform_invariance():
     assert check_transform_invariance(LogShift(), lambda v: v**3, fs)
     with pytest.raises(ValueError):
         check_transform_invariance(LogShift(), lambda v: v + 1, fs)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [Gamble(StateSpace(("s1", "s2", "s3")), [1, 0, 2]), Gamble(StateSpace(("a", "b")), [1, 0])],
+    ids=["three-states", "same-size-other-labels"],
+)
+def test_invariance_checks_reject_gambles_off_the_first_gamble_space(other):
+    # The rule accept_decision applies to a query: the gambles must live on the
+    # first gamble's space, whatever the number of states.
+    message = f"gamble on {other.space.labels} does not live on {S2.labels}"
+    fs = [G(1, -0.5), other]
+    with pytest.raises(SpaceMismatch, match=re.escape(message)):
+        check_ordering_invariance(Functional([0.3, 0.7]), 2.0, Linear(), fs)
+    with pytest.raises(SpaceMismatch, match=re.escape(message)):
+        check_transform_invariance(Linear(), lambda v: 2 * v, iter(fs))
 
 
 def test_accept_witness_resubstitutes():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -280,6 +281,15 @@ def test_non_finite_delays_are_rejected_where_they_enter():
         bad = [s for s in shifts if not s >= 0][0]
         with pytest.raises(ValueError, match=f"shifts must be nonnegative, got {bad!r}"):
             reversal_scan(LogShift(), Hyperbolic(0.5), sched((10, 0)), sched((12, 1)), shifts)
+    # schedule_value and compare skip the delay check only because of these.
+    for bad in (-1.0, -5e-324, math.nan):
+        with pytest.raises(ValueError, match=f"payment time must be nonnegative, got {bad!r}"):
+            DatedPayment(10.0, bad)
+        for d in (Hyperbolic(0.5), StateDependent({"s1": 0.1})):
+            with pytest.raises(DomainError, match=f"delay must be nonnegative, got {bad!r}"):
+                d.factor(bad, 10.0, "s1")
+            with pytest.raises(DomainError, match=f"delay must be nonnegative, got {bad!r}"):
+                effective_utility(LogShift(), d, 10.0, bad, "s1")
 
 
 def test_scan_carries_the_values_of_each_shift():
@@ -511,14 +521,14 @@ def _valuations(draw):
 
 
 def _valuation(run, action):
-    """(value bits or (error type, message), warnings) of ``run`` under the filter ``action``."""
+    """(value bits, a preference or (error type, message), warnings) of ``run`` under the filter ``action``."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(action)
         try:
             value = run()
         except (DesirablesError, UserWarning) as exc:
             return (type(exc), str(exc)), caught
-    return value.hex(), caught
+    return value.hex() if isinstance(value, float) else value, caught
 
 
 def _assert_valuation_matches_the_fold(u, d, sch, rounded):
@@ -537,6 +547,12 @@ def _assert_valuation_matches_the_fold(u, d, sch, rounded):
         assert all(filename == __file__ for _, _, filename in seen)
         if action == "error" and labelled:
             assert got[0] is UserWarning
+        # compare of the schedule with itself: the fold's error, or indifference
+        # with the fold's warning once per side, naming this file's line.
+        pref, pref_warned = _valuation(lambda: compare(u, d, sch, sch, round_factors=rounded), action)
+        failed = isinstance(ref, tuple)
+        assert pref == (ref if failed else Preference.INDIFFERENT)
+        assert [(w.category, str(w.message), w.filename) for w in pref_warned] == seen * (1 if failed else 2)
         outcomes[action] = got
     return outcomes
 
@@ -581,3 +597,71 @@ def test_schedule_value_warns_on_labels_before_a_payment_error():
         "schedule 'L' carries state labels but the discount regime is "
         "state-independent; labels are ignored",
     )
+
+
+# -- edge delays, which schedule_value, compare and the scan grid take unchecked
+# DatedPayment admits every float time >= 0 and reversal_scan every shift >= 0,
+# so the regimes' formulas run on them without factor's delay check.  At these
+# edges each path must give the bits, or the error, of its oracle.
+_EDGE_DELAYS = (0.0, 5e-324, 1e308, math.inf)
+_EDGE_SHIFT_LISTS = ([0.0, 5e-324, 1.0, 1e308, math.inf], [math.inf], [1e308, 0.0])
+_EDGE_REGIMES = [
+    Exponential(0.0),
+    Exponential(0.3),
+    Hyperbolic(2.0),
+    QuasiHyperbolic(0.7, 0.95),
+    GeneralizedHyperbolic(3.0, 1.5),
+    ScaleDependent(Hyperbolic(0.5), InverseLog(10.0)),
+    ScaleDependent(Exponential(0.0), TabulatedEta((1.0, 10.0, 100.0), (1.3, 1.0, 0.8))),
+    StateDependent(_STATES),
+    Hybrid(0.3, Exponential(0.0), Hybrid(0.5, GeneralizedHyperbolic(0.4, 2.0), StateDependent(_STATES))),
+]
+_EDGE_UTILITIES = [Linear(), LogShift(), Sqrt(), Composed(LogShift(), PhiPower(0.5))]
+
+
+def _bits_or_error(run):
+    # Under "error" a numpy RuntimeWarning is not caught: it fails the test.
+    return _valuation(run, "error")[0]
+
+
+def _band(va, vb, tol=1e-9):
+    return Preference.A if va > vb + tol else Preference.B if vb > va + tol else Preference.INDIFFERENT
+
+
+def _compare_by_fold(u, d, a, b, rounded):
+    return _band(*(schedule_value_by_payment(u, d, s, round_factors=rounded) for s in (a, b)))
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+@pytest.mark.parametrize("u", _EDGE_UTILITIES, ids=lambda u: u.kind)
+@pytest.mark.parametrize("d", _EDGE_REGIMES, ids=lambda d: d.kind)
+def test_edge_delays_give_the_oracles_bits_or_errors(d, u, rounded):
+    labels = sorted(_STATES) if uses_states(d) else [None]
+    singles = [
+        PaymentSchedule((DatedPayment(30.0, t, labels[0]),), f"at {t!r}") for t in _EDGE_DELAYS
+    ]
+    every = PaymentSchedule(
+        tuple(DatedPayment(10.0 * (i + 2), t, labels[i % len(labels)]) for i, t in enumerate(_EDGE_DELAYS)), "A"
+    )
+    soon = PaymentSchedule((DatedPayment(45.0, 0.5, labels[-1]),), "B")
+    for sch in singles + [every, soon]:
+        got = _bits_or_error(lambda: schedule_value(u, d, sch, round_factors=rounded))
+        assert got == _bits_or_error(lambda: schedule_value_by_payment(u, d, sch, round_factors=rounded))
+    pairs = list(itertools.product(singles + [every], [soon, singles[0]]))
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        got = _bits_or_error(lambda: compare(u, d, a, b, round_factors=rounded))
+        assert got == _bits_or_error(lambda: _compare_by_fold(u, d, a, b, rounded))
+    for a0, b0 in ((singles[0], soon), (every, soon), (soon, singles[3])):
+        for shifts in _EDGE_SHIFT_LISTS:
+            got = _bits_or_error(lambda: reversal_scan(u, d, a0, b0, shifts, round_factors=rounded))
+            ref = _bits_or_error(lambda: scan_by_compare(u, d, a0, b0, shifts, round_factors=rounded))
+            if isinstance(ref, tuple):
+                assert got == ref
+                continue
+            assert got.baseline is ref.baseline
+            # Times of 1e308 and shifts of 1e308 add to inf, as the scalar sums do.
+            with np.errstate(over="ignore"):
+                sum_a, sum_b = scan_grid_sums(u, d, a0, b0, shifts, round_factors=rounded)
+            assert [v.hex() for v in got.value_a] == [v.hex() for v in sum_a.tolist()]
+            assert [v.hex() for v in got.value_b] == [v.hex() for v in sum_b.tolist()]
+            assert [p for _, p in got.trace] == list(map(_band, sum_a.tolist(), sum_b.tolist()))

@@ -10,7 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from desirables import DimensionError, NumericalInstability, coherence, lp
+from desirables import (
+    AssessmentSet,
+    DimensionError,
+    Gamble,
+    LogShift,
+    NumericalInstability,
+    StateSpace,
+    accept_decision,
+    coherence,
+    lp,
+)
 from desirables.lp import LpProblem, LpStatus, _recheck, format_problem
 
 from oracles import (
@@ -693,21 +703,72 @@ def test_final_bases_of_a_sample_of_the_pinned_corpus_have_exact_duals():
             continue
         if sol.status is not LpStatus.OPTIMAL:
             continue
-        A, c = q.constraints, q.objective
-        m, n = A.shape
-        basis = sol.basis.tolist()
-        y = exact_duals(q, basis)
-        assert min(y, default=0) >= 0
-        for j in range(n):
-            assert sum(y[i] * Fraction(float(A[i, j])) for i in range(m)) >= Fraction(float(c[j]))
-        assert np.abs(sol.y - [float(v) for v in y]).max(initial=0.0) <= lp._CHECK_TOL
-        z = exact_basic_solution(q, basis)
-        value = sum(Fraction(float(c[j])) * z[j] for j in range(n))
-        assert value == sum(yi * Fraction(float(b)) for yi, b in zip(y, q.rhs))
-        assert abs(sol.value - float(value)) <= 1e-12 * abs(float(value))
-        assert float(min(z)) >= -1e-12 * (1.0 + float(max(map(abs, z))))
+        _assert_basis_is_exactly_optimal(q, sol)
         checked.append(idx)
     assert len(checked) == 16
+
+
+def _assert_basis_is_exactly_optimal(q, sol):
+    """The final basis of ``sol``, solved in rational arithmetic, is dual
+    feasible with no tolerance and primal feasible within 1e-12 (1 + max |z|),
+    and the kernel's y and value round the exact ones."""
+    A, c = q.constraints, q.objective
+    m, n = A.shape
+    basis = sol.basis.tolist()
+    y = exact_duals(q, basis)
+    assert min(y, default=0) >= 0
+    for j in range(n):
+        assert sum(y[i] * Fraction(float(A[i, j])) for i in range(m)) >= Fraction(float(c[j]))
+    assert np.abs(sol.y - [float(v) for v in y]).max(initial=0.0) <= lp._CHECK_TOL
+    z = exact_basic_solution(q, basis)
+    value = sum(Fraction(float(c[j])) * z[j] for j in range(n))
+    assert value == sum(yi * Fraction(float(b)) for yi, b in zip(y, q.rhs))
+    assert abs(sol.value - float(value)) <= 1e-12 * abs(float(value))
+    assert float(min(z)) >= -1e-12 * (1.0 + float(max(map(abs, z))))
+
+
+def test_margin_lps_of_a_32_state_60_generator_set_have_exactly_optimal_bases(monkeypatch):
+    # ROADMAP item 7, route 1, at the size of the largest accept sets: a
+    # seeded log_shift set of 60 generators on 32 states, accepted under a
+    # planted functional w, and 8 queries, 4 inside the cone and 4 with
+    # w . u(g) <= -0.05.  Every margin LP the kernel solves is checked.
+    rng = np.random.default_rng(32)
+    m, n = 32, 60
+    space = StateSpace(tuple(f"s{i}" for i in range(m)))
+    w = rng.dirichlet(np.ones(m))
+
+    def draw(accepted):
+        while True:
+            g = np.round(rng.uniform(-0.9, 2.0, m), 3)
+            if (w @ np.log1p(g) >= 0) if accepted else (w @ np.log1p(g) <= -0.05):
+                return g
+
+    aset = AssessmentSet(space, LogShift(), tuple(Gamble(space, draw(True)) for _ in range(n)))
+    U = aset.transformed_generators()
+    queries = []
+    for k in range(8):
+        if k % 2:
+            queries.append(draw(False))
+        else:
+            lam = np.zeros(n)
+            picks = rng.choice(n, size=n // 5, replace=False)
+            lam[picks] = rng.exponential(1.0, picks.size)
+            queries.append(np.expm1(U @ lam + rng.uniform(0.01, 0.1, m)))
+    solved, real = [], lp.solve
+
+    def solve_and_keep(p):
+        sol = real(p)
+        solved.append((p, sol))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", solve_and_keep)
+    verdicts = [accept_decision(aset, Gamble(space, g)).accepted for g in queries]
+    monkeypatch.undo()
+    assert verdicts == [True, False] * 4
+    assert len(solved) == 8
+    for p, sol in solved:
+        assert p.constraints.shape == (m + 1, n + 1) and sol.status is LpStatus.OPTIMAL
+        _assert_basis_is_exactly_optimal(p, sol)
 
 
 def _assert_agrees_with_reference(p):
