@@ -228,7 +228,7 @@ def accepts(a: AssessmentSet, g: Gamble) -> bool:
 
 
 class PartialLossReport(Record, eq=False):
-    """Result of the sure-loss search; ``witness`` combines generators into a loss."""
+    """Result of :func:`check_partial_loss`: eps* as ``margin``; on a loss, the witness lam and U lam."""
 
     avoids: bool
     margin: float
@@ -239,25 +239,28 @@ class PartialLossReport(Record, eq=False):
 def check_partial_loss(a: AssessmentSet) -> PartialLossReport:
     """Search the transformed cone for an everywhere strictly negative element.
 
-    Decided by the LP  max eps : U lam <= -eps, sum lam <= 1, lam >= 0,
-    eps >= 0.  A positive optimum exhibits the violating combination.
+    By Gordan's alternative no lam >= 0 has U lam < 0 in every state iff t* >= 0, where
+    t* = L + d* = max over the simplex of min_i w . U_i is the fit LP's over the accepted
+    rows alone (:func:`_fit_rows`).  F1 holds iff eps* = max(0, -t*) <= 1e-9; by LP
+    duality eps* is the optimum of max eps : U lam + eps <= 0, sum lam <= 1.  On a loss
+    the witness lam is the accepted rows' duals y, clamped at 0 and l1-normalized (as
+    sum y >= 2 and b . y = d*, U lam <= t*); a loss without them raises NumericalInstability.
     """
     U = a.transformed_generators()
-    m, n = U.shape
-    objective = np.append(np.zeros(n), 1.0)
-    rows = np.vstack([np.column_stack([U, np.ones(m)]), np.append(np.ones(n), 0.0)])
-    rhs = np.append(np.zeros(m), 1.0)
-    problem = lp.LpProblem(objective, rows, rhs)
+    fit = _fit_rows(U, U[:, :0], 0.0)
+    problem = lp.LpProblem(np.append(np.zeros(U.shape[0] - 1), 2.0), fit.rows, fit.rhs)
     sol = lp.solve(problem)
-    if sol.status is not lp.LpStatus.OPTIMAL:  # lam = 0 is feasible; sum lam <= 1 bounds eps
+    if sol.status is not lp.LpStatus.OPTIMAL:  # w = e_k, h = 0 is feasible; the rows bound h
         raise NumericalInstability(f"partial-loss LP cannot be {sol.status}", problem)
-    margin = float(sol.value)
+    margin = max(0.0, -(fit.shift + float(sol.value)))
     if margin <= _TOL:
         return PartialLossReport(True, margin)
-    witness = np.array(sol.x[:n])
-    witness.flags.writeable = False
+    y = None if sol.y is None else np.maximum(sol.y[: U.shape[1]], 0.0)  # as _fit_lp clamps w
+    if y is None or not y.sum() > 0:
+        raise NumericalInstability("partial-loss LP found a loss without checked duals", problem)
+    witness = y / y.sum()
     combo = U @ witness
-    combo.flags.writeable = False
+    witness.flags.writeable = combo.flags.writeable = False
     return PartialLossReport(False, margin, witness=witness, combination=combo)
 
 
@@ -497,10 +500,9 @@ def audit(a: AssessmentSet) -> tuple[Finding, ...]:
     (avoiding partial loss) is then decided from F3's evidence when it can
     be: a rejection's certificate y with y >= 0 exactly (so sum y = 1, as y
     is l1-normalized) and min(y . U) >= -_TOL over the accepted columns U
-    (0 with none) shows that F1 holds with no LP.  Proof: for any lam >= 0
-    with sum lam <= 1 and U lam <= -eps per state,
-    -eps = -eps sum y >= y . U lam >= -_TOL sum lam >= -_TOL, so the
-    partial-loss LP's optimum eps* is <= _TOL, the bound under which
+    (0 with none) shows that F1 holds with no LP.  Proof: y is a point of
+    the simplex, so the fit-row LP's t* is >= min(y . U) >= -_TOL, and
+    eps* = max(0, -t*) <= _TOL, the bound under which
     :func:`check_partial_loss` reports that F1 holds.  Otherwise
     :func:`check_partial_loss` decides F1.  As F3 runs first, an audit whose
     F3 LP and partial-loss LP would both raise reports F3's error.
@@ -530,14 +532,8 @@ def audit(a: AssessmentSet) -> tuple[Finding, ...]:
     if not avoids:
         loss = check_partial_loss(a)
         if not loss.avoids:
-            findings.insert(
-                0,
-                Finding(
-                    "F1",
-                    f"witness lambda={_fmt_vec(loss.witness)} "
-                    f"combination={_fmt_vec(loss.combination)}",
-                ),
-            )
+            detail = f"witness lambda={_fmt_vec(loss.witness)} combination="
+            findings.insert(0, Finding("F1", detail + _fmt_vec(loss.combination)))
     return tuple(findings)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 
 from . import _backend
@@ -136,12 +137,15 @@ def compare(
 
 
 def _value(u: Utility, d: DiscountSpec, sch: PaymentSchedule, rounded) -> float:
-    # schedule_value's loop, for it and compare: stacklevel 3 names their caller.
+    # schedule_value's loop, for it and compare: the warning names the caller outside this module.
     if sch._has_states and not uses_states(d):
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals is globals():
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"schedule {sch.label!r} carries state labels but the discount "
             "regime is state-independent; labels are ignored",
-            stacklevel=3,
+            stacklevel=level,
         )
     total = 0.0
     try:

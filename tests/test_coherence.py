@@ -160,6 +160,23 @@ def test_partial_loss_witness():
     assert np.all(report.combination < 0)
 
 
+def test_a_partial_loss_without_checked_duals_is_a_numerical_instability(monkeypatch):
+    # The witness is read from the duals, so a loss whose duals failed the
+    # kernel's check raises, carrying the LP; a set with no loss needs none.
+    real_solve = lp.solve
+
+    def without_duals(p):
+        sol = real_solve(p)
+        return lp.LpSolution(sol.status, x=sol.x, value=sol.value, basis=sol.basis)
+
+    monkeypatch.setattr(lp, "solve", without_duals)
+    message = "^partial-loss LP found a loss without checked duals$"
+    with pytest.raises(NumericalInstability, match=message) as err:
+        check_partial_loss(linear_set([G(1, -2), G(-2, 1)]))
+    assert err.value.problem.constraints.shape == (3, 2)
+    assert check_partial_loss(linear_set([G(1, -1), G(-1, 1)])).avoids
+
+
 def test_fit_functional_nonnegative_generators():
     result = fit_functional(linear_set([G(1, 0), G(0, 1)]))
     assert isinstance(result, Functional)
@@ -1226,19 +1243,23 @@ def test_audit_solves_the_partial_loss_lp_when_no_certificate_decides_f1(
     monkeypatch, rejected, queries
 ):
     # No rejection certificate: the F3 queries over the set's cached matrix, if
-    # any, then the partial-loss LP over its own (m + 1) x (n + 1) rows.
+    # any, then the partial-loss LP: the fit rows of the accepted gambles, one
+    # per generator, and the simplex row, over (w without w_k, h).
     aset = AssessmentSet(S2, LogShift(), (G(1, -0.5), G(-0.5, 2)), rejected)
     expected, problems, real_solve = audit_by_dominates(aset), [], lp.solve
     monkeypatch.setattr(lp, "solve", lambda p: problems.append(p) or real_solve(p))
     assert audit(aset) == expected
     rows = aset._margin_rows()
     assert [p.constraints is rows for p in problems] == [True] * queries + [False]
-    partial_loss = problems[-1]
-    assert partial_loss.constraints.shape == (3, 3) and partial_loss.rhs.tolist() == [0.0, 0.0, 1.0]
+    partial_loss, U = problems[-1], aset.transformed_generators()
+    fit = coherence._fit_rows(U, np.zeros((2, 0)), 1e-6)
+    assert partial_loss.constraints.shape == (3, 2) and partial_loss.objective.tolist() == [0.0, 2.0]
+    assert np.array_equal(partial_loss.constraints, fit.rows)
+    assert partial_loss.rhs.tolist() == fit.rhs.tolist() == [(U[0, 0] - U.min()) / 2, 0.0, 1.0]
 
 
 def _highs_partial_loss(U):
-    """HiGHS's optimum eps* of check_partial_loss's LP: max eps s.t. U lam + eps <= 0, sum lam <= 1."""
+    """HiGHS's eps* = max eps s.t. U lam + eps <= 0, sum lam <= 1: check_partial_loss's margin, by LP duality."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     m, n = U.shape
     res = linprog(
@@ -1319,16 +1340,16 @@ def _mixed_scale_set():
 
 
 def test_audit_of_a_mixed_scale_set_reports_no_false_partial_loss():
-    # The partial-loss LP reports a loss whose witness needs a negative weight
-    # (see the xfail below); HiGHS finds eps* = 0, and rejected[1]'s
-    # certificate shows that F1 holds.
+    # The partial-loss LP reports a false loss (see the xfail below); HiGHS
+    # finds eps* = 0, and rejected[1]'s certificate shows that F1 holds.
     aset = _mixed_scale_set()
     assert audit(aset) == (coherence.Finding("F2", "rejected[0] dominates accepted[2]"),)
     assert _highs_partial_loss(aset.transformed_generators()) <= 1e-7
 
 
-# The kernel's absolute tolerances accept a witness with an entry of -7.8e-13
-# against generators near 1e6, so the LP reports eps = 3.1e-7 (ROADMAP item 1).
+# The kernel's absolute tolerances accept an optimum 3.1e-7 below the true
+# t* = 0 against generators near 1e6, so the LP reports eps = 3.1e-7, with a
+# witness whose combination is not negative in every state (ROADMAP item 1).
 @pytest.mark.xfail(raises=AssertionError, strict=True)
 def test_partial_loss_lp_on_a_mixed_scale_set_finds_no_loss():
     assert check_partial_loss(_mixed_scale_set()).avoids
@@ -1363,6 +1384,71 @@ def _planted_generators(rng, m, n):
         if w @ f >= 0 and f.max() >= 0:
             accepted.append(f)
     return w, accepted
+
+
+def _highs_least_score(U):
+    """HiGHS's t* = max over w on the simplex of min_i w . U_i, the signed form of eps* = max(0, -t*)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = U.shape
+    res = linprog(
+        np.append(np.zeros(m), -1.0),
+        A_ub=np.column_stack([-U.T, np.ones(n)]),
+        b_ub=np.zeros(n),
+        A_eq=np.append(np.ones(m), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=[(0, None)] * m + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _assert_partial_loss_matches_highs(aset):
+    """The report's margin is HiGHS's eps*, its verdict HiGHS's wherever |t*| > 1e-6, and a loss has a witness."""
+    U = aset.transformed_generators()
+    report, t = check_partial_loss(aset), _highs_least_score(U)
+    assert _highs_partial_loss(U) == pytest.approx(max(0.0, -t), abs=1e-9)  # LP duality
+    assert abs(report.margin - max(0.0, -t)) <= 1e-7
+    if abs(t) > 1e-6:
+        assert report.avoids == (t > 0)
+    if not report.avoids:
+        lam = report.witness
+        assert lam.min() >= 0 and abs(lam.sum() - 1) <= 1e-12
+        assert np.array_equal(report.combination, U @ lam) and report.combination.max() < 0
+    return report.avoids
+
+
+def test_partial_loss_on_random_linear_sets_matches_highs():
+    # 2-8 states and 1-11 generators, rewards in hundredths, a fifth of them
+    # scaled by 10: the fit-row LP's eps* is HiGHS's on each, losses or not.
+    rng = np.random.default_rng(31)
+    verdicts = []
+    for _ in range(200):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(1, 12))
+        accepted = []
+        while len(accepted) < n:
+            f = np.round(rng.uniform(-1.0, 1.0, m) * (10.0 if rng.random() < 0.2 else 1.0), 2)
+            if f.max() >= 0:
+                accepted.append(f)
+        verdicts.append(_assert_partial_loss_matches_highs(assessment_on(m, Linear(), accepted, [])))
+    assert 40 <= verdicts.count(False) <= 160
+
+
+@pytest.mark.parametrize("m", [64, 128, 200])
+def test_partial_loss_on_planted_sets_of_255_generators_matches_highs(m):
+    # 255 generators on a planted functional, so no partial loss, and the
+    # same set with its last two replaced by f and -f - 0.1, whose mean loses
+    # 0.05 in every state.  At 200 x 255 the zero-rhs LP that the fit rows
+    # replaced raised at the kernel's 100,000-pivot cap.
+    n = 255
+    rng = np.random.default_rng([m, n, 31])
+    _, accepted = _planted_generators(rng, m, n)
+    assert _assert_partial_loss_matches_highs(assessment_on(m, Linear(), accepted, []))
+    f = np.round(rng.uniform(-1.0, 1.0, m), 3)
+    f[:2] = 0.5, -0.5  # f and -f - 0.1 each have a nonnegative reward
+    loss = assessment_on(m, Linear(), accepted[:-2] + [f, -f - 0.1], [])
+    assert not _assert_partial_loss_matches_highs(loss)
+    assert check_partial_loss(loss).margin >= 0.05 - 1e-9
 
 
 @pytest.mark.parametrize("m, n", [(32, 128), (64, 255), (16, 200)])

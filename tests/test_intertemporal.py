@@ -319,9 +319,18 @@ def test_scan_domain_error_matches_shift_by_shift_loop():
 
 
 def test_scan_warns_on_labels_under_state_independent_regime():
+    # The warning names the caller's line, as compare's and schedule_value's
+    # do, also when a failing block is replayed shift by shift.
     labeled = PaymentSchedule((DatedPayment(10, 1, "s1"),), label="x")
-    with pytest.warns(UserWarning, match="state-independent"):
+    with pytest.warns(UserWarning, match="state-independent") as warned:
         reversal_scan(Linear(), Exponential(0.1), labeled, sched((12, 2)), [0, 1])
+    assert [w.filename for w in warned] == [__file__]
+    labeled = PaymentSchedule((DatedPayment(100, 0, "s1"),), label="x")
+    with warnings.catch_warnings(record=True) as warned, pytest.raises(DomainError):
+        warnings.simplefilter("always")
+        reversal_scan(Sqrt(), Exponential(1.0), labeled, sched((100, 3)), [0, 6], round_factors=True)
+    # The baseline, then the replay's shifts 0 and 6, which raises.
+    assert len(warned) == 3 and {w.filename for w in warned} == {__file__}
 
 
 # -- the grid scan against one scalar compare per shift ------------------------

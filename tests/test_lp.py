@@ -14,6 +14,7 @@ from desirables import (
     AssessmentSet,
     DimensionError,
     Gamble,
+    Linear,
     LogShift,
     NumericalInstability,
     StateSpace,
@@ -416,7 +417,8 @@ def test_pivot_on_a_tiny_entry_raises_and_carries_the_problem():
 
 
 def test_overflowing_tableau_raises_numerical_instability():
-    # The partial-loss LP of generators (1e308, -1e308) and (-1e308, 1e308).
+    # max eps s.t. U lam + eps <= 0, sum lam <= 1 over the generators
+    # (1e308, -1e308) and (-1e308, 1e308).
     rows = [[1e308, -1e308, 1.0], [-1e308, 1e308, 1.0], [1.0, 1.0, 0.0]]
     p = LpProblem((0.0, 0.0, 1.0), rows, [0.0, 0.0, 1.0])
     with pytest.raises(NumericalInstability, match="^tableau arithmetic failed: overflow") as info:
@@ -769,6 +771,46 @@ def test_margin_lps_of_a_32_state_60_generator_set_have_exactly_optimal_bases(mo
     for p, sol in solved:
         assert p.constraints.shape == (m + 1, n + 1) and sol.status is LpStatus.OPTIMAL
         _assert_basis_is_exactly_optimal(p, sol)
+
+
+def test_partial_loss_lps_have_exactly_optimal_bases_and_exact_witnesses(monkeypatch):
+    # ROADMAP item 7 on check_partial_loss's LP, the fit rows of the accepted
+    # gambles: linear sets of 12 generators on 6 states, three on a planted
+    # functional (no loss) and three whose last two generators f and -f - 0.1
+    # lose 0.05 on average.  Every final basis is exactly optimal, and on a
+    # loss the exact duals of the accepted rows, normalized, give U lam < 0
+    # in every state in rational arithmetic.
+    rng = np.random.default_rng(7)
+    m, n = 6, 12
+    space = StateSpace(tuple(f"s{i}" for i in range(m)))
+    sets = []
+    for k in range(6):
+        w, accepted = rng.dirichlet(np.ones(m)), []
+        while len(accepted) < n:
+            f = np.round(rng.uniform(-1.0, 1.0, m), 3)
+            if w @ f >= 0 and f.max() >= 0:
+                accepted.append(f)
+        if k % 2:
+            f = np.round(rng.uniform(-1.0, 1.0, m), 3)
+            f[:2] = 0.5, -0.5
+            accepted[-2:] = f, -f - 0.1
+        sets.append(AssessmentSet(space, Linear(), tuple(Gamble(space, f) for f in accepted)))
+    solved, real = [], lp.solve
+    monkeypatch.setattr(lp, "solve", lambda p: solved.append((p, real(p))) or solved[-1][1])
+    reports = [coherence.check_partial_loss(a) for a in sets]
+    monkeypatch.undo()
+    assert [r.avoids for r in reports] == [True, False] * 3 and len(solved) == 6
+    for a, report, (p, sol) in zip(sets, reports, solved):
+        assert p.constraints.shape == (n + 1, m) and sol.status is LpStatus.OPTIMAL
+        _assert_basis_is_exactly_optimal(p, sol)
+        if report.avoids:
+            continue
+        y = exact_duals(p, sol.basis.tolist())[:n]
+        lam = [v / sum(y) for v in y]
+        U = [[Fraction(float(v)) for v in row] for row in a.transformed_generators()]
+        assert min(lam) >= 0
+        assert all(sum(u * l for u, l in zip(row, lam)) < 0 for row in U)
+        assert np.abs(report.witness - [float(v) for v in lam]).max() <= 1e-12
 
 
 def _assert_agrees_with_reference(p):
