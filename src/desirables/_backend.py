@@ -1,21 +1,31 @@
 """Elementwise backends for the valuation formulas.
 
 Every utility, reparameterization and discount regime writes its formula
-once, against a backend ``xp`` that supplies the elementwise functions:
-:data:`SCALAR` evaluates a formula on one float with :mod:`math` (the cost
-of the scalar entry points is that of plain ``math`` code), and :data:`GRID`
-evaluates it on a numpy array, e.g. a shifts x payments grid.  numpy's
-``exp``/``log1p``/``pow`` may differ from libm's in the last bits, so a grid
-cell can differ from the scalar value of the same cell by a few ulps.
+once, against a backend ``xp`` that supplies the elementwise functions.
+There are three backends:
+
+- :data:`SCALAR` evaluates a formula on one float with :mod:`math` (the
+  cost of the scalar entry points is that of plain ``math`` code).
+- :data:`GRID` evaluates it on a numpy array, e.g. a shifts x payments grid.
+  numpy's ``exp``/``log1p``/``pow`` may differ from libm's in the last bits,
+  so a grid cell can differ from the scalar value of the same cell by a few
+  ulps.
+- :data:`TRACE` runs it once on symbolic operands (:class:`Tape`) and records
+  each operation, in order, as a line of Python source that computes what
+  :data:`SCALAR` computes, so the line runs :mod:`math` on floats.
+
 ``each(fn, v)`` runs a per-payment scalar function on ``v`` (on each entry,
 under :data:`GRID`); ``segment(xs, w)`` finds the table interval serving ``w``.
-:data:`SCALAR` needs only the standard library; :data:`GRID`, and numpy with
-it, is built on first use.
+A formula branches only on constants, never on its operands: under
+:data:`TRACE` an operand that decides a branch raises ``TypeError``.
+:data:`SCALAR` and :data:`TRACE` need only the standard library; :data:`GRID`,
+and numpy with it, is built on first use.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import sys
 from types import ModuleType
@@ -89,6 +99,93 @@ SCALAR = _backend(
 )
 
 
+class Tape:
+    """The Python source of a formula run on symbolic operands.
+
+    ``lines`` holds one assignment ``vN = ...`` per operation, in the order
+    the formula ran them.  A constant, function or table an operation reads
+    is appended to ``values`` and named ``_kI`` after its index there, so the
+    source holds only operators and generated names and formulas of one
+    shape give one source.  ``read`` is the set of operand names used.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.values: list = []
+        self.read: set[str] = set()
+
+    def operand(self, name: str) -> _Sym:
+        """A symbolic operand that the source reads as ``name``."""
+        return _Sym(self, name)
+
+    def name(self, value) -> str:
+        """The source text of ``value``: its name if symbolic, else a new bound name."""
+        if isinstance(value, _Sym):
+            self.read.add(value.name)
+            return value.name
+        self.values.append(value)
+        return f"_k{len(self.values) - 1}"
+
+    def record(self, template: str, *operands) -> _Sym:
+        result = _Sym(self, f"v{len(self.lines)}")
+        self.lines.append(f"{result.name} = " + template.format(*map(self.name, operands)))
+        return result
+
+
+class _Sym:
+    """A symbolic operand: each operator records one line on its tape."""
+
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape: Tape, name: str):
+        self.tape, self.name = tape, name
+
+    def __bool__(self):
+        frame = sys._getframe(1)
+        owner = frame.f_locals.get("self")
+        who = type(owner).__qualname__ if owner is not None else frame.f_code.co_name
+        raise TypeError(f"{who}: a traced operand decides a branch; formulas branch only on constants")
+
+
+def _traced(template: str, scalar):
+    """A TRACE function: ``scalar`` on constants, on a symbolic operand one ``template`` line."""
+
+    def fn(*args):
+        for a in args:
+            if isinstance(a, _Sym):
+                return a.tape.record(template, *args)
+        return scalar(*args)
+
+    return fn
+
+
+# An operator method's first operand is symbolic, so it never calls its scalar.
+for _name, _symbol in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("pow", "**")):
+    setattr(_Sym, f"__{_name}__", _traced("{0} %s {1}" % _symbol, None))
+    setattr(_Sym, f"__r{_name}__", _traced("{1} %s {0}" % _symbol, None))
+for _name, _symbol in (("eq", "=="), ("ne", "!="), ("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">=")):
+    setattr(_Sym, f"__{_name}__", _traced("{0} %s {1}" % _symbol, None))
+_Sym.__neg__ = _traced("-{}", None)
+_call1 = _traced("{}({})", SCALAR.each)
+_call2 = _traced("{}({}, {})", lambda fn, a, b: fn(a, b))
+
+#: One symbolic run, recorded as the source of what :data:`SCALAR` computes.
+TRACE = _backend(
+    "trace",
+    asfloat=lambda v: v,  # the traced operand, a product of floats, is a float
+    exp=functools.partial(_call1, math.exp),
+    log1p=functools.partial(_call1, math.log1p),
+    sqrt=functools.partial(_call1, math.sqrt),
+    abs=functools.partial(_call1, abs),
+    copysign=functools.partial(_call2, math.copysign),
+    where=_traced("{1} if {0} else {2}", SCALAR.where),
+    round2=lambda v: _call2(round, v, 2),
+    each=_call1,
+    segment=functools.partial(_call2, _segment),
+    take=_traced("{}[{}]", SCALAR.take),
+)
+
+
 def __getattr__(name):
     # GRID (elementwise, numpy) and the ``np`` its _*_grid helpers read, bound on first read.
     global GRID, np
@@ -112,6 +209,23 @@ def __getattr__(name):
         errstate=np.errstate,
     )
     return GRID
+
+
+def memo_grid() -> ModuleType:
+    """:data:`GRID` whose ``each`` runs once per function and operand.
+
+    Operands are told apart by identity, so the memo serves one scan, whose
+    per-payment rewards and states stay the same objects in every block.
+    """
+    memo = {}
+
+    def each(fn, v):
+        key = fn, id(v)  # a bound method hashes and compares its instance by identity
+        if key not in memo:
+            memo[key] = _each_grid(fn, v)
+        return memo[key]
+
+    return _backend("grid", **{**vars(getattr(sys.modules[__name__], "GRID")), "each": each})
 
 
 def check_each(check, values, ok) -> None:

@@ -6,8 +6,6 @@ values are defaults.  The methods are shared and read the field names, except
 decorator generates.  ``eq=False`` keeps identity equality, as in a dataclass.
 """
 
-from dataclasses import FrozenInstanceError
-
 
 def _compiling_init(cls):
     def __init__(self, *args, **kwargs):
@@ -56,8 +54,11 @@ class Record:
         fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    # dataclasses is imported only to raise: it imports inspect, ast, dis and tokenize.
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")

@@ -16,10 +16,10 @@ factor to two decimals and a hybrid combines the rounded components without
 re-rounding, with Python's ``round`` semantics on arrays too.
 
 Each regime writes ``_factor`` once against a backend ``xp``
-(:mod:`desirables._backend`): ``factor`` on a float uses :mod:`math`, on a
-numpy array of delays it uses numpy.  ``factor`` rejects a delay that is not
->= 0 (NaN included); :mod:`desirables.intertemporal` calls ``_factor`` on
-times and shifts it has already checked.
+(:mod:`desirables._backend`): ``factor`` evaluates it on one float with
+:mod:`math` and rejects a delay that is not >= 0 (NaN included).
+:mod:`desirables.intertemporal` calls ``_factor`` on times and shifts it has
+already checked, on a numpy grid of delays or traced into a valuation loop.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-from . import _backend
-from ._backend import SCALAR, check_each, is_array
+from ._backend import SCALAR
 from ._record import Record
 from .errors import DomainError, MissingArgument, UnknownState
 
@@ -66,18 +65,12 @@ class DiscountSpec:
         s: str | None = None,
         *,
         round_factors: bool = False,
-    ):
+    ) -> float:
         """Discount factor at delay ``t`` (reward ``x`` / state ``s`` where required).
 
-        ``t`` may be a numpy array (e.g. shifts x payments); the factor is then
-        an array, and ``x`` and ``s`` are one value or one per last-axis column.
         A delay that is not >= 0 (NaN included) raises DomainError naming it.
         """
         if type(t) is not float:
-            if is_array(t):
-                t = t.astype(float, copy=False)
-                check_each(_reject_delay, t, t >= 0)
-                return self._factor(t, x, s, round_factors, _backend.GRID)
             t = float(t)
         if not t >= 0:
             _reject_delay(t)
@@ -91,6 +84,11 @@ class DiscountSpec:
 
     def _depth(self) -> int:
         return 1 + max((part._depth() for part in self._parts()), default=0)
+
+    def __getstate__(self):
+        # Without the valuation loops intertemporal caches here (``_loops``):
+        # they are functions of this process, compiled again on first use.
+        return {k: v for k, v in vars(self).items() if k != "_loops"}
 
 
 def _reject_delay(t) -> None:

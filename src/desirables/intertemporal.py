@@ -10,11 +10,17 @@ shift that is not >= 0 (NaN included).  ``schedule_value``, ``compare`` and
 the scan's grid trust them and call the regime's ``_factor`` without
 ``factor``'s delay check; ``effective_utility`` goes through ``factor``.
 
+``schedule_value`` and ``compare`` run one loop per (utility, regime,
+rounding), generated from the :data:`~desirables._backend.TRACE` record of the
+regime's ``_factor`` and the utility's ``_eval`` and cached on the regime.  It
+inlines the factor and ``Utility.eval``'s checks, so a payment makes no
+Python call but per-payment scalar code (eta(x), state rates) and ``math``.
+
 ``reversal_scan`` evaluates the scalar formulas of ``schedule_value`` on a
 grid of delays (shifts x the payments of ``a`` then ``b``) in ceil(N / 128)
 blocks of near-equal shift counts: one ``_factor`` and one ``eval`` call per
 block, per-payment quantities (eta(x), state rates) once per payment and
-block.  Each side of a block is transposed to a contiguous payments x shifts
+scan.  Each side of a block is transposed to a contiguous payments x shifts
 array and summed by one ``np.add.reduce`` over its rows, which numpy adds in
 order, so each shift's value is its payments added left to right from 0.0,
 as ``schedule_value`` adds them.  numpy sums a block of one shift pairwise
@@ -29,6 +35,7 @@ it, naming the payment (see ``schedule_value``).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 import warnings
@@ -117,7 +124,7 @@ def schedule_value(
     ``payment {i} (amount=..., t=...)``, and before that with
     ``schedule "{label}"`` when the schedule has a label.
     """
-    return _value(u, d, sch, round_factors)
+    return _loop(u, d, round_factors)(sch)
 
 
 def compare(
@@ -132,34 +139,123 @@ def compare(
     """Preference between two schedules; Indifferent within absolute ``tol`` (0 <= tol < inf)."""
     if not 0.0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    va, vb = _value(u, d, a, round_factors), _value(u, d, b, round_factors)
+    loop = _loop(u, d, round_factors)
+    va, vb = loop(a), loop(b)
     return _PREFERENCES[(va > vb + tol) + 2 * (vb > va + tol)]
 
 
-def _value(u: Utility, d: DiscountSpec, sch: PaymentSchedule, rounded) -> float:
-    # schedule_value's loop, for it and compare: the warning names the caller outside this module.
-    if sch._has_states and not uses_states(d):
-        frame, level = sys._getframe(1), 2
-        while frame.f_globals is globals():
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"schedule {sch.label!r} carries state labels but the discount "
-            "regime is state-independent; labels are ignored",
-            stacklevel=level,
-        )
-    total = 0.0
+def _loop(u: Utility, d: DiscountSpec, rounded):
+    """schedule_value's loop for (u, d, rounded): compiled once, then read from ``d._loops``.
+
+    ``d._loops`` holds two dicts, for rounded and unrounded factors, read as
+    ``_loops[not rounded]`` and keyed by ``id(u)``.  A loop's closure holds
+    ``u``'s bound methods, so while it is cached its key names no other
+    utility.  The loop reads ``u``'s and ``d``'s parameters once, when it is
+    compiled: both are frozen records.
+    """
     try:
-        # effective_utility, inlined, with the regime's own _factor: a
-        # payment's time is a float >= 0 (DatedPayment checked it).
-        for i, p in enumerate(sch.payments):
-            x = p.amount
-            total += u.eval(d._factor(p.time, x, p.state, rounded) * x)
-    except DesirablesError as exc:
-        where = f'schedule "{sch.label}" ' if sch.label else ""
-        raise type(exc)(
-            f"{where}payment {i} (amount={p.amount:g}, t={p.time:g}): {exc}"
-        ) from None
-    return total
+        return d._loops[not rounded][id(u)]
+    except (AttributeError, KeyError):
+        pass
+    tape = _backend.Tape()
+    t, x, s = map(tape.operand, ("t", "x", "s"))
+    w = d._factor(t, x, s, bool(rounded), _backend.TRACE) * x
+    n = len(tape.lines)
+    v = tape.name(u._eval(w, _backend.TRACE))
+    names = {
+        "warn": "" if uses_states(d) else _WARN.format(warn_labels=tape.name(_warn_labels)),
+        "lo": tape.name(u.domain_lo),
+        "check_domain": tape.name(u._check_domain),
+        "not_finite": tape.name(u._not_finite),
+        "neg_inf": tape.name(-math.inf),
+        "inf": tape.name(math.inf),
+        "error": tape.name(DesirablesError),
+        "fail": tape.name(_payment_error),
+    }
+    fields = (("x", "amount"), ("t", "time"), ("s", "state"))
+    reads = [f"{name} = p.{field}" for name, field in fields if name in tape.read]
+    source = _LOOP.format(
+        values=", ".join(f"_k{i}" for i in range(len(tape.values))),
+        factor=_indent(reads + tape.lines[:n], 16),
+        utility=_indent(tape.lines[n:] or ["pass"], 20),
+        w=w.name,
+        v=v,
+        **names,
+    )
+    loop = _builder(source)(*tape.values)
+    loops = vars(d).setdefault("_loops", ({}, {}))[not rounded]
+    if len(loops) >= _MAX_LOOPS:
+        del loops[next(iter(loops))]
+    loops[id(u)] = loop
+    return loop
+
+
+# schedule_value's loop, with the regime's _factor and the utility's eval
+# inlined from their TRACE record ({factor} and {utility}).  A payment's time
+# is a float >= 0 (DatedPayment checked it), so there is no delay check;
+# eval's checks are kept, and the payments' values are added left to right
+# from 0.0.  Only state-independent regimes warn about labels ({warn}).
+_LOOP = """\
+def build({values}):
+    def loop(sch):
+{warn}        total = 0.0
+        try:
+            for p in sch.payments:
+{factor}
+                if not {w} > {lo}:
+                    {check_domain}({w})
+                try:
+{utility}
+                except OverflowError:
+                    {not_finite}({w})
+                if not {neg_inf} < {v} < {inf}:
+                    {not_finite}({w})
+                total += {v}
+        except {error} as exc:
+            {fail}(exc, sch, p)
+        return total
+    return loop
+"""
+_WARN = """\
+        if sch._has_states:
+            {warn_labels}(sch)
+"""
+
+# Most loops cached on one regime per rounding, and most loop sources kept compiled.
+_MAX_LOOPS = 64
+_MAX_SHAPES = 256
+
+
+def _indent(lines, width):
+    return "\n".join(" " * width + line for line in lines)
+
+
+@functools.lru_cache(maxsize=_MAX_SHAPES)
+def _builder(source: str):
+    # One code object per formula shape; each (u, d, rounded) binds its own
+    # values.  The loops share this module's globals, so _warn_labels walks
+    # past them as past compare.
+    namespace = {}
+    exec(compile(source, "<valuation loop>", "exec"), globals(), namespace)
+    return namespace["build"]
+
+
+def _warn_labels(sch: PaymentSchedule) -> None:
+    # The warning names the first caller outside this module.
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    warnings.warn(
+        f"schedule {sch.label!r} carries state labels but the discount "
+        "regime is state-independent; labels are ignored",
+        stacklevel=level,
+    )
+
+
+def _payment_error(exc: DesirablesError, sch: PaymentSchedule, p: DatedPayment):
+    i = next(i for i, q in enumerate(sch.payments) if q is p)
+    where = f'schedule "{sch.label}" ' if sch.label else ""
+    raise type(exc)(f"{where}payment {i} (amount={p.amount:g}, t={p.time:g}): {exc}") from None
 
 
 def shift_schedule(sch: PaymentSchedule, delta: float) -> PaymentSchedule:
@@ -231,6 +327,7 @@ def reversal_scan(
     grid = np.array(deltas * 2 if len(deltas) == 1 else deltas)
     n, blocks = len(grid), -(-len(grid) // _BLOCK_SHIFTS)
     va, vb = np.empty(n), np.empty(n)
+    xp = _backend.memo_grid()  # x and states are the same objects in every block
     # Sums and products that overflow are inf, as in the scalar formulas.
     with np.errstate(over="ignore"):
         for i in range(blocks):
@@ -238,7 +335,7 @@ def reversal_scan(
             # Times and shifts are floats >= 0, so t is too: no delay check.
             t = times[None, :] + grid[block, None]
             try:
-                cells = u.eval(d._factor(t, x, states, round_factors, _backend.GRID) * x)
+                cells = u.eval(d._factor(t, x, states, round_factors, xp) * x)
             except DesirablesError:
                 # Replay the block shift by shift, so the error names its payment.
                 for delta in grid[block].tolist():

@@ -67,7 +67,7 @@ from desirables import (
     check_partial_loss,
     dominates,
 )
-from desirables import lp
+from desirables import _backend, lp
 from desirables.gamble import _check_same_space
 
 # Margin tolerance of the coherence LPs.
@@ -341,13 +341,14 @@ def sum_columns(cells):
 def scan_grid_sums(u, d, a0, b0, shifts, *, round_factors=False):
     """Reference ``value_a`` and ``value_b`` of a reversal scan: the grid cells
     u(D(t + delta) x) of every sorted shift (rows) and payment of ``a0`` then
-    ``b0`` (columns), evaluated as one array, and each side's columns summed by
+    ``b0`` (columns), evaluated as one array by the regime's ``_factor`` under
+    ``GRID`` (as the scan calls it), and each side's columns summed by
     :func:`sum_columns`."""
     deltas = np.array(sorted(float(s) for s in shifts))
     payments = a0.payments + b0.payments
     x = np.array([p.amount for p in payments])
     t = np.array([p.time for p in payments])[None, :] + deltas[:, None]
-    cells = u.eval(d.factor(t, x, [p.state for p in payments], round_factors=round_factors) * x)
+    cells = u.eval(d._factor(t, x, [p.state for p in payments], round_factors, _backend.GRID) * x)
     n_a = len(a0.payments)
     return sum_columns(cells[:, :n_a]), sum_columns(cells[:, n_a:])
 

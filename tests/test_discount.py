@@ -25,6 +25,7 @@ from desirables import (
     factor,
     uses_states,
 )
+from desirables import _backend
 
 
 def _all_kinds():
@@ -317,7 +318,11 @@ def test_hybrid_stays_between_components_hypothesis(lam, t):
     assert lo - 1e-15 <= mixed <= hi + 1e-15
 
 
-# -- array factors -----------------------------------------------------------
+# -- array factors: _factor under the GRID backend, as reversal_scan runs it ----
+def _grid(d, t, x=None, s=None, rounded=False):
+    return d._factor(t, x, s, rounded, _backend.GRID)
+
+
 def _grid_kinds():
     """Every regime with per-payment rewards and states for a 3-payment grid."""
     x = np.array([5.0, 120.0, 2000.0])
@@ -339,7 +344,7 @@ def _grid_kinds():
 def test_array_factor_matches_scalar_per_cell(rounded):
     t = np.array([0.0, 0.25, 1.0, 3.5, 17.0, 60.0])[:, None] + np.array([0.0, 1.0, 2.5])[None, :]
     for d, x, states in _grid_kinds():
-        grid = d.factor(t, x, states, round_factors=rounded)
+        grid = _grid(d, t, x, states, rounded)
         assert grid.shape == t.shape
         for (i, j), value in np.ndenumerate(grid):
             s = None if states is None else states[j]
@@ -351,21 +356,21 @@ def test_array_factor_matches_scalar_per_cell(rounded):
 def test_array_factor_takes_one_reward_or_state_for_all_columns():
     t = np.linspace(0.0, 10.0, 11)
     d = ScaleDependent(Exponential(1.0), InverseLog(10.0))
-    assert d.factor(t, 100.0) == pytest.approx([d.factor(float(v), 100.0) for v in t], rel=1e-15)
+    assert _grid(d, t, 100.0) == pytest.approx([d.factor(float(v), 100.0) for v in t], rel=1e-15)
     s = StateDependent({"s1": 0.05})
-    assert s.factor(t, s="s1") == pytest.approx([s.factor(float(v), s="s1") for v in t], rel=1e-15)
+    assert _grid(s, t, s="s1") == pytest.approx([s.factor(float(v), s="s1") for v in t], rel=1e-15)
 
 
 def test_array_factor_keeps_scalar_errors():
     t = np.zeros((2, 2))
     with pytest.raises(MissingArgument):
-        ScaleDependent(Exponential(1.0), InverseLog()).factor(t)
+        _grid(ScaleDependent(Exponential(1.0), InverseLog()), t)
     with pytest.raises(DomainError, match="outside eta domain"):
-        ScaleDependent(Exponential(1.0), InverseLog()).factor(t, np.array([5.0, 0.5]))
+        _grid(ScaleDependent(Exponential(1.0), InverseLog()), t, np.array([5.0, 0.5]))
     with pytest.raises(MissingArgument):
-        StateDependent({"s1": 0.1}).factor(t, None, ["s1", None])
+        _grid(StateDependent({"s1": 0.1}), t, None, ["s1", None])
     with pytest.raises(UnknownState):
-        StateDependent({"s1": 0.1}).factor(t, None, ["s1", "s9"])
+        _grid(StateDependent({"s1": 0.1}), t, None, ["s1", "s9"])
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf, -1.0])
@@ -373,8 +378,8 @@ def test_delay_must_be_nonnegative_and_is_named(bad):
     for d, x, s in _all_kinds():
         with pytest.raises(DomainError, match=f"delay must be nonnegative, got {bad!r}"):
             d.factor(bad, x, s)
-        # On an array the first failing delay (row-major) is named.
-        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+        # factor takes one delay; the grid's delays are checked by reversal_scan.
+        with pytest.raises(TypeError):
             d.factor(np.array([[0.0, 1.0], [bad, -2.0]]), x, s)
 
 
@@ -400,12 +405,12 @@ def test_paper_rounding_on_arrays_uses_python_round():
     t = np.array([_delay_with_factor(0.5, v) for v in targets])
     scalar = [d.factor(float(v), round_factors=True) for v in t]
     assert scalar == [0.01, 0.07, 0.49, 0.12]
-    assert d.factor(t, round_factors=True).tolist() == scalar
+    assert _grid(d, t, rounded=True).tolist() == scalar
     # Every two-decimal halfway point in (0, 1], and a dense sweep of delays.
     halves = np.array([(2 * i + 1) / 200 for i in range(100)])
     t = np.concatenate([(1.0 / halves - 1.0) / 0.5, np.linspace(0.0, 400.0, 20001)])
     for spec in (d, Hybrid(0.5, Exponential(0.05), d), QuasiHyperbolic(0.7, 0.95)):
-        grid = spec.factor(t, round_factors=True).tolist()
+        grid = _grid(spec, t, rounded=True).tolist()
         assert grid == [spec.factor(float(v), round_factors=True) for v in t]
 
 

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from desirables import (
     Composed,
     DatedPayment,
     DesirablesError,
+    DiscountSpec,
     DomainError,
     Exponential,
     Hybrid,
@@ -32,6 +35,7 @@ from desirables import (
     StateDependent,
     TabulatedEta,
     UnknownState,
+    Utility,
     check_scale_monotonicity,
     compare,
     effective_utility,
@@ -40,6 +44,8 @@ from desirables import (
     shift_schedule,
     uses_states,
 )
+from desirables import _backend, intertemporal
+from desirables._backend import SCALAR
 from oracles import scan_by_compare, scan_grid_sums, schedule_value_by_payment
 
 
@@ -674,3 +680,116 @@ def test_edge_delays_give_the_oracles_bits_or_errors(d, u, rounded):
             assert [v.hex() for v in got.value_a] == [v.hex() for v in sum_a.tolist()]
             assert [v.hex() for v in got.value_b] == [v.hex() for v in sum_b.tolist()]
             assert [p for _, p in got.trace] == list(map(_band, sum_a.tolist(), sum_b.tolist()))
+
+
+# -- compiled valuation loops ---------------------------------------------------
+# schedule_value and compare run one loop per (utility, regime, rounding),
+# generated from the TRACE record of the regime's _factor and the utility's
+# _eval; every kind must keep the bits and the errors of the per-payment fold.
+_EVERY_UTILITY = [
+    Linear(),
+    LogShift(),
+    Sqrt(),
+    PowerDiscounted(0.4),
+    Composed(LogShift(), PhiScale(2.0)),
+    Composed(Sqrt(), PhiPower(0.7)),
+    Composed(LogShift(), PhiPoly((0.0, 1.0, 0.05))),
+    Composed(LogShift(), PhiTable((-10.0, 0.0, 1.0, 5.0, 100.0), (-20.0, 0.0, 2.0, 6.0, 50.0))),
+    _OVERFLOWING,
+]
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+@pytest.mark.parametrize("u", _EVERY_UTILITY, ids=lambda u: f"{u.kind}-{type(getattr(u, 'phi', u)).__name__}")
+@pytest.mark.parametrize("d", _EDGE_REGIMES, ids=lambda d: d.kind)
+def test_compiled_loops_give_the_folds_bits_and_errors(d, u, rounded):
+    labels = sorted(_STATES) if uses_states(d) else [None]
+    clean = (DatedPayment(30.0, 0.0, labels[0]), DatedPayment(250.0, 4.5, labels[-1]))
+    schedules = [PaymentSchedule(clean, "A"), PaymentSchedule(clean[1:])]
+    # An infinite reward: inf or NaN where eval's finiteness or domain check must see it.
+    breakages = {**_BREAKAGES, "infinite": (math.inf, 0)}
+    for i, (name, (amount, state)) in enumerate(sorted(breakages.items())):
+        broken = DatedPayment(amount, 2.0, labels[0] if state == 0 else state)
+        schedules.append(PaymentSchedule((*clean, broken), name if i % 2 else ""))
+    for sch in schedules:
+        _assert_valuation_matches_the_fold(u, d, sch, rounded)
+    for a, b in itertools.product(schedules, repeat=2):
+        got = _bits_or_error(lambda: compare(u, d, a, b, round_factors=rounded))
+        assert got == _bits_or_error(lambda: _compare_by_fold(u, d, a, b, rounded))
+
+
+class _BranchingRegime(DiscountSpec):
+    def _factor(self, t, x, s, rounded, xp=SCALAR):
+        return 1.0 if t < 5.0 else 0.5
+
+
+class _BranchingUtility(Utility):
+    def _eval(self, x, xp=SCALAR):
+        return x if x > 0.0 else 2.0 * x
+
+
+def test_a_formula_that_branches_on_its_operand_cannot_be_compiled():
+    sch = sched((10.0, 1.0))
+    assert _BranchingRegime().factor(1.0) == 1.0 and _BranchingUtility().eval(-1.0) == -2.0
+    with pytest.raises(TypeError, match=r"^_BranchingRegime: a traced operand decides a branch"):
+        schedule_value(LogShift(), _BranchingRegime(), sch)
+    with pytest.raises(TypeError, match=r"^_BranchingUtility: a traced operand decides a branch"):
+        compare(_BranchingUtility(), Hyperbolic(0.5), sch, sch)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [StateDependent(_STATES), Hybrid(0.4, Exponential(0.1), Hybrid(0.5, StateDependent(_STATES), Hyperbolic(1.0)))],
+    ids=lambda d: d.kind,
+)
+def test_regimes_round_trip_pickle_and_deepcopy_after_valuing(d):
+    sch = PaymentSchedule((DatedPayment(30.0, 1.0, "boom"), DatedPayment(80.0, 6.0, "bust")), "A")
+    value = schedule_value(LogShift(), d, sch, round_factors=True)
+    assert compare(Sqrt(), d, sch, sch) is Preference.INDIFFERENT
+    assert len(d._loops[0]) == len(d._loops[1]) == 1
+    for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert clone == d and hash(clone) == hash(d) and repr(clone) == repr(d)
+        assert "_loops" not in vars(clone)
+        assert schedule_value(LogShift(), clone, sch, round_factors=True).hex() == value.hex()
+
+
+def test_alternating_utilities_compile_each_pair_once(monkeypatch):
+    tapes = []
+
+    class CountingTape(_backend.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(_backend, "Tape", CountingTape)
+    d, utilities = Hyperbolic(0.5), (LogShift(), Sqrt())
+    a, b = sched((10.0, 1.0), (20.0, 3.0)), sched((25.0, 4.0))
+    for _ in range(3):
+        for u in utilities:
+            for rounded in (False, True):
+                compare(u, d, a, b, round_factors=rounded)
+                schedule_value(u, d, a, round_factors=rounded)
+    assert len(tapes) == 4
+    assert [set(loops) for loops in d._loops] == [set(map(id, utilities))] * 2
+
+
+def test_pairs_of_one_shape_share_one_code_object():
+    # The shape is the source: operators and generated names, never values,
+    # so log1p and sqrt (one bound call each) give one shape too.
+    hybrids = [Hybrid(0.3, Hyperbolic(0.5), QuasiHyperbolic(0.7, 0.9)), Hybrid(0.6, Hyperbolic(2.0), QuasiHyperbolic(0.9, 0.95))]
+    pairs = [
+        (LogShift(), Exponential(0.1)),
+        (LogShift(), Exponential(0.2)),
+        (Sqrt(), Exponential(0.1)),
+        (PowerDiscounted(0.5), Exponential(0.1)),
+        (LogShift(), hybrids[0]),
+        (LogShift(), hybrids[1]),
+    ]
+    loops = [intertemporal._loop(u, d, False) for u, d in pairs]
+    assert len(set(map(id, loops))) == len(pairs)
+    codes = [loop.__code__ for loop in loops]
+    assert codes[0] is codes[1] is codes[2] and codes[4] is codes[5]
+    assert len(set(map(id, codes))) == 3
+    sch = sched((10.0, 1.0), (30.0, 2.0))
+    for (u, d), loop in zip(pairs, loops):
+        assert loop(sch) == schedule_value_by_payment(u, d, sch)

@@ -130,6 +130,27 @@ def test_eval_curves_and_early_exits_load_no_numpy(argv, exit_code):
     assert loaded_after(code) == ["[]", "[]"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [_config("eval", "hyperbolic_projects.conf"), ["curves", "--regime", "quasi", "--t", "0:3:1", *CURVES["quasi"]]],
+    ids=lambda argv: argv[0],
+)
+def test_eval_and_curves_import_no_dataclasses(argv):
+    # Record imports dataclasses (and with it inspect, ast, dis and tokenize)
+    # only to raise FrozenInstanceError, which it still raises.
+    code = (
+        "import desirables.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert desirables.cli.main({argv!r}) == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "try:\n"
+        "    desirables.Hyperbolic(1.0).k = 2.0\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__module__ + '.' + type(exc).__name__, exc)\n"
+    )
+    assert loaded_after(code) == ["[]", "dataclasses.FrozenInstanceError cannot assign to field 'k'"]
+
+
 def test_eval_with_a_tabulated_eta_loads_no_numpy(tmp_path):
     # TabulatedEta interpolates in pure Python, as np.interp does.
     conf = tmp_path / "tabulated.conf"
