@@ -225,7 +225,7 @@ def memo_grid() -> ModuleType:
             memo[key] = _each_grid(fn, v)
         return memo[key]
 
-    return _backend("grid", **{**vars(getattr(sys.modules[__name__], "GRID")), "each": each})
+    return _backend("grid", **{**vars(sys.modules[__name__].GRID), "each": each})
 
 
 def check_each(check, values, ok) -> None:
