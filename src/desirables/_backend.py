@@ -220,7 +220,7 @@ def memo_grid() -> ModuleType:
     memo = {}
 
     def each(fn, v):
-        key = fn, id(v)  # a bound method hashes and compares its instance by identity
+        key = fn, id(v)  # the regime's stored function, hashed by identity
         if key not in memo:
             memo[key] = _each_grid(fn, v)
         return memo[key]

@@ -24,6 +24,7 @@ already checked, on a numpy grid of delays or traced into a valuation loop.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 
@@ -54,7 +55,12 @@ _MAX_DEPTH = 8
 
 
 class DiscountSpec:
-    """Base class for discount regimes."""
+    """Base class for discount regimes.
+
+    A regime caches the valuation loop of each utility it values
+    (:func:`desirables.intertemporal.schedule_value`), so it keeps the last
+    eight utilities it valued per rounding alive for as long as it lives.
+    """
 
     kind: str = "abstract"
 
@@ -280,14 +286,12 @@ class ScaleDependent(DiscountSpec, Record):
 
     def __post_init__(self):
         _check_depth(self)
+        # eta(x) per payment; holding only ``eta``, a valuation loop cached
+        # here binds it without referring back to the regime.
+        object.__setattr__(self, "_eta", functools.partial(_eta_of, self.eta))
 
     def _parts(self) -> tuple[DiscountSpec, ...]:
         return (self.base,)
-
-    def _eta(self, x) -> float:
-        if x is None:
-            raise MissingArgument("scale-dependent discounting needs the reward x")
-        return self.eta.value(float(x))
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         # eta(x) is per payment: scalar code, once per payment on a grid.
@@ -308,6 +312,8 @@ class StateDependent(DiscountSpec, Record):
         items = tuple(sorted((str(k), float(v)) for k, v in pairs))
         object.__setattr__(self, "rates", items)
         object.__setattr__(self, "_by_label", dict(items))
+        # r(s) per payment; holding only the map, as ScaleDependent._eta does.
+        object.__setattr__(self, "_state_rate", functools.partial(_state_rate, self._by_label))
         if not items:
             raise ValueError("rate map must not be empty")
         for (label, _), (following, _) in zip(items, items[1:]):  # sorted: repeats are adjacent
@@ -320,19 +326,32 @@ class StateDependent(DiscountSpec, Record):
         try:
             return self._by_label[s]
         except (KeyError, TypeError):
-            labels = [l for l, _ in self.rates]
-            raise UnknownState(f"state {s!r} not in rate map {labels!r}") from None
-
-    def _state_rate(self, s) -> float:
-        if s is None:
-            raise MissingArgument("state-dependent discounting needs a state label")
-        return self.rate(s)
+            raise _unknown_state(self._by_label, s) from None
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         # The rate is per payment: scalar code, once per payment on a grid.
         rate = xp.each(self._state_rate, s)
         v = xp.exp(-rate * t)
         return xp.round2(v) if rounded else v
+
+
+def _eta_of(eta: EtaSpec, x) -> float:
+    if x is None:
+        raise MissingArgument("scale-dependent discounting needs the reward x")
+    return eta.value(float(x))
+
+
+def _state_rate(by_label: dict, s) -> float:
+    if s is None:
+        raise MissingArgument("state-dependent discounting needs a state label")
+    try:
+        return by_label[s]
+    except (KeyError, TypeError):
+        raise _unknown_state(by_label, s) from None
+
+
+def _unknown_state(by_label: dict, s) -> UnknownState:
+    return UnknownState(f"state {s!r} not in rate map {list(by_label)!r}")
 
 
 class Hybrid(DiscountSpec, Record):

@@ -44,7 +44,7 @@ from . import _backend
 from ._record import Record
 from .discount import DiscountSpec, uses_states
 from .errors import DesirablesError
-from .utility import Utility
+from .utility import Utility, eval_checks
 
 __all__ = [
     "DatedPayment",
@@ -150,8 +150,9 @@ def _loop(u: Utility, d: DiscountSpec, rounded):
     ``d._loops`` holds two dicts, for rounded and unrounded factors, read as
     ``_loops[not rounded]`` and keyed by ``id(u)``.  A loop's closure holds
     ``u``'s bound methods, so while it is cached its key names no other
-    utility.  The loop reads ``u``'s and ``d``'s parameters once, when it is
-    compiled: both are frozen records.
+    utility; it holds nothing bound to ``d``, so ``d`` and its loops form no
+    reference cycle.  The loop reads ``u``'s and ``d``'s parameters once, when
+    it is compiled: both are frozen records.
     """
     try:
         return d._loops[not rounded][id(u)]
@@ -162,13 +163,18 @@ def _loop(u: Utility, d: DiscountSpec, rounded):
     w = d._factor(t, x, s, bool(rounded), _backend.TRACE) * x
     n = len(tape.lines)
     v = tape.name(u._eval(w, _backend.TRACE))
+    utility = eval_checks(
+        tape.lines[n:],
+        w.name,
+        v,
+        lo=tape.name(u.domain_lo),
+        check_domain=tape.name(u._check_domain),
+        not_finite=tape.name(u._not_finite),
+        neg_inf=tape.name(-math.inf),
+        inf=tape.name(math.inf),
+    )
     names = {
         "warn": "" if uses_states(d) else _WARN.format(warn_labels=tape.name(_warn_labels)),
-        "lo": tape.name(u.domain_lo),
-        "check_domain": tape.name(u._check_domain),
-        "not_finite": tape.name(u._not_finite),
-        "neg_inf": tape.name(-math.inf),
-        "inf": tape.name(math.inf),
         "error": tape.name(DesirablesError),
         "fail": tape.name(_payment_error),
     }
@@ -177,24 +183,27 @@ def _loop(u: Utility, d: DiscountSpec, rounded):
     source = _LOOP.format(
         values=", ".join(f"_k{i}" for i in range(len(tape.values))),
         factor=_indent(reads + tape.lines[:n], 16),
-        utility=_indent(tape.lines[n:] or ["pass"], 20),
-        w=w.name,
+        utility=_indent(utility, 16),
         v=v,
         **names,
     )
     loop = _builder(source)(*tape.values)
     loops = vars(d).setdefault("_loops", ({}, {}))[not rounded]
-    if len(loops) >= _MAX_LOOPS:
-        del loops[next(iter(loops))]
+    # Drop the oldest: list() copies the keys in one step, and pop tolerates a
+    # key another thread has dropped.
+    keys = list(loops)
+    for key in keys[: max(0, len(keys) + 1 - _MAX_LOOPS)]:
+        loops.pop(key, None)
     loops[id(u)] = loop
     return loop
 
 
-# schedule_value's loop, with the regime's _factor and the utility's eval
-# inlined from their TRACE record ({factor} and {utility}).  A payment's time
-# is a float >= 0 (DatedPayment checked it), so there is no delay check;
-# eval's checks are kept, and the payments' values are added left to right
-# from 0.0.  Only state-independent regimes warn about labels ({warn}).
+# schedule_value's loop, with the regime's _factor inlined from its TRACE
+# record ({factor}) and the utility's _eval inside Utility.eval's checks
+# ({utility}, from utility.EVAL_CHECKS).  A payment's time is a float >= 0
+# (DatedPayment checked it), so there is no delay check; the payments' values
+# are added left to right from 0.0.  Only state-independent regimes warn
+# about labels ({warn}).
 _LOOP = """\
 def build({values}):
     def loop(sch):
@@ -202,14 +211,7 @@ def build({values}):
         try:
             for p in sch.payments:
 {factor}
-                if not {w} > {lo}:
-                    {check_domain}({w})
-                try:
 {utility}
-                except OverflowError:
-                    {not_finite}({w})
-                if not {neg_inf} < {v} < {inf}:
-                    {not_finite}({w})
                 total += {v}
         except {error} as exc:
             {fail}(exc, sch, p)
@@ -221,8 +223,10 @@ _WARN = """\
             {warn_labels}(sch)
 """
 
-# Most loops cached on one regime per rounding, and most loop sources kept compiled.
-_MAX_LOOPS = 64
+# Most loops cached on one regime per rounding, each pinning its utility, and
+# most loop sources kept compiled.  The valuation workload and the CLI value
+# each regime with one utility; eight leave room for a few to alternate.
+_MAX_LOOPS = 8
 _MAX_SHAPES = 256
 
 

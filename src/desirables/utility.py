@@ -35,6 +35,57 @@ __all__ = [
 _BISECT_MAX_ITER = 200
 
 
+# The checks of Utility.eval on one reward, written once as source: eval is
+# compiled from it below, and desirables.intertemporal inlines it into each
+# valuation loop.  {formula} is the lines computing the utility {v} of the
+# reward {x}; {lo}, {check_domain}, {not_finite}, {neg_inf} and {inf} name
+# domain_lo, the two checking methods, -inf and inf.
+EVAL_CHECKS = """\
+if not {x} > {lo}:
+    {check_domain}({x})
+try:
+{formula}
+except OverflowError:
+    {not_finite}({x})
+if not {neg_inf} < {v} < {inf}:
+    {not_finite}({x})"""
+
+
+def eval_checks(formula: list[str], x: str, v: str, **names: str) -> list[str]:
+    """The lines of :data:`EVAL_CHECKS` around ``formula``, which computes ``v``."""
+    body = "\n".join("    " + line for line in formula or ["pass"])
+    return EVAL_CHECKS.format(formula=body, x=x, v=v, **names).split("\n")
+
+
+# Utility.eval: an array goes to _eval_grid, a scalar through EVAL_CHECKS.
+_EVAL = """\
+def eval(self, x):
+    if type(x) is not float and is_array(x):
+        return self._eval_grid(x)
+{checks}
+    return v
+"""
+
+
+def _compiled_eval():
+    checks = eval_checks(
+        ["v = self._eval(x)"],
+        "x",
+        "v",
+        lo="self.domain_lo",
+        check_domain="self._check_domain",
+        not_finite="self._not_finite",
+        neg_inf="NEG_INF",
+        inf="INF",
+    )
+    source = _EVAL.format(checks="\n".join("    " + line for line in checks))
+    namespace = {"__name__": __name__, "is_array": is_array, "NEG_INF": -math.inf, "INF": math.inf}
+    exec(compile(source, "<Utility.eval>", "exec"), namespace)
+    fn = namespace["eval"]
+    fn.__qualname__ = "Utility.eval"
+    return fn
+
+
 class Utility:
     """Base class for utility functions u with domain (domain_lo, inf)."""
 
@@ -47,28 +98,21 @@ class Utility:
     #: Exclusive lower bound of the image u((domain_lo, inf)); -inf if unbounded.
     image_lo: float = -math.inf
 
-    def eval(self, x):
-        """Utility of reward ``x``, elementwise when ``x`` is a numpy array.
+    eval = _compiled_eval()
+    eval.__doc__ = """Utility of reward ``x``, elementwise when ``x`` is a numpy array.
 
-        Raises DomainError when x <= domain_lo or when u(x) overflows or is
-        not finite, naming the first such reward (row-major) of an array.
-        """
-        if type(x) is not float and is_array(x):
-            xp = _backend.GRID
-            x = x.astype(float, copy=False)
-            check_each(self._check_domain, x, x > self.domain_lo)
-            with xp.errstate(over="ignore", invalid="ignore"):
-                v = self._eval(x, xp)
-            check_each(self._not_finite, x, xp.isfinite(v))
-            return v
-        if not x > self.domain_lo:
-            self._check_domain(x)
-        try:
-            v = self._eval(x)
-        except OverflowError:
-            self._not_finite(x)
-        if not math.isfinite(v):
-            self._not_finite(x)
+    Raises DomainError when x <= domain_lo or when u(x) overflows or is
+    not finite, naming the first such reward (row-major) of an array.
+    """
+
+    def _eval_grid(self, x):
+        # eval on a numpy array: EVAL_CHECKS on every entry.
+        xp = _backend.GRID
+        x = x.astype(float, copy=False)
+        check_each(self._check_domain, x, x > self.domain_lo)
+        with xp.errstate(over="ignore", invalid="ignore"):
+            v = self._eval(x, xp)
+        check_each(self._not_finite, x, xp.isfinite(v))
         return v
 
     def inverse(self, v: float) -> float:

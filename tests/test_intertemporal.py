@@ -1,8 +1,10 @@
 import copy
+import gc
 import itertools
 import math
 import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -771,6 +773,33 @@ def test_alternating_utilities_compile_each_pair_once(monkeypatch):
                 schedule_value(u, d, a, round_factors=rounded)
     assert len(tapes) == 4
     assert [set(loops) for loops in d._loops] == [set(map(id, utilities))] * 2
+
+
+def test_more_utilities_than_the_cache_holds_keep_their_values():
+    d = StateDependent(_STATES)
+    sch = PaymentSchedule((DatedPayment(30.0, 1.0, "boom"), DatedPayment(80.0, 6.0, "bust")))
+    utilities = [Composed(LogShift(), PhiScale(1.0 + i)) for i in range(intertemporal._MAX_LOOPS + 3)]
+    for _ in range(2):
+        for u in utilities:
+            assert schedule_value(u, d, sch) == schedule_value_by_payment(u, d, sch)
+    assert list(d._loops[1]) == [id(u) for u in utilities[-intertemporal._MAX_LOOPS :]]
+
+
+@pytest.mark.parametrize("d", _EDGE_REGIMES, ids=lambda d: d.kind)
+def test_a_regime_that_valued_a_schedule_is_freed_without_the_cycle_collector(d):
+    # Its cached loops bind its per-payment functions, never the regime itself.
+    labels = sorted(_STATES) if uses_states(d) else [None]
+    sch = PaymentSchedule((DatedPayment(30.0, 1.0, labels[0]), DatedPayment(80.0, 6.0, labels[-1])))
+    d, u = copy.deepcopy(d), LogShift()
+    schedule_value(u, d, sch, round_factors=True)
+    assert len(d._loops[0]) == 1
+    regime, utility = weakref.ref(d), weakref.ref(u)
+    gc.disable()
+    try:
+        del d, u
+        assert regime() is None and utility() is None
+    finally:
+        gc.enable()
 
 
 def test_pairs_of_one_shape_share_one_code_object():
