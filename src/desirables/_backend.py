@@ -15,7 +15,8 @@ There are three backends:
   :data:`SCALAR` computes, so the line runs :mod:`math` on floats.
 
 ``each(fn, v)`` runs a per-payment scalar function on ``v`` (on each entry,
-under :data:`GRID`); ``segment(xs, w)`` finds the table interval serving ``w``.
+under :data:`GRID`); ``segment(xs, w)`` finds the table interval serving ``w``
+in a table whose knots :func:`checked_table` has checked.
 A formula branches only on constants, never on its operands: under
 :data:`TRACE` an operand that decides a branch raises ``TypeError``.
 :data:`SCALAR` and :data:`TRACE` need only the standard library; :data:`GRID`,
@@ -36,6 +37,23 @@ def _segment(xs, w):
     # first and last intervals extending to -inf and +inf; NaN, which compares
     # false, goes to the last, as in _segment_grid.
     return bisect.bisect_right(xs, w, 1, len(xs) - 1) - 1
+
+
+def checked_table(xs, ys, min_len: int, sizes: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """An interpolation table's knots as float tuples.
+
+    Raises ValueError unless they match in length, at least ``min_len`` (the
+    message names ``sizes``), all are finite and ``xs`` strictly increases.
+    """
+    xs = tuple(float(v) for v in xs)
+    ys = tuple(float(v) for v in ys)
+    if len(xs) != len(ys) or len(xs) < min_len:
+        raise ValueError(f"table needs matching {sizes}")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("table values must be finite")
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError("table x values must be strictly increasing")
+    return xs, ys
 
 
 def is_array(x) -> bool:
@@ -220,7 +238,7 @@ def memo_grid() -> ModuleType:
     memo = {}
 
     def each(fn, v):
-        key = fn, id(v)  # the regime's stored function, hashed by identity
+        key = fn, id(v)  # fn: a partial the regime stores, or a bound method of its eta spec
         if key not in memo:
             memo[key] = _each_grid(fn, v)
         return memo[key]

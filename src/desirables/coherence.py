@@ -116,9 +116,15 @@ class AssessmentSet(Record):
 
 
 class Functional(Record, eq=False):
-    """A nonnegative, not-all-zero weight vector, stored normalized to unit l1 norm."""
+    """A nonnegative, not-all-zero weight vector, stored normalized to unit l1 norm.
+
+    ``space`` is the state space a fitted functional was fitted on; one given
+    no space applies to any space with as many states.  Equality compares the
+    weights alone.
+    """
 
     weights: np.ndarray
+    space: StateSpace | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
@@ -165,9 +171,11 @@ def _check_space(space: StateSpace, g: Gamble) -> None:
         )
 
 
-def _check_weights(ell: Functional, m: int) -> None:
-    if ell.weights.size != m:
-        raise SpaceMismatch(f"functional has {ell.weights.size} weights for {m} states")
+def _check_weights(ell: Functional, space: StateSpace) -> None:
+    if ell.space is not None and ell.space != space:
+        raise SpaceMismatch(f"functional fitted on {ell.space.labels} applied on {space.labels}")
+    if ell.weights.size != space.m:
+        raise SpaceMismatch(f"functional has {ell.weights.size} weights for {space.m} states")
 
 
 def accept_decision(a: AssessmentSet, g: Gamble) -> AcceptanceDecision:
@@ -309,7 +317,7 @@ def fit_functional(a: AssessmentSet, strict_margin: float = 1e-6) -> Functional 
         raise ValueError(f"strict margin must lie in (0, 1e-2], got {strict_margin!r}")
     fit = _fit_rows(a.transformed_generators(), a.transformed_rejected(), strict_margin)
     active = np.ones(fit.rows.shape[0], dtype=bool)
-    result, droppable, restart = _fit_lp(fit, active)
+    result, droppable, restart = _fit_lp(fit, active, space=a.space)
     if result is not None:
         return result
 
@@ -393,15 +401,15 @@ def _fit_rows(UA: np.ndarray, UR: np.ndarray, eps: float) -> _FitRows:
     return _FitRows(k, shift, rows, rhs)
 
 
-def _fit_lp(fit: _FitRows, active: np.ndarray, restart=None):
+def _fit_lp(fit: _FitRows, active: np.ndarray, restart=None, space=None):
     """Maximize 2h = d over ``fit.rows[active]``: (Functional or True, None, None), or (None, droppable, restart).
 
-    The margin is t = L + d: a functional is returned when t >= -_TOL, and
-    True when the LP is UNBOUNDED (a trial dropped every accepted row), as a
-    functional then exists.  ``droppable`` masks the active rows with a zero
-    entry in the evidence: the kernel-checked Farkas certificate, or the
-    kernel-checked duals y when their bound L + b . y on the margin lies
-    below -_TOL by the kernel's ``lp._CHECK_TOL``.
+    The margin is t = L + d: a functional on ``space`` is returned when
+    t >= -_TOL, and True when the LP is UNBOUNDED (a trial dropped every
+    accepted row), as a functional then exists.  ``droppable`` masks the
+    active rows with a zero entry in the evidence: the kernel-checked Farkas
+    certificate, or the kernel-checked duals y when their bound L + b . y on
+    the margin lies below -_TOL by the kernel's ``lp._CHECK_TOL``.
 
     A ``restart`` is (mask, OPTIMAL solution) of an earlier call on a
     superset of ``active``, whose tableau this LP continues from
@@ -419,7 +427,7 @@ def _fit_lp(fit: _FitRows, active: np.ndarray, restart=None):
         return True, None, None
     if sol.status is lp.LpStatus.OPTIMAL and fit.shift + sol.value >= -_TOL:
         x = sol.x[:-1]
-        return Functional(np.maximum(np.insert(x, fit.k, 1.0 - x.sum()), 0.0)), None, None
+        return Functional(np.maximum(np.insert(x, fit.k, 1.0 - x.sum()), 0.0), space), None, None
     evidence = sol.certificate
     if sol.y is not None and fit.shift + sol.y @ rhs < -_TOL - lp._CHECK_TOL:  # weak duality: d <= b . y
         evidence = sol.y
@@ -431,7 +439,7 @@ def _fit_lp(fit: _FitRows, active: np.ndarray, restart=None):
 
 def rho(ell: Functional, u: Utility, f: Gamble) -> float:
     """Risk functional: belief weights applied to the utility transform of ``f``."""
-    _check_weights(ell, f.space.m)
+    _check_weights(ell, f.space)
     return float(np.dot(ell.weights, transform(u, f)))
 
 
@@ -448,7 +456,7 @@ def check_ordering_invariance(ell: Functional, c: float, u: Utility, fs) -> bool
     for f in fs:
         _check_space(fs[0].space, f)
     U = np.column_stack([transform(u, f) for f in fs])
-    _check_weights(ell, len(U))
+    _check_weights(ell, fs[0].space)
     base, scaled = ell.weights @ U, (c * ell.weights) @ U
     return bool(
         np.array_equal(np.sign(base), np.sign(scaled))
@@ -545,7 +553,7 @@ def cross_check_functional(
     Checks every accepted generator, plus any candidate gambles that the
     natural extension accepts.
     """
-    _check_weights(ell, a.space.m)
+    _check_weights(ell, a.space)
     if (ell.weights @ a.transformed_generators() < -tol).any():
         return False
     for g in candidates:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Mapping, Set
+from types import MappingProxyType
 
 from ._record import Record
 from .discount import (
@@ -118,42 +119,24 @@ def _tokenize(text: str) -> list[tuple]:
         tokens.append((kind, value, line, col))
 
 
-class _ReadOnlyMap(Mapping):
-    """A read-only copy of a dict.  The empty one, ``_NO_POSITIONS``, copies and unpickles as itself."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items=()):
-        self._items = dict(items)
-
-    def __getitem__(self, key):
-        return self._items[key]
-
-    def __contains__(self, key):
-        return key in self._items
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __reduce__(self):
-        return "_NO_POSITIONS" if self is _NO_POSITIONS else (_ReadOnlyMap, (self._items,))
-
-    def __repr__(self):
-        return repr(self._items)
-
-
-_NO_POSITIONS = _ReadOnlyMap()
-
-
 class ConfigTree(Record):
-    """Parsed configuration: data tree, which keys were label-style, key positions."""
+    """Parsed configuration: data tree, which keys were label-style, key positions.
+
+    ``positions`` is a read-only view of a copy of the mapping given; every
+    tree without positions shares one empty view.
+    """
 
     data: dict
     labeled: Set[str] = frozenset()
-    positions: Mapping[tuple, tuple[int, int]] = _NO_POSITIONS
+    positions: Mapping[tuple, tuple[int, int]] = MappingProxyType({})
+
+    def __post_init__(self):
+        positions = MappingProxyType(dict(self.positions)) if self.positions else ConfigTree.positions
+        object.__setattr__(self, "positions", positions)
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: the positions travel as a dict.
+        return ConfigTree, (self.data, self.labeled, dict(self.positions))
 
     def where(self, path: tuple) -> tuple[int | None, int | None]:
         """Position of ``path``, else of its nearest ancestor that has one."""
@@ -214,7 +197,7 @@ class _Parser:
                 self.fail(f"duplicate key {key!r}", tok)
             else:
                 data[key] = self.parse_item((key,), tok, "'=', label, or block")
-        return ConfigTree(data=data, labeled=frozenset(labeled), positions=_ReadOnlyMap(self.positions))
+        return ConfigTree(data=data, labeled=frozenset(labeled), positions=self.positions)
 
     def parse_block(self, path: tuple) -> dict:
         self.expect("{", path)

@@ -20,6 +20,12 @@ Each regime writes ``_factor`` once against a backend ``xp``
 :mod:`math` and rejects a delay that is not >= 0 (NaN included).
 :mod:`desirables.intertemporal` calls ``_factor`` on times and shifts it has
 already checked, on a numpy grid of delays or traced into a valuation loop.
+
+A per-payment quantity is scalar code that ``_factor`` hands to ``xp.each``:
+eta(x) is the eta spec's bound ``_of_payment`` and a state's rate a partial of
+``_state_rate`` over the rate map.  Neither refers to the regime, so a
+valuation loop cached on a regime binds nothing that refers back to it, and
+the regime is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import functools
 import math
 from collections.abc import Mapping
 
-from ._backend import SCALAR
+from ._backend import SCALAR, checked_table
 from ._record import Record
 from .errors import DomainError, MissingArgument, UnknownState
 
@@ -200,6 +206,12 @@ class EtaSpec:
                 f"{self.form}: reward {x!r} outside eta domain x > {self.domain_min!r}"
             )
 
+    def _of_payment(self, x) -> float:
+        # eta(x) of one payment, per ScaleDependent._factor.
+        if x is None:
+            raise MissingArgument("scale-dependent discounting needs the reward x")
+        return self.value(float(x))
+
 
 class InverseLog(EtaSpec, Record):
     """eta(x) = 1 / log_b(x) on x > 1; larger rewards get smaller effective rates."""
@@ -212,16 +224,17 @@ class InverseLog(EtaSpec, Record):
     def __post_init__(self):
         if not 1 < self.log_base < math.inf:
             raise ValueError(f"log base must exceed 1 and be finite, got {self.log_base!r}")
+        object.__setattr__(self, "_ln_b", math.log(self.log_base))
 
     def value(self, x: float) -> float:
+        # math.log(x, b) is log(x) / log(b): the same bits, one logarithm fewer.
         self._check(x)
-        return 1.0 / math.log(x, self.log_base)
+        return 1.0 / (math.log(x) / self._ln_b)
 
     def derivative(self, x: float) -> float:
         # d/dx [1 / log_b x] = -1 / (x ln(b) log_b(x)^2), analytic.
         self._check(x)
-        lb = math.log(self.log_base)
-        return -1.0 / (x * lb * math.log(x, self.log_base) ** 2)
+        return -1.0 / (x * self._ln_b * (math.log(x) / self._ln_b) ** 2)
 
 
 class TabulatedEta(EtaSpec, Record):
@@ -234,16 +247,9 @@ class TabulatedEta(EtaSpec, Record):
     domain_min = None
 
     def __post_init__(self):
-        xs = tuple(float(v) for v in self.xs)
-        ys = tuple(float(v) for v in self.ys)
+        xs, ys = checked_table(self.xs, self.ys, 1, "nonempty x/y sequences")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        if len(xs) != len(ys) or len(xs) < 1:
-            raise ValueError("table needs matching nonempty x/y sequences")
-        if not all(map(math.isfinite, xs + ys)):
-            raise ValueError("table values must be finite")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("table x values must be strictly increasing")
         if any(y <= 0 for y in ys):
             raise ValueError("eta values must be positive")
 
@@ -286,16 +292,13 @@ class ScaleDependent(DiscountSpec, Record):
 
     def __post_init__(self):
         _check_depth(self)
-        # eta(x) per payment; holding only ``eta``, a valuation loop cached
-        # here binds it without referring back to the regime.
-        object.__setattr__(self, "_eta", functools.partial(_eta_of, self.eta))
 
     def _parts(self) -> tuple[DiscountSpec, ...]:
         return (self.base,)
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         # eta(x) is per payment: scalar code, once per payment on a grid.
-        exponent = xp.each(self._eta, x)
+        exponent = xp.each(self.eta._of_payment, x)
         v = self.base._factor(t, x, s, False, xp) ** exponent
         return xp.round2(v) if rounded else v
 
@@ -312,7 +315,7 @@ class StateDependent(DiscountSpec, Record):
         items = tuple(sorted((str(k), float(v)) for k, v in pairs))
         object.__setattr__(self, "rates", items)
         object.__setattr__(self, "_by_label", dict(items))
-        # r(s) per payment; holding only the map, as ScaleDependent._eta does.
+        # r(s) per payment, over the map alone (see the module docstring).
         object.__setattr__(self, "_state_rate", functools.partial(_state_rate, self._by_label))
         if not items:
             raise ValueError("rate map must not be empty")
@@ -333,12 +336,6 @@ class StateDependent(DiscountSpec, Record):
         rate = xp.each(self._state_rate, s)
         v = xp.exp(-rate * t)
         return xp.round2(v) if rounded else v
-
-
-def _eta_of(eta: EtaSpec, x) -> float:
-    if x is None:
-        raise MissingArgument("scale-dependent discounting needs the reward x")
-    return eta.value(float(x))
 
 
 def _state_rate(by_label: dict, s) -> float:

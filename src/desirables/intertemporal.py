@@ -168,7 +168,7 @@ def _loop(u: Utility, d: DiscountSpec, rounded):
         w.name,
         v,
         lo=tape.name(u.domain_lo),
-        check_domain=tape.name(u._check_domain),
+        outside_domain=tape.name(u._outside_domain),
         not_finite=tape.name(u._not_finite),
         neg_inf=tape.name(-math.inf),
         inf=tape.name(math.inf),

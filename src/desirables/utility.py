@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from . import _backend
-from ._backend import SCALAR, check_each, is_array
+from ._backend import SCALAR, check_each, checked_table, is_array
 from ._record import Record
 from .errors import DomainError, ImageError
 
@@ -38,11 +38,11 @@ _BISECT_MAX_ITER = 200
 # The checks of Utility.eval on one reward, written once as source: eval is
 # compiled from it below, and desirables.intertemporal inlines it into each
 # valuation loop.  {formula} is the lines computing the utility {v} of the
-# reward {x}; {lo}, {check_domain}, {not_finite}, {neg_inf} and {inf} name
-# domain_lo, the two checking methods, -inf and inf.
+# reward {x}; {lo}, {outside_domain}, {not_finite}, {neg_inf} and {inf} name
+# domain_lo, the two raising methods, -inf and inf.
 EVAL_CHECKS = """\
 if not {x} > {lo}:
-    {check_domain}({x})
+    {outside_domain}({x})
 try:
 {formula}
 except OverflowError:
@@ -73,7 +73,7 @@ def _compiled_eval():
         "x",
         "v",
         lo="self.domain_lo",
-        check_domain="self._check_domain",
+        outside_domain="self._outside_domain",
         not_finite="self._not_finite",
         neg_inf="NEG_INF",
         inf="INF",
@@ -109,7 +109,7 @@ class Utility:
         # eval on a numpy array: EVAL_CHECKS on every entry.
         xp = _backend.GRID
         x = x.astype(float, copy=False)
-        check_each(self._check_domain, x, x > self.domain_lo)
+        check_each(self._outside_domain, x, x > self.domain_lo)
         with xp.errstate(over="ignore", invalid="ignore"):
             v = self._eval(x, xp)
         check_each(self._not_finite, x, xp.isfinite(v))
@@ -120,11 +120,8 @@ class Utility:
         self._check_image(v)
         return self._inverse(v)
 
-    def _check_domain(self, x: float) -> None:
-        if not x > self.domain_lo:
-            raise DomainError(
-                f"{self.kind}: reward {x!r} outside domain x > {self.domain_lo!r}"
-            )
+    def _outside_domain(self, x: float) -> None:
+        raise DomainError(f"{self.kind}: reward {x!r} outside domain x > {self.domain_lo!r}")
 
     def _not_finite(self, x: float) -> None:
         raise DomainError(f"{self.kind}: utility of reward {x!r} is not finite")
@@ -294,16 +291,9 @@ class PhiTable(_PhiBase, Record):
     form = "table"
 
     def __post_init__(self):
-        xs = tuple(float(v) for v in self.xs)
-        ys = tuple(float(v) for v in self.ys)
+        xs, ys = checked_table(self.xs, self.ys, 2, "x/y sequences of length >= 2")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        if len(xs) != len(ys) or len(xs) < 2:
-            raise ValueError("table needs matching x/y sequences of length >= 2")
-        if not all(map(math.isfinite, xs + ys)):
-            raise ValueError("table values must be finite")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("table x values must be strictly increasing")
         if any(b <= a for a, b in zip(ys, ys[1:])):
             raise ValueError("table y values must be strictly increasing")
         if not xs[0] <= 0.0 <= xs[-1] or abs(self(0.0)) > 1e-12:

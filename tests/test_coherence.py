@@ -918,6 +918,26 @@ def test_representation_consistency_recheck():
         assert cross_check_functional(full, result)
 
 
+def test_a_fitted_functional_applies_only_on_its_own_space():
+    updown = StateSpace(("up", "down"))
+    a = AssessmentSet(updown, Linear(), (Gamble(updown, [1, -1]),))
+    ell = fit_functional(a)
+    assert ell.space == updown and rho(ell, Linear(), Gamble(updown, [2, 1])) > 0
+    other = Gamble(StateSpace(("x", "y")), [2, 1])
+    message = "functional fitted on ('up', 'down') applied on ('x', 'y')"
+    with pytest.raises(SpaceMismatch, match=re.escape(message)):
+        rho(ell, Linear(), other)
+    with pytest.raises(SpaceMismatch, match=re.escape(message)):
+        check_ordering_invariance(ell, 2.0, Linear(), [other])
+    with pytest.raises(SpaceMismatch, match=re.escape(message)):
+        cross_check_functional(AssessmentSet(other.space, Linear(), (other,)), ell)
+    # A hand-built functional checks the number of states only, and equality
+    # compares the weights alone.
+    hand = Functional(ell.weights)
+    assert hand.space is None and hand == ell
+    assert rho(hand, Linear(), other) == rho(ell, Linear(), Gamble(updown, [2, 1]))
+
+
 def test_cross_check_functional_audits_the_accepted_candidates():
     a = AssessmentSet(S2, Linear(), (G(1, -1),))
     ell = Functional([1, 1])

@@ -141,16 +141,29 @@ def test_parsed_config_tree_labels_and_positions_are_read_only():
         ConfigTree({}),
         ConfigTree({"discount": {"kind": "hyperbolic", "k": 0.5}}, labeled=frozenset({"x"})),
         parse('wealth = 1\nschedule "A" { pay = [{amount = 1, t = 0}] }'),
+        ConfigTree({"wealth": 1}, positions={("wealth",): (1, 1), ("schedule", "A"): (2, 1)}),
     ],
-    ids=["empty", "no positions", "parsed"],
+    ids=["empty", "no positions", "parsed", "positions from a dict"],
 )
 def test_config_trees_deep_copy_and_pickle(tree):
     path = ("schedule", "A", "pay", 0, "t")
     for clone in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
         assert clone == tree and clone.where(path) == tree.where(path)
         assert clone.data is not tree.data
+        assert type(clone.positions) is type(tree.positions)
         if not tree.positions:  # the one read-only default, not a copy of it
             assert clone.positions is ConfigTree({}).positions
+        for positions in (tree.positions, clone.positions):
+            with pytest.raises(TypeError):
+                positions[("x",)] = (1, 1)
+
+
+def test_config_tree_positions_are_a_copy_of_the_mapping_given():
+    given = {("wealth",): (1, 1)}
+    tree = ConfigTree({"wealth": 1}, positions=given)
+    given[("wealth",)] = (9, 9)
+    assert tree.where(("wealth", "x")) == (1, 1)
+    assert ConfigTree({}, positions={}).positions is ConfigTree({}).positions
 
 
 def test_parse_errors_carry_line_and_column():

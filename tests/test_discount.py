@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +157,42 @@ def test_constructors_reject_non_finite_parameters(cls, args):
     # Each of these used to construct and then evaluate to NaN.
     with pytest.raises(ValueError, match="finite"):
         cls(*args)
+
+
+@pytest.mark.parametrize(
+    "cls, xs, ys, message",
+    [
+        (TabulatedEta, (), (), "table needs matching nonempty x/y sequences"),
+        (TabulatedEta, (1.0, NAN), (0.5,), "table needs matching nonempty x/y sequences"),
+        (TabulatedEta, (1.0, INF), (0.5, 0.7), "table values must be finite"),
+        (TabulatedEta, (2.0, 1.0), (0.5, 0.7), "table x values must be strictly increasing"),
+        (TabulatedEta, (1.0, 2.0), (0.5, 0.0), "eta values must be positive"),
+        (PhiTable, (0.0,), (0.0,), "table needs matching x/y sequences of length >= 2"),
+        (PhiTable, (-1.0, 1.0), (-1.0, NAN, 1.0), "table needs matching x/y sequences of length >= 2"),
+        (PhiTable, (-1.0, 1.0), (-INF, 1.0), "table values must be finite"),
+        (PhiTable, (1.0, -1.0), (-1.0, 1.0), "table x values must be strictly increasing"),
+        (PhiTable, (-1.0, 1.0), (1.0, -1.0), "table y values must be strictly increasing"),
+        (PhiTable, (1.0, 2.0), (1.0, 2.0), "table must bracket 0 with phi(0) = 0"),
+    ],
+)
+def test_tables_reject_bad_knots_with_their_messages(cls, xs, ys, message):
+    # The size check comes first, then the checks both tables share, then each
+    # table's own.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(xs, ys)
+
+
+@pytest.mark.parametrize("base", [1.0 + 2**-40, 1.5, 2.0, math.e, 10.0, 1e300])
+def test_inverse_log_value_is_one_over_math_log_bit_for_bit(base):
+    rng = np.random.default_rng(7)
+    eta = InverseLog(base)
+    xs = [1.0 + 2**-52, 1.0 + 1e-9, 1.5, 10.0, 1e300, sys.float_info.max, INF, 7, 10**400]
+    xs += np.exp(rng.uniform(1e-12, 700.0, 500)).tolist()
+    for x in xs:
+        assert eta.value(x).hex() == (1.0 / math.log(x, base)).hex()
+        if isinstance(x, float):
+            expected = -1.0 / (x * math.log(base) * math.log(x, base) ** 2)
+            assert eta.derivative(x).hex() == expected.hex()
 
 
 def test_nesting_depth_limit():
