@@ -288,9 +288,10 @@ class Infeasible(Record):
     The search keeps one boolean mask over the fit LP's rows (accepted, then
     rejected, then the bounds, never dropped); each trial is warm-started
     from the optimal tableau of the last LP that found no functional, with
-    every row dropped since then relaxed (``lp.solve_relaxed``), unless that
-    LP ended INFEASIBLE in phase 1.  A trial that drops the last accepted
-    constraint leaves the margin unbounded, so a functional exists.
+    every row dropped since then relaxed in place (``lp.solve_relaxed``),
+    unless that LP ended INFEASIBLE in phase 1.  A trial builds no
+    :class:`Functional`, only a verdict.  A trial that drops the last
+    accepted constraint leaves the margin unbounded, so a functional exists.
     """
 
     conflict: tuple[tuple[str, int], ...]
@@ -405,16 +406,18 @@ def _fit_lp(fit: _FitRows, active: np.ndarray, restart=None, space=None):
     """Maximize 2h = d over ``fit.rows[active]``: (Functional or True, None, None), or (None, droppable, restart).
 
     The margin is t = L + d: a functional on ``space`` is returned when
-    t >= -_TOL, and True when the LP is UNBOUNDED (a trial dropped every
-    accepted row), as a functional then exists.  ``droppable`` masks the
+    t >= -_TOL, and True when no ``space`` is given (a search's trial reads
+    only the verdict) or the LP is UNBOUNDED (a trial dropped every accepted
+    row), as a functional then exists.  ``droppable`` masks the
     active rows with a zero entry in the evidence: the kernel-checked Farkas
     certificate, or the kernel-checked duals y when their bound L + b . y on
     the margin lies below -_TOL by the kernel's ``lp._CHECK_TOL``.
 
     A ``restart`` is (mask, OPTIMAL solution) of an earlier call on a
-    superset of ``active``, whose tableau this LP continues from
-    (``lp.solve_relaxed``); without one it is solved cold.  The returned
-    restart is this call's own, or None when its LP ended INFEASIBLE.
+    superset of ``active``, whose tableau this LP continues from with the
+    rows it drops relaxed in place (``lp.solve_relaxed``); without one it is
+    solved cold.  The returned restart is this call's own, or None when its
+    LP ended INFEASIBLE.
     """
     rhs = fit.rhs[active]
     if restart is None:
@@ -426,6 +429,8 @@ def _fit_lp(fit: _FitRows, active: np.ndarray, restart=None, space=None):
     if sol.status is lp.LpStatus.UNBOUNDED:
         return True, None, None
     if sol.status is lp.LpStatus.OPTIMAL and fit.shift + sol.value >= -_TOL:
+        if space is None:
+            return True, None, None
         x = sol.x[:-1]
         return Functional(np.maximum(np.insert(x, fit.k, 1.0 - x.sum()), 0.0), space), None, None
     evidence = sol.certificate

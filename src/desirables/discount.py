@@ -326,10 +326,9 @@ class StateDependent(DiscountSpec, Record):
             raise ValueError("every state rate must be positive and finite")
 
     def rate(self, s: str) -> float:
-        try:
-            return self._by_label[s]
-        except (KeyError, TypeError):
-            raise _unknown_state(self._by_label, s) from None
+        if s is None:  # unknown here; a payment without a state raises MissingArgument instead
+            raise _unknown_state(self._by_label, s)
+        return self._state_rate(s)
 
     def _factor(self, t, x, s, rounded, xp=SCALAR):
         # The rate is per payment: scalar code, once per payment on a grid.

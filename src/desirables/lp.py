@@ -64,11 +64,15 @@ k relaxes it: r_k >= 0 in A_k x + s_k - r_k = b_k frees s_k - r_k.  The
 column of r_k is the slack column as it stands, negated; the slack is stored
 as tau_k e_k already, so it is not multiplied by tau again.  The slack is
 pivoted in at the row the ratio test picks for r_k (for s_k when nothing
-bounds r_k), so the basis stays feasible, and the dropped rows and slack
-columns are deleted in one copy.  What is left is the smaller problem's
-tableau at a feasible basis, and phase 2 continues from it in the same
-:func:`_simplex_min`; ``x``, ``y`` and the basis then get the reads and
-checks of a cold solve, against the smaller problem.
+bounds r_k), so the basis stays feasible.  The row the slack is basic in is
+zeroed, in place: the tableau keeps its cold shape, a zero row passes no
+ratio test and no pivot changes it, and a dropped slack's column stays zero
+with a zero reduced cost.  The other rows and columns are the smaller
+problem's tableau at a feasible basis, with its rank-1 updates, ratios and
+reduced costs, and phase 2 continues from it in the same :func:`_simplex_min`.
+``y`` is read at the kept rows' slack columns and the basis is renumbered
+into the smaller problem's [A | I], in the same order; ``x``, ``y`` and the
+basis get the reads and checks of a cold solve, against the smaller problem.
 """
 
 from __future__ import annotations
@@ -183,11 +187,14 @@ class _Tableau:
     """Dense simplex tableau of ``problem``: T, with the reduced-cost row last, and one basic column per row.
 
     :func:`_cold_start` builds the tableau a solve starts from, and
-    :meth:`relaxed` a warm one from an optimal tableau.
+    :meth:`relaxed` a warm one, of the cold one's shape, from an optimal
+    tableau: ``columns`` lists its problem's columns of [A | I], in order,
+    and ``live`` masks its rows that hold no dropped row's slack; the others
+    are zero.  Both are None on a cold tableau.
     """
 
-    def __init__(self, problem: LpProblem, T: np.ndarray, basis: np.ndarray):
-        self.problem, self.T, self.basis = problem, T, basis
+    def __init__(self, problem: LpProblem, T: np.ndarray, basis: np.ndarray, columns=None, live=None):
+        self.problem, self.T, self.basis, self.columns, self.live = problem, T, basis, columns, live
         self.work = np.empty_like(T)  # _pivot's rank-1 product
 
     def relaxed(self, p: LpProblem, keep: np.ndarray) -> _Tableau:
@@ -198,36 +205,35 @@ class _Tableau:
         The column of r_k is the slack column as it stands, negated (the slack
         is stored as tau_k e_k already, so no tau enters), and making r_k basic
         in a row is the same basis change as pivoting s_k in there.  A free
-        variable basic in a row only sets that row, so the row and the slack
-        column are then deleted, which leaves the tableau of ``p``.  A nonbasic
-        slack is pivoted in first, at the row the ratio test picks for r_k or,
-        when nothing bounds r_k, for s_k; either keeps the basis feasible.
+        variable basic in a row only sets that row, so the row is zeroed and
+        no longer live, which leaves the tableau of ``p`` in its live rows and
+        its other columns.  A nonbasic slack is pivoted in first, at the row
+        the ratio test picks for r_k or, when nothing bounds r_k, for s_k;
+        either keeps the basis feasible.
         """
-        n = p.objective.size
-        full = _Tableau(p, self.T.copy(), self.basis.copy())
-        drop = np.zeros(full.T.shape[1], dtype=bool)  # the dropped rows' slack columns
-        drop[n + np.flatnonzero(~keep)] = True
-        basic = np.zeros_like(drop)
-        basic[full.basis] = True
-        free = drop[full.basis]  # rows on a dropped slack, which is free: deleted below
-        rhs = full.T[:-1, -1]  # a view: pivots update it
-        for col in np.flatnonzero(drop & ~basic):
-            column = np.where(free, 0.0, full.T[:-1, col])  # a free basic variable never leaves
+        T, basis, n = self.T.copy(), self.basis.copy(), p.objective.size
+        columns = np.arange(T.shape[1] - 1) if self.columns is None else self.columns
+        slack = columns[n:]
+        live = np.ones(basis.size, dtype=bool) if self.live is None else self.live.copy()
+        tab = _Tableau(p, T, basis, np.concatenate((columns[:n], slack[keep])), live)
+        dropped, order = slack[~keep].tolist(), basis.tolist()
+        free = [order.index(col) for col in dropped if col in order]  # rows on a dropped slack
+        T[free], live[free] = 0.0, False
+        rhs = T[:-1, -1]  # a view: pivots update it
+        for col in [col for col in dropped if col not in order]:
+            column = T[:-1, col]  # zero in the rows that are not live: a free basic variable never leaves
             for entering in (-column, column):  # r_k's column, else s_k's
                 bounded = entering > _TOL
                 if bounded.any():
                     break
             else:
                 raise NumericalInstability("a relaxed row's slack has no pivot", p)
-            ratio = np.full(free.size, np.inf)
+            ratio = np.full(live.size, np.inf)
             np.divide(rhs, entering, out=ratio, where=bounded)
             row = int(ratio.argmin())
-            _pivot(full, row, col)
-            free[row] = True
-        basis = full.basis[~free]
-        basis -= np.cumsum(drop)[basis]  # the deleted columns before each
-        left = np.append(~free, True)[:, None] & ~drop  # one boolean index: a single copy
-        return _Tableau(p, full.T[left].reshape(-1, np.count_nonzero(~drop)), basis)
+            _pivot(tab, row, col)
+            T[row], live[row] = 0.0, False
+        return tab
 
 
 def _pivot(tab: _Tableau, row: int, col: int) -> None:
@@ -312,8 +318,8 @@ def solve_relaxed(base: LpSolution, keep) -> LpSolution:
     ``base`` is an OPTIMAL solution of :func:`solve` or :func:`solve_relaxed`,
     and ``keep`` is a boolean mask over its problem's rows.  Dropping rows
     only enlarges the feasible set, so phase 2 continues from base's final
-    basis with each dropped row relaxed; x, y and the basis are then read and
-    checked against the smaller problem as :func:`solve` reads and checks them.
+    basis with each dropped row relaxed in place; x, y and the basis are then
+    read and checked against the smaller problem as :func:`solve` does.
     """
     tab = base._tableau
     if tab is None:
@@ -389,18 +395,21 @@ def _phase2(tab: _Tableau) -> LpSolution:
     """Phase 2 from tab's feasible basis; then x, value, y and the basis of tab.problem, checked."""
     p, T = tab.problem, tab.T
     m, n = p.constraints.shape
-    cost = np.zeros(n + m)
+    cost = np.zeros(T.shape[1] - 1)
     cost[:n] = -p.objective
     if _simplex_min(tab, cost) == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
-    x_std = np.zeros(n + m)
+    x_std = np.zeros(T.shape[1] - 1)
     x_std[tab.basis] = T[:-1, -1]
     x = x_std[:n] + 0.0  # + 0.0: a basic level of -0.0 reads as 0.0
     _recheck(p, x)
     value = float(np.dot(p.objective, x))
-    y = T[-1, n : n + m] + 0.0  # phase 2's prices at the slack and surplus columns; + 0.0 as for x
-    basis = tab.basis.copy()
+    if tab.columns is None:
+        y, basis = T[-1, n : n + m], tab.basis.copy()
+    else:  # p's columns of [A | I] are tab.columns, in order: the live rows' basis is renumbered
+        y, basis = T[-1, tab.columns[n:]], np.searchsorted(tab.columns, tab.basis[tab.live])
+    y = y + 0.0  # phase 2's prices at the slack and surplus columns; + 0.0 as for x
     x.flags.writeable = y.flags.writeable = basis.flags.writeable = False
     tol = _CHECK_TOL * max(1.0, float(np.abs(p.objective).max())) * (1.0 + abs(value))
     if not (_dual_feasible(p, y, p.objective, tol) and abs(float(y @ p.rhs) - value) <= tol):

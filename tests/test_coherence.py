@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -551,13 +552,14 @@ def test_conflict_search_on_captured_set_returns_verified_conflict():
         assert feasible(result.conflict[:k] + result.conflict[k + 1 :])
 
 
-def _sampled_conflicting_set(rng):
+def _sampled_conflicting_set(rng, states=(2, 6), drawn=(1, 11)):
     """A set like those of _conflicting_sets, larger, drawn from a numpy generator.
 
     Rewards are tenths, shifted by sums taken with math.fsum, so the set does
-    not depend on the BLAS build.
+    not depend on the BLAS build.  ``states`` and ``drawn`` bound the number
+    of states and of accepted gambles drawn before the planted one.
     """
-    m = int(rng.integers(2, 6))
+    m = int(rng.integers(*states))
     w0 = rng.integers(1, 6, m).astype(float)
     w0 /= w0.sum()
 
@@ -569,7 +571,7 @@ def _sampled_conflicting_set(rng):
         return v - (math.fsum(w0 * v) + delta)
 
     accepted = []
-    for _ in range(int(rng.integers(1, 11))):
+    for _ in range(int(rng.integers(*drawn))):
         v = vec()
         accepted.append(v if v.max() >= 0 else np.abs(v))
     rejected = [planted(delta) for delta in rng.choice((0.05, 0.2, 0.5), int(rng.integers(0, 6)))]
@@ -611,6 +613,75 @@ def test_warm_conflict_search_solves_as_many_trials_as_the_cold_search():
         warm += sum(entry[3] for entry in log)
     assert counts == [COLD_SEARCH_SOLVES_SEED11] + COLD_SEARCH_SOLVES
     assert warm > sum(counts) // 2
+
+
+def _pinned_search_corpus():
+    """Linear-utility sets with a planted conflict: 40 small ones and 40 of 6-10 states and 15-30 accepted gambles.
+
+    Built elementwise (see _sampled_conflicting_set), so the sets, and with
+    them the searches' LPs, are the same under every BLAS build.
+    """
+    sets = [_sampled_conflicting_set(np.random.default_rng([34, i])) for i in range(40)]
+    large = ((6, 11), (15, 31))
+    sets += [_sampled_conflicting_set(np.random.default_rng([34, 100 + i]), *large) for i in range(40)]
+    return sets
+
+
+@contextmanager
+def _counted_search():
+    """Log every LP solution of the searches run inside, and count (cold solves, warm solves, pivots)."""
+    solutions, counts = [], [0, 0, 0]
+    real = lp.solve, lp.solve_relaxed, lp._pivot
+
+    def counted(i, run):
+        def call(*args):
+            counts[i] += 1
+            out = run(*args)
+            if i < 2:
+                solutions.append(out)
+            return out
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for i, name in enumerate(("solve", "solve_relaxed", "_pivot")):
+            mp.setattr(lp, name, counted(i, real[i]))
+        yield solutions, counts
+
+
+#: sha256 over the status, x, y, certificate and basis of every LP solution
+#: of the conflict searches on _pinned_search_corpus(), in order, and each
+#: search's (cold solves, warm solves, pivots), recorded before warm trials
+#: relaxed rows in place.  ``value`` is left out: it is a BLAS dot product,
+#: whose last bits may vary with the build; the vectors are read with + 0.0
+#: from k = 1 products, which do not (see the lp module docstring).
+PINNED_SEARCH_SHA256 = "59976b3d3ef85b5e7ca1ef80f3b22995e5178301ef6be3d9069e5dc421801d34"
+PINNED_SEARCH_COUNTS = [
+    (1, 4, 7), (1, 6, 12), (1, 4, 9), (2, 0, 0), (2, 0, 0), (3, 0, 3), (1, 5, 15), (1, 3, 8),
+    (1, 4, 8), (3, 0, 2), (2, 0, 0), (2, 0, 0), (3, 0, 4), (1, 4, 11), (1, 4, 9), (1, 3, 9),
+    (1, 7, 21), (2, 0, 0), (3, 0, 2), (2, 0, 0), (4, 0, 5), (3, 0, 1), (3, 0, 2), (3, 0, 3),
+    (1, 4, 7), (1, 5, 15), (4, 0, 12), (1, 3, 6), (1, 2, 5), (4, 0, 7), (1, 4, 10), (1, 6, 16),
+    (1, 6, 12), (2, 0, 0), (5, 0, 4), (1, 2, 5), (1, 3, 6), (3, 0, 2), (1, 3, 5), (2, 0, 1),
+    (2, 0, 0), (4, 0, 5), (1, 12, 36), (4, 0, 11), (2, 0, 0), (4, 0, 6), (1, 13, 42), (2, 0, 0),
+    (2, 0, 0), (1, 10, 35), (1, 10, 42), (1, 8, 35), (1, 8, 33), (1, 9, 23), (5, 0, 9), (1, 7, 33),
+    (2, 0, 0), (3, 0, 2), (2, 0, 0), (1, 9, 33), (3, 0, 7), (2, 0, 0), (1, 11, 33), (1, 10, 37),
+    (2, 0, 0), (1, 10, 24), (1, 10, 38), (1, 13, 41), (1, 8, 20), (1, 8, 37), (3, 0, 5), (1, 13, 35),
+    (3, 0, 1), (3, 0, 2), (2, 0, 0), (1, 9, 35), (4, 0, 6), (1, 6, 17), (3, 0, 3), (2, 0, 0),
+]  # fmt: skip
+
+
+def test_conflict_searches_of_a_pinned_corpus_are_bit_identical():
+    h, counts = hashlib.sha256(), []
+    for aset in _pinned_search_corpus():
+        with _counted_search() as (solutions, search):
+            assert isinstance(fit_functional(aset), Infeasible)
+        counts.append(tuple(search))
+        for sol in solutions:
+            h.update(sol.status.value.encode())
+            for a in (sol.x, sol.y, sol.certificate, sol.basis):
+                h.update(b"none" if a is None else a.tobytes())
+    assert counts == PINNED_SEARCH_COUNTS
+    assert h.hexdigest() == PINNED_SEARCH_SHA256
 
 
 # The kernel's absolute tolerances do not scale with rewards near 1e9: the fit

@@ -1107,6 +1107,47 @@ def test_solve_relaxed_matches_a_cold_solve_of_the_kept_rows():
             assert basis_gives_x(q, warm)
 
 
+def test_chained_warm_solves_equal_cold_solves_of_the_kept_rows_bit_for_bit():
+    # maximize 2 x1 + x2 over seven rows, the last a negated x1 + x2 >= 1; every
+    # pivot entry is 1, so both paths compute exactly.  Each step relaxes a warm
+    # solution (after the first) and drops rows whose slacks are basic and rows
+    # whose slacks are nonbasic, which are pivoted in first.
+    q = LpProblem((2.0, 1.0), [[1, 0], [0, 1], [1, 1], [1, 0], [0, 1], [1, 1], [-1, -1]],
+                  [4.0, 4.0, 6.0, 5.0, 5.0, 7.0, -1.0])
+    sol, rows = lp.solve(q), np.arange(7)
+    steps = [([0, 4, 6], [False, True, True], [5.0, 1.0]), ([3, 1], [True, False], [6.0, 0.0]),
+             ([2], [False], [7.0, 0.0])]  # dropped rows, is each one's slack basic, x
+    for dropped, basic, x in steps:
+        keep = ~np.isin(rows, dropped)
+        assert [2 + k in sol.basis for k in np.flatnonzero(~keep)] == basic
+        shape = sol._tableau.T.shape
+        sol, rows = lp.solve_relaxed(sol, keep), rows[keep]
+        cold = lp.solve(LpProblem(q.objective, q.constraints[rows], q.rhs[rows]))
+        assert sol.status is cold.status is LpStatus.OPTIMAL
+        assert sol.x.tobytes() == cold.x.tobytes() and sol.x.tolist() == x
+        assert sol.y.tobytes() == cold.y.tobytes() and sol.value == cold.value
+        assert sorted(sol.basis) == sorted(cold.basis)  # row order follows each path's pivots
+        # The warm tableau keeps the first one's shape; relaxed rows are zero.
+        tab = sol._tableau
+        assert tab.T.shape == shape and np.count_nonzero(tab.live) == rows.size
+        assert not tab.T[:-1][~tab.live].any()
+
+
+def test_relaxing_a_slack_without_a_pivot_raises_with_the_trial_problem():
+    # No solve reaches this, so the optimal tableau is built by hand: x is
+    # basic in row 0 and row 1's slack in row 1, and row 0's slack column has
+    # no entry in either row, so neither r_0's column nor s_0's has a pivot.
+    q = LpProblem((1.0,), [[1.0], [1.0]], [1.0, 2.0])
+    T = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]])
+    base = lp.LpSolution(LpStatus.OPTIMAL, x=np.array([1.0]), value=1.0)
+    object.__setattr__(base, "_tableau", lp._Tableau(q, T, np.array([0, 2])))
+    with pytest.raises(NumericalInstability, match="^a relaxed row's slack has no pivot$") as info:
+        lp.solve_relaxed(base, [False, True])
+    trial = info.value.problem
+    assert trial.constraints.tolist() == [[1.0]] and trial.rhs.tolist() == [2.0]
+    assert trial.objective is q.objective
+
+
 @pytest.mark.parametrize(
     "problem, status",
     [
