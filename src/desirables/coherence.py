@@ -88,12 +88,14 @@ class AssessmentSet(Record):
     def _margin_rows(self) -> np.ndarray:
         """[[U, 1], [0, 1]], the (m + 1) x (n + 1) matrix of every margin LP over this set, cached read-only.
 
-        Its last row, (0, ..., 0, 1), is also that LP's objective.
+        Its last row, (0, ..., 0, 1), is also that LP's objective.  Both are
+        checked here, once: each margin LP checks only its rhs (:func:`_margin_lp`).
         """
 
         def build():
             M = self._columns(self.accepted, (self.space.m + 1, len(self.accepted) + 1))
             M[:, -1] = 1.0
+            lp._check_finite(M)
             return M
 
         return self._cached("_margin", build)
@@ -165,10 +167,8 @@ class AcceptanceDecision(Record, eq=False):
 
 
 def _check_space(space: StateSpace, g: Gamble) -> None:
-    if g.space != space:
-        raise SpaceMismatch(
-            f"gamble on {g.space.labels} does not live on {space.labels}"
-        )
+    if g.space is not space and g.space != space:
+        raise SpaceMismatch(f"gamble on {g.space.labels} does not live on {space.labels}")
 
 
 def _check_weights(ell: Functional, space: StateSpace) -> None:
@@ -195,8 +195,8 @@ def accept_decision(a: AssessmentSet, g: Gamble) -> AcceptanceDecision:
 def _margin_lp(rows: np.ndarray, c: np.ndarray) -> AcceptanceDecision:
     """accept_decision's shifted margin LP for the query column c over ``rows``, a set's [[U, 1], [0, 1]].
 
-    ``rows`` is read-only and owns its data, so the LP shares it; only the
-    rhs is built per query.
+    The LP shares ``rows``, checked when the set built it, and its last row, the
+    objective; only the rhs is built and checked per query.
     """
     m, n = rows.shape[0] - 1, rows.shape[1] - 1
     s0 = min(float(c.min()), 1.0)
@@ -208,7 +208,7 @@ def _margin_lp(rows: np.ndarray, c: np.ndarray) -> AcceptanceDecision:
         raise NumericalInstability(f"margin LP rhs u(g) - {s0:g} overflows") from None
     rhs[m] = 1.0 - s0
     rhs.flags.writeable = False
-    problem = lp.LpProblem(rows[m], rows, rhs)  # the cap row is also the objective
+    problem = lp._with_rhs(rows[m], rows, rhs)  # the cap row is also the objective
     sol = lp.solve(problem)
     if sol.status is not lp.LpStatus.OPTIMAL:  # rhs >= 0 and the cap row: feasible, bounded
         raise NumericalInstability(f"margin LP cannot be {sol.status}", problem)

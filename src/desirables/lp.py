@@ -9,10 +9,11 @@ row as two rows, and a free variable as the difference of two columns::
     LpProblem(objective=[0, 0, 1], constraints=[[-2, 1, 1], [1, 1, 0]], rhs=[0, 1])
 
 A problem shares each argument that is a read-only float64 array owning its
-data, so a caller that builds a matrix once (an assessment set's margin LP)
-hands it to every solve without a copy; anything else is copied read-only.
-Shapes and finiteness are checked either way.  :func:`solve_relaxed` builds
-its smaller problem from rows of an already checked one, unchecked.
+data and copies anything else read-only; shapes and finiteness are checked
+either way.  An assessment set checks its margin-LP matrix once, as it builds
+it, and each query's problem shares it and its last row, the objective, with
+only the rhs checked (:func:`_with_rhs`); :func:`solve_relaxed`'s smaller
+problem takes rows of a checked one, unchecked.
 
 Every row has its own slack column.  A row with a negative rhs is negated, so
 its slack becomes a surplus, and it starts on an artificial column; every
@@ -27,17 +28,18 @@ update of the whole matrix.  A phase builds it from its cost and the basic
 rows whose cost is nonzero, so a cold phase 2 on the slack basis starts from
 the cost alone.  One step makes these numpy calls: argmin of row m; a mask of
 the entering column above _TOL and a masked divide, into reused buffers;
-argmin of the ratios and a count of the rows at the least ratio (the
-basis-index tie-break runs only when that count exceeds one); a divide of the
-pivot row, one BLAS product of the pivot column and the pivot row (a k = 1
-matrix product, the rank-1 update) into a reused work array, and one in-place
-subtraction.  An entry of a k = 1 product is one correctly rounded product,
-with no sum, so only the sign of a zero may vary with the BLAS build (OpenBLAS
-accumulates into +0.0).  No pivot decision reads it: each is a comparison,
-and no divisor is zero.  ``x``, ``y`` and certificates are read with
-``+ 0.0``, which turns -0.0 into 0.0, so the pivots, ``x``, ``y`` and
-certificates are bit-identical across BLAS builds; ``value`` and the checks
-below are BLAS dot products, whose last bits may vary with the build.
+argmin of the ratios and of their reversed view, the last row at the least
+ratio (-0.0 equals 0.0 there, as under ``np.equal``), and only when the two
+rows differ the basis-index tie-break; a divide of the pivot row; one BLAS
+product of the pivot column's view and the pivot row (a k = 1 matrix product,
+the rank-1 update) into a reused work array, whose pivot row is then zeroed;
+and one in-place subtraction.  An entry of a k = 1 product is one correctly
+rounded product, with no sum, so only the sign of a zero may vary with the
+BLAS build (OpenBLAS accumulates into +0.0).  No pivot decision reads it: each
+is a comparison, and no divisor is zero.  ``x``, ``y`` and certificates are
+read with ``+ 0.0``, which turns -0.0 into 0.0, so the pivots, ``x``, ``y``
+and certificates are bit-identical across BLAS builds; ``value`` and the
+checks below are BLAS dot products, whose last bits may vary with the build.
 
 The row prices are the final reduced costs of a phase at each row's initial
 basic column, less that column's cost, unflipped for negated rows (Chvátal
@@ -59,20 +61,12 @@ returned as ``None``; the status and ``x`` are unchanged.  An optimal
 solution also carries its final ``basis``, the basic columns of [A | I].
 
 :func:`solve_relaxed` solves an optimally solved problem again with only the
-rows a mask ``keep`` selects, from that solve's final tableau.  Dropping row
-k relaxes it: r_k >= 0 in A_k x + s_k - r_k = b_k frees s_k - r_k.  The
-column of r_k is the slack column as it stands, negated; the slack is stored
-as tau_k e_k already, so it is not multiplied by tau again.  The slack is
-pivoted in at the row the ratio test picks for r_k (for s_k when nothing
-bounds r_k), so the basis stays feasible.  The row the slack is basic in is
-zeroed, in place: the tableau keeps its cold shape, a zero row passes no
-ratio test and no pivot changes it, and a dropped slack's column stays zero
-with a zero reduced cost.  The other rows and columns are the smaller
-problem's tableau at a feasible basis, with its rank-1 updates, ratios and
-reduced costs, and phase 2 continues from it in the same :func:`_simplex_min`.
-``y`` is read at the kept rows' slack columns and the basis is renumbered
-into the smaller problem's [A | I], in the same order; ``x``, ``y`` and the
-basis get the reads and checks of a cold solve, against the smaller problem.
+rows a mask ``keep`` selects, from that solve's final tableau, with each
+dropped row relaxed in place (:meth:`_Tableau.relaxed`): the tableau keeps its
+cold shape, and phase 2 continues in the same :func:`_simplex_min`.  ``y`` is
+read at the kept rows' slack columns and the basis is renumbered into the
+smaller problem's [A | I], in the same order; ``x``, ``y`` and the basis get
+the reads and checks of a cold solve, against the smaller problem.
 """
 
 from __future__ import annotations
@@ -113,13 +107,12 @@ def _frozen(values) -> np.ndarray:
 
 
 class LpProblem(Record, eq=False):
-    """maximize objective @ x s.t. constraints @ x <= rhs, x >= 0.
+    """maximize objective @ x s.t. constraints @ x <= rhs, x >= 0, for an m x n ``constraints``.
 
-    ``constraints`` is the m x n coefficient matrix and ``rhs`` holds one
-    entry of either sign per row.  A read-only float64 array that owns its
-    data is stored as given, shared with the caller; any other input (a
-    writeable array, a view, another dtype, a list) is stored as a read-only
-    float copy.  Shapes and finiteness are checked either way.
+    A read-only float64 array that owns its data is stored as given, shared
+    with the caller; any other input (a writeable array, a view, another dtype,
+    a list) is stored as a read-only float copy.  Shapes and finiteness are
+    checked either way.
     """
 
     objective: np.ndarray
@@ -128,27 +121,41 @@ class LpProblem(Record, eq=False):
 
     def __post_init__(self):
         objective = _frozen(self.objective)
-        n = objective.size
-        if objective.ndim != 1 or n == 0 or not np.isfinite(objective).all():
+        if objective.ndim != 1 or objective.size == 0 or not np.isfinite(objective).all():
             raise ValueError("objective must be a nonempty finite vector")
-        A, rhs = _frozen(self.constraints), _frozen(self.rhs)
-        m = rhs.size
-        if n > _MAX_DIM:
-            raise DimensionError(f"{n} variables exceeds the kernel limit of {_MAX_DIM}")
-        if m > _MAX_DIM:
-            raise DimensionError(f"{m} constraints exceeds the kernel limit of {_MAX_DIM}")
-        if A.size == 0:
-            A = A.reshape(0, n)
-        if A.shape != (m, n) or rhs.shape != (m,):
-            raise DimensionError(
-                f"constraint matrix of shape {A.shape} and rhs of shape {rhs.shape} "
-                f"do not fit {m} rows over {n} variables"
-            )
-        if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
-            raise ValueError("constraint coefficients must be finite")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraints", A)
-        object.__setattr__(self, "rhs", rhs)
+        A = _frozen(self.constraints)
+        _with_rhs(objective, A.reshape(0, objective.size) if A.size == 0 else A, self.rhs, self)
+        _check_finite(A)
+
+
+def _with_rhs(objective, A, rhs, p=None) -> LpProblem:
+    """``p`` (new if None) of ``objective`` and ``A``, which the caller checked, and ``rhs``, checked here."""
+    rhs = _frozen(rhs)
+    m, n = rhs.size, objective.size
+    if n > _MAX_DIM:
+        raise DimensionError(f"{n} variables exceeds the kernel limit of {_MAX_DIM}")
+    if m > _MAX_DIM:
+        raise DimensionError(f"{m} constraints exceeds the kernel limit of {_MAX_DIM}")
+    if A.shape != (m, n) or rhs.shape != (m,):
+        raise DimensionError(
+            f"constraint matrix of shape {A.shape} and rhs of shape {rhs.shape} "
+            f"do not fit {m} rows over {n} variables"
+        )
+    _check_finite(rhs)
+    return _shared(objective, A, rhs, p)
+
+
+def _shared(objective, A, rhs, p=None) -> LpProblem:
+    """``p`` (a new LpProblem if None) holding the three read-only arrays as given, unchecked."""
+    p = object.__new__(LpProblem) if p is None else p
+    for name, a in zip(LpProblem._fields, (objective, A, rhs)):
+        object.__setattr__(p, name, a)
+    return p
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("constraint coefficients must be finite")
 
 
 class LpStatus(Enum):
@@ -206,10 +213,11 @@ class _Tableau:
         is stored as tau_k e_k already, so no tau enters), and making r_k basic
         in a row is the same basis change as pivoting s_k in there.  A free
         variable basic in a row only sets that row, so the row is zeroed and
-        no longer live, which leaves the tableau of ``p`` in its live rows and
-        its other columns.  A nonbasic slack is pivoted in first, at the row
-        the ratio test picks for r_k or, when nothing bounds r_k, for s_k;
-        either keeps the basis feasible.
+        no longer live (a zero row passes no ratio test and no pivot changes
+        it), which leaves the tableau of ``p`` in its live rows and its other
+        columns.  A nonbasic slack is pivoted in first, at the row the ratio
+        test picks for r_k or, when nothing bounds r_k, for s_k; either keeps
+        the basis feasible.
         """
         T, basis, n = self.T.copy(), self.basis.copy(), p.objective.size
         columns = np.arange(T.shape[1] - 1) if self.columns is None else self.columns
@@ -239,8 +247,8 @@ class _Tableau:
 def _pivot(tab: _Tableau, row: int, col: int) -> None:
     """Make ``col`` basic in ``row``: one rank-1 update of every row, row m included.
 
-    T loses the k = 1 BLAS product of the pivot column (pivot entry zeroed)
-    and the divided pivot row: its nonzeros are the same bits under every
+    T loses the k = 1 BLAS product of the pivot column and the divided pivot
+    row, zeroed in the pivot row: its nonzeros are the same bits under every
     BLAS build, a zero's sign is not, and an overflow raises under _guarded.
     """
     T = tab.T
@@ -251,9 +259,8 @@ def _pivot(tab: _Tableau, row: int, col: int) -> None:
         )
     pivot_row = T[row]
     pivot_row /= piv
-    f = T[:, col, None].copy()
-    f[row] = 0.0
-    np.dot(f, pivot_row[None], out=tab.work)  # k = 1: each entry one rounded product
+    np.dot(T[:, col, None], pivot_row[None], out=tab.work)  # k = 1: each entry one rounded product
+    tab.work[row] = 0.0  # the pivot row keeps its divided entries
     T -= tab.work
     tab.basis[row] = col
 
@@ -265,12 +272,10 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray) -> str:
     "optimal" or "unbounded".
     """
     T, m = tab.T, tab.basis.size
-    # Reduced-cost row: cost minus the basis-weighted tableau rows (summed row
-    # by row, not by a BLAS product, so pivots do not depend on the BLAS build).
-    # Only basic rows with a nonzero cost are summed.  A zero-cost row adds
-    # signed zeros, which can flip the sign of a zero reduced cost but of no
-    # value that is read: prices are read at slack, surplus and artificial
-    # columns, whose cost is +0.0 or 1.0, and pricing only compares.
+    # Reduced-cost row: cost minus the basis-weighted tableau rows, summed row by
+    # row (no BLAS product), over the basic rows with a nonzero cost.  A zero-cost
+    # row would add signed zeros, which no read value shows: prices are read at
+    # columns of cost +0.0 or 1.0, and pricing only compares.
     T[m, :-1], T[m, -1] = cost, 0.0
     basic_cost = cost[tab.basis]
     rows = basic_cost.nonzero()[0]
@@ -278,6 +283,7 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray) -> str:
         T[m] -= (basic_cost[rows, None] * T[rows]).sum(axis=0)
     reduced, rhs = T[m, :-1], T[:m, -1]  # views: every pivot updates them
     ratio, candidate = np.empty(m), np.empty(m, dtype=bool)
+    backward = ratio[::-1]  # its argmin is the last row at the least ratio
     degenerate = 0  # consecutive pivots on a row with rhs 0
     for _ in range(_MAX_ITER):
         entering = int(reduced.argmin())  # Dantzig: most negative reduced cost
@@ -287,8 +293,7 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray) -> str:
             entering = int((reduced < -_TOL).argmax())
         if not m:  # no row bounds the entering column
             return "unbounded"
-        # Min-ratio test over the entries above _TOL (finite: an overflow raises);
-        # ties at the least ratio, which are rare, go to the smallest basis index.
+        # Min-ratio test over the entries above _TOL (finite: an overflow raises).
         col = T[:m, entering]
         ratio.fill(np.inf)
         np.divide(rhs, col, out=ratio, where=np.greater(col, _TOL, out=candidate))
@@ -296,7 +301,8 @@ def _simplex_min(tab: _Tableau, cost: np.ndarray) -> str:
         least = ratio[row]
         if least == np.inf:
             return "unbounded"
-        if np.count_nonzero(np.equal(ratio, least, out=candidate)) > 1:
+        if backward.argmin() != m - 1 - row:  # a tie (0.0 == -0.0): smallest basis index
+            np.equal(ratio, least, out=candidate)
             row = int(np.where(candidate, tab.basis, T.shape[1]).argmin())
         degenerate = degenerate + 1 if rhs[row] == 0.0 else 0
         _pivot(tab, row, entering)
@@ -313,13 +319,10 @@ def solve(p: LpProblem) -> LpSolution:
 
 
 def solve_relaxed(base: LpSolution, keep) -> LpSolution:
-    """Solve the problem that ``base`` solved with only the rows ``keep`` left, from base's tableau.
+    """Solve the problem that ``base``, an OPTIMAL solution, solved with only the rows the mask ``keep`` left.
 
-    ``base`` is an OPTIMAL solution of :func:`solve` or :func:`solve_relaxed`,
-    and ``keep`` is a boolean mask over its problem's rows.  Dropping rows
-    only enlarges the feasible set, so phase 2 continues from base's final
-    basis with each dropped row relaxed in place; x, y and the basis are then
-    read and checked against the smaller problem as :func:`solve` does.
+    Dropping rows only enlarges the feasible set, so phase 2 continues from
+    base's final tableau, each dropped row relaxed in place (see the module).
     """
     tab = base._tableau
     if tab is None:
@@ -333,11 +336,9 @@ def solve_relaxed(base: LpSolution, keep) -> LpSolution:
 
 def _kept_rows(q: LpProblem, keep: np.ndarray) -> LpProblem:
     """``q`` with only the rows ``keep``, unchecked: they are rows of q, which were checked."""
-    p = object.__new__(LpProblem)
-    for name, a in zip(LpProblem._fields, (q.objective, q.constraints[keep], q.rhs[keep])):
-        a.flags.writeable = False
-        object.__setattr__(p, name, a)
-    return p
+    A, rhs = q.constraints[keep], q.rhs[keep]
+    A.flags.writeable = rhs.flags.writeable = False
+    return _shared(q.objective, A, rhs)
 
 
 def _guarded(p: LpProblem, run, *args) -> LpSolution:
@@ -422,10 +423,9 @@ def _phase2(tab: _Tableau) -> LpSolution:
 def _drive_out_artificials(tab: _Tableau, kept: int) -> None:
     """Pivot basic artificials (at level 0) out of the basis, then delete the artificial columns.
 
-    ``kept`` counts the structural, slack and surplus columns.  Each row has
-    its own slack or surplus column, so B^-1 [A | ±I] has full row rank and
-    an artificial's row has a nonzero entry among them.  When rounding has
-    left none above _TOL, the kernel raises.
+    ``kept`` counts the structural, slack and surplus columns.  B^-1 [A | ±I]
+    has full row rank (a slack or surplus per row), so an artificial's row has
+    a nonzero entry among them; when rounding has left none above _TOL, raise.
     """
     T = tab.T
     for i in np.flatnonzero(tab.basis >= kept):

@@ -684,6 +684,95 @@ def test_conflict_searches_of_a_pinned_corpus_are_bit_identical():
     assert h.hexdigest() == PINNED_SEARCH_SHA256
 
 
+def _pinned_extension_set(rng, m, n):
+    """A Linear-utility set of n accepted gambles on m states, its rejected gambles and 8 queries.
+
+    The accepted gambles hold under a planted functional w0.  Two rejected
+    gambles and the odd queries lie below it (outside the cone), one rejected
+    gamble lies above an accepted one (F2) and one, with the even queries,
+    inside the cone.  Built elementwise, as _sampled_conflicting_set is: an
+    in-cone gamble adds its generators one scaled column at a time.
+    """
+    w0 = rng.integers(1, 6, m).astype(float)
+    w0 /= w0.sum()
+
+    def vec():
+        return rng.integers(-20, 21, m) / 10
+
+    def outside():
+        v = vec()
+        return v - (math.fsum(w0 * v) + rng.choice((0.05, 0.2, 0.5)))
+
+    def inside():
+        c = rng.integers(1, 11, m) / 100
+        for j in rng.choice(n, size=max(1, n // 5), replace=False).tolist():
+            c = c + rng.integers(1, 21) / 10 * accepted[j]
+        return c
+
+    accepted = []
+    while len(accepted) < n:
+        v = vec()
+        if math.fsum(w0 * v) >= 0:
+            accepted.append(v)
+    above = accepted[int(rng.integers(n))] + rng.integers(1, 4, m) / 10
+    aset = assessment_on(m, Linear(), accepted, [outside(), above, inside(), outside()])
+    return aset, [Gamble(aset.space, inside() if k % 2 == 0 else outside()) for k in range(8)]
+
+
+def _pinned_extension_corpus():
+    sizes = [(4, 8)] * 6 + [(8, 30)] * 4 + [(16, 60)] * 3 + [(32, 60)] * 2
+    return [_pinned_extension_set(np.random.default_rng([7, i]), m, n) for i, (m, n) in enumerate(sizes)]
+
+
+#: sha256 over the natural-extension queries and audits of
+#: _pinned_extension_corpus(), in order: every margin LP's status, x, y, basis
+#: and pivot count, every decision's verdict, witness and certificate, and
+#: every audit's axioms.  ``value`` and ``margin`` are left out: they are BLAS
+#: dot products, whose last bits may vary with the build.  Recorded, with the
+#: counts of LPs and pivots, under the default, Haswell and Prescott OpenBLAS
+#: kernels and without AVX2/AVX-512 dispatch, before the tie test and the
+#: pivot column stopped being a count and a copy.
+PINNED_EXTENSION_SHA256 = "42c004c8cb03b7967cebe4c319ffcd9138371af25270764fe0a70697f1d8fe4e"
+PINNED_EXTENSION_COUNTS = (163, 2180)
+
+
+def test_natural_extension_queries_of_a_pinned_corpus_are_bit_identical():
+    h, lps, pivots = hashlib.sha256(), [], [0]
+    real_solve, real_pivot, real_margin = lp.solve, lp._pivot, coherence._margin_lp
+
+    def solve(p):
+        before = pivots[0]
+        sol = real_solve(p)
+        lps.append((sol, pivots[0] - before))
+        return sol
+
+    def pivot(tab, row, col):
+        pivots[0] += 1
+        real_pivot(tab, row, col)
+
+    def margin_lp(rows, c):
+        decision = real_margin(rows, c)
+        h.update(str(decision.accepted).encode())
+        for a in (decision.witness, decision.certificate):
+            h.update(b"none" if a is None else a.tobytes())
+        return decision
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, wrapped in (("solve", solve), ("_pivot", pivot)):
+            mp.setattr(lp, name, wrapped)
+        mp.setattr(coherence, "_margin_lp", margin_lp)
+        for aset, queries in _pinned_extension_corpus():
+            for g in queries:
+                accept_decision(aset, g)
+            h.update(" ".join(f.axiom for f in audit(aset)).encode())
+    for sol, count in lps:
+        h.update(sol.status.value.encode() + count.to_bytes(4, "little"))
+        for a in (sol.x, sol.y, sol.certificate, sol.basis):
+            h.update(b"none" if a is None else a.tobytes())
+    assert (len(lps), pivots[0]) == PINNED_EXTENSION_COUNTS
+    assert h.hexdigest() == PINNED_EXTENSION_SHA256
+
+
 # The kernel's absolute tolerances do not scale with rewards near 1e9: the fit
 # LP's solution fails its own <= row check by 2.4e-7 (ROADMAP item 1).
 @pytest.mark.xfail(raises=NumericalInstability, strict=True)

@@ -813,6 +813,48 @@ def test_partial_loss_lps_have_exactly_optimal_bases_and_exact_witnesses(monkeyp
         assert np.abs(report.witness - [float(v) for v in lam]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("m", [8, 16])
+def test_lps_of_an_infeasible_30_generator_conflict_search_have_exactly_optimal_bases(monkeypatch, m):
+    # ROADMAP item 7 on the fit LPs at full size: a seeded log_shift set of 30
+    # accepted gambles on m states, under a planted functional w, and 4 rejected
+    # ones, the last of which dominates accepted[7], so no functional fits.
+    # Its conflict search solves a cold LP, with a phase 1, and then only warm
+    # trials, whose basis _phase2 renumbers into the kept rows' problem; each
+    # final basis is checked against the problem it solved.
+    rng = np.random.default_rng([30, m])
+    n = 30
+    space = StateSpace(tuple(f"s{i}" for i in range(m)))
+    w = rng.dirichlet(np.ones(m))
+
+    def draw(accepted):
+        while True:
+            g = np.round(rng.uniform(-0.9, 2.0, m), 3)
+            if (w @ np.log1p(g) >= 0) if accepted else (w @ np.log1p(g) <= -1e-3):
+                return g
+
+    accepted = [draw(True) for _ in range(n)]
+    rejected = [draw(False) for _ in range(3)] + [np.round(accepted[7] + rng.uniform(0.001, 0.1, m), 3)]
+    aset = AssessmentSet(space, LogShift(), *(tuple(Gamble(space, g) for g in gs) for gs in (accepted, rejected)))
+    solved, real_solve, real_relaxed = [], lp.solve, lp.solve_relaxed
+
+    def keep(problem, sol, warm):
+        solved.append((problem, sol, warm))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", lambda p: keep(p, real_solve(p), False))
+    monkeypatch.setattr(lp, "solve_relaxed", lambda base, k: keep(None, real_relaxed(base, k), True))
+    result = coherence.fit_functional(aset)
+    monkeypatch.undo()
+    assert result.conflict == (("accepted", 7), ("rejected", 3))
+    assert [warm for *_, warm in solved] == [False] + [True] * (len(solved) - 1) and len(solved) >= 6
+    assert (solved[0][0].rhs < 0).any()  # the cold LP runs a phase 1
+    for p, sol, warm in solved:
+        assert sol.status is LpStatus.OPTIMAL
+        q = sol._tableau.problem
+        assert (warm or q is p) and q.constraints.shape[1] == m
+        _assert_basis_is_exactly_optimal(q, sol)
+
+
 def _assert_agrees_with_reference(p):
     """Same status as the reference Bland kernel and an optimum within the scaled
     tolerance, with duals on every optimum and a checked certificate on every
@@ -960,6 +1002,41 @@ def test_pinned_corpus_pivots_follow_the_documented_rule(monkeypatch, stall):
             pass
     assert oracle.counts["tied"] > 100 and oracle.counts["drive_out"] > 0
     assert stall == lp._STALL or oracle.counts["bland"] > 100
+
+
+@pytest.mark.parametrize(
+    "objective, rows, rhs, pivots, tie, tied_rhs",
+    [
+        # The second pivot's least ratios are 0.0 on row 0 (on its slack,
+        # column 2) and -0.0 on row 1 (on x_0, column 0): row 1 leaves.
+        ((3.0, 3.0), [[-2.0, 2.0], [2.0, 1.0], [2.0, 2.0]], (0.0, -0.0, 1.0), [(1, 0), (1, 1)], 1, (0.0, -0.0)),
+        # Phase 1's least ratios are 0.5 on row 0 (on its artificial, column
+        # 3) and on row 1 (on its slack, column 2): row 1 leaves, and the
+        # artificial, at level 0, is driven out on column 1.
+        ((0.0,), [[-2.0], [2.0]], (-1.0, 1.0), [(1, 0), (0, 1)], 0, (1.0, 1.0)),
+        # The second pivot's least ratios are 1.0 on row 0 (on its slack) and
+        # on row 1 (on x_0): row 1 leaves.
+        ((1.0, 1.0), [[1.0, 1.0], [2.0, 1.0]], (1.0, 1.0), [(1, 0), (1, 1)], 1, (0.5, 0.5)),
+    ],
+    ids=["signed_zeros", "phase1_positive", "phase2_positive"],
+)
+def test_tied_ratios_leave_on_the_smallest_basis_index(monkeypatch, objective, rows, rhs, pivots, tie, tied_rhs):
+    # Pivot ``tie`` ties two rows, whose rhs entries (the tied ratios' numerators,
+    # over an entering entry of 1.0, 2.0 or 0.5) are ``tied_rhs``.  The later
+    # row has the smaller basis index, so a rule that took the first least
+    # ratio would pivot elsewhere; the oracle checks every pivot.
+    oracle = _PivotRuleOracle(monkeypatch)
+    checked, made = lp._pivot, []
+
+    def pivot(tab, row, col):
+        made.append(((row, col), tab.T[:2, -1].copy()))
+        checked(tab, row, col)
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    sol = lp.solve(LpProblem(objective, rows, rhs))
+    assert sol.status is LpStatus.OPTIMAL
+    assert [p for p, _ in made] == pivots and oracle.counts["tied"] == 1
+    assert made[tie][1].tobytes() == np.array(tied_rhs).tobytes()  # -0.0 is not 0.0 here
 
 
 def _highs(p):
